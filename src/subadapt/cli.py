@@ -144,7 +144,14 @@ def read_feature_csv(path, require_all_labeled=False):
         raise ValidationError(f"{path}: no data rows")
     if require_all_labeled and len(labels) != len(features):
         raise ValidationError(f"{path}: every row must be labeled")
-    return np.asarray(features, dtype=float), np.asarray(labels, dtype=np.int64)
+    features = np.asarray(features, dtype=float)
+    bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad_rows.size:
+        data_lines = [lineno for lineno, line in enumerate(lines[1:], start=2)
+                      if line.strip()]
+        raise ValidationError(
+            f"{path}: line {data_lines[bad_rows[0]]}: non-finite feature")
+    return features, np.asarray(labels, dtype=np.int64)
 
 
 def _vector_lines(name, vec):
@@ -182,6 +189,14 @@ def load_model(path):
         lines = handle.read().splitlines()
     cursor = 0
 
+    def number(kind, text, name):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: field {name!r} is not a valid {kind.__name__}: {text!r}"
+            ) from None
+
     def take():
         nonlocal cursor
         if cursor >= len(lines):
@@ -200,46 +215,42 @@ def load_model(path):
         parts = take().split()
         if len(parts) != 2 or parts[0] != name:
             raise ValidationError(f"{path}: expected vector {name!r}")
-        count = int(parts[1])
+        count = number(int, parts[1], name)
         values = take().split()
         if len(values) != count:
             raise ValidationError(f"{path}: vector {name!r} has wrong length")
-        return np.array([float(v) for v in values])
+        return np.array([number(float, v, name) for v in values])
 
     if take() != MODEL_FORMAT:
         raise ValidationError(f"{path}: unknown model format")
     loss = take_field("loss")
     hp_kwargs = dict(loss=loss)
-    hp_kwargs["c1"] = float(take_field("c1"))
-    hp_kwargs["c2"] = float(take_field("c2"))
-    hp_kwargs["c3"] = float(take_field("c3"))
-    hp_kwargs["r"] = int(take_field("r"))
-    hp_kwargs["k"] = int(take_field("k"))
-    hp_kwargs["delta"] = float(take_field("delta"))
-    hp_kwargs["step"] = float(take_field("step"))
-    hp_kwargs["max_outer_iters"] = int(take_field("max_outer_iters"))
-    hp_kwargs["max_inner_iters"] = int(take_field("max_inner_iters"))
-    hp_kwargs["tol"] = float(take_field("tol"))
-    hp_kwargs["seed"] = int(take_field("seed"))
+    for name, kind in (("c1", float), ("c2", float), ("c3", float), ("r", int),
+                       ("k", int), ("delta", float), ("step", float),
+                       ("max_outer_iters", int), ("max_inner_iters", int),
+                       ("tol", float), ("seed", int)):
+        hp_kwargs[name] = number(kind, take_field(name), name)
     hp = Hyperparams(**hp_kwargs)
 
     parts = take().split()
     if len(parts) != 3 or parts[0] != "theta":
         raise ValidationError(f"{path}: expected the theta matrix")
-    r, m = int(parts[1]), int(parts[2])
+    r, m = number(int, parts[1], "theta"), number(int, parts[2], "theta")
+    if r < 0 or m < 0:
+        raise ValidationError(f"{path}: field 'theta' has a negative dimension")
     theta = np.empty((r, m))
     for i in range(r):
         values = take().split()
         if len(values) != m:
             raise ValidationError(f"{path}: theta row {i} has wrong length")
-        theta[i] = [float(v) for v in values]
+        theta[i] = [number(float, v, "theta") for v in values]
     vectors = {name: take_vector(name)
                for name in ("w", "phi", "varphi", "u", "v", "pi")}
     state = ModelState(theta=theta, w=vectors["w"], phi=vectors["phi"],
                        varphi=vectors["varphi"], u=vectors["u"],
                        v=vectors["v"], pi=vectors["pi"], loss=loss)
     scaler = None
-    if int(take_field("scaler")):
+    if number(int, take_field("scaler"), "scaler"):
         scaler = FeatureScaler(mean=take_vector("mean"), std=take_vector("std"))
     return state, hp, scaler
 

@@ -92,20 +92,29 @@ def _feasible_start(p: QpProblem, warm_start) -> np.ndarray:
         if x0.shape != (p.n,) or not np.all(np.isfinite(x0)):
             raise ValidationError("warm start has the wrong shape or non-finite entries")
     lo, up = p.lower, p.upper
-    # shift-then-clip projection onto the box/sum intersection, by bisection
-    t_lo = float((lo - x0).min()) - 1.0
-    t_hi = float((up - x0).max()) + 1.0
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if np.clip(x0 + t_mid, lo, up).sum() < p.eq_sum:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    x = np.clip(x0 + t_hi, lo, up)
+    # Shift-then-clip projection onto the box/sum intersection. The clipped
+    # sum s(t) = sum(clip(x0 + t, lo, up)) is piecewise linear and
+    # nondecreasing, its slope rising by one at each lo - x0 and falling by
+    # one at each up - x0; take the smallest t with s(t) = eq_sum.
+    knots = np.concatenate([lo - x0, up - x0])
+    order = np.argsort(knots, kind="stable")
+    knots = knots[order]
+    slopes = np.cumsum(np.repeat([1.0, -1.0], p.n)[order])
+    sums = lo.sum() + np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(knots))])
+    j = int(np.searchsorted(sums, p.eq_sum))
+    if j == 0:
+        t = knots[0]
+    elif j == knots.size:
+        t = knots[-1]
+    else:
+        t = knots[j - 1] + (p.eq_sum - sums[j - 1]) / slopes[j - 1]
+    x = np.clip(x0 + t, lo, up)
     interior = (x > lo) & (x < up)
     if interior.any():
         x[interior] += (p.eq_sum - x.sum()) / interior.sum()
-    return x
+    # a coordinate whose knot is t itself can be an ulp off its bound and
+    # count as interior; keep the correction from pushing it past the bound
+    return np.clip(x, lo, up, out=x)
 
 
 def _sum_nullspace_basis(n: int) -> np.ndarray:

@@ -79,8 +79,7 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi, pair: DatasetPair,
     u, v = recover_u_v(theta, w, phi_vec, varphi_vec)
     total += 0.5 * hp.c1 * (float(u @ u) + float(v @ v))
 
-    w_s = graph_s.dense_coefficients()
-    pi_resid = pi - w_s @ pi
+    pi_resid = graph_s.residual_vectors(pi[:, None])[:, 0]
     h_resid = graph_t.residual_vectors(pair.target_x) @ varphi_vec
     total += hp.c2 * (float(pi_resid @ pi_resid) + float(h_resid @ h_resid))
 

@@ -197,6 +197,52 @@ def test_predict_matches_in_process(tmp_path):
         assert int(file_label) == label
 
 
+def save_linear_model(path, m=3):
+    state = ModelState.from_parameters(np.eye(1, m), np.zeros(1), np.zeros(m),
+                                       np.zeros(m), np.ones(4), "hinge")
+    save_model(path, state, Hyperparams(r=1), None)
+
+
+def test_predict_non_finite_row_exits_2(tmp_path, capsys):
+    model_path = tmp_path / "m.txt"
+    save_linear_model(model_path)
+    for bad in ("nan", "inf", "-inf"):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"label,f0,f1,f2\n,1,2,3\n\n,0.5,{bad},1\n")
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(model_path), "--input", str(rows),
+                   "--output", str(out)])
+        assert rc == 2
+        assert "line 4: non-finite feature" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field, offset, replacement", [
+    ("scaler", 0, "scaler x"),
+    ("c1", 0, "c1 ten"),
+    ("k", 0, "k 2.5"),
+    ("seed", 0, "seed abc"),
+    ("theta", 0, "theta 1 three"),
+    ("theta", 0, "theta -1 3"),
+    ("theta", 1, "1 0 x"),
+    ("phi", 0, "phi two"),
+    ("varphi", 1, "0 zero 0"),
+])
+def test_malformed_model_field_exits_2(tmp_path, capsys, field, offset, replacement):
+    model_path = tmp_path / "m.txt"
+    save_linear_model(model_path)
+    lines = model_path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.split()[0] == field)
+    lines[index + offset] = replacement
+    model_path.write_text("\n".join(lines) + "\n")
+    rows = tmp_path / "rows.csv"
+    write_feature_csv(rows, np.zeros((2, 3)))
+    rc = main(["predict", "--model", str(model_path), "--input", str(rows),
+               "--output", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert f"field {field!r}" in capsys.readouterr().err
+
+
 def test_predict_dimension_mismatch_exits_2(tmp_path):
     theta = np.eye(1, 3)
     state = ModelState.from_parameters(theta, np.zeros(1), np.zeros(3),

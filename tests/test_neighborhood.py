@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from subadapt.data_model import ValidationError
+from subadapt import neighborhood
+from subadapt.data_model import NumericError, ValidationError
 from subadapt.neighborhood import (
+    GRAM_RIDGE,
     build_graph,
     build_knn,
     solve_reconstruction,
@@ -166,3 +168,68 @@ def test_residual_vectors_match_definition():
 def test_non_finite_input_rejected():
     with pytest.raises(ValidationError, match="non-finite"):
         solve_reconstruction(np.array([np.nan]), np.ones((2, 1)))
+
+
+def per_point_coeffs(points, indices):
+    return np.array([solve_reconstruction(points[i], points[indices[i]])
+                     for i in range(len(points))])
+
+
+def reconstruction_objective(x, neighbors, weights):
+    """The QP objective solve_reconstruction minimizes, and its Hessian scale."""
+    h = 2.0 * (neighbors @ neighbors.T + GRAM_RIDGE * np.eye(len(weights)))
+    return 0.5 * weights @ h @ weights - 2.0 * (neighbors @ x) @ weights, np.abs(h).max()
+
+
+@pytest.mark.parametrize("seed, n, m, k", [
+    (10, 30, 3, 1), (11, 40, 5, 3), (12, 60, 8, 8), (13, 7, 9, 6), (14, 200, 20, 5),
+])
+def test_batched_graph_matches_per_point_reference(seed, n, m, k):
+    points = np.random.default_rng(seed).standard_normal((n, m))
+    graph = build_graph(points, k)
+    reference = per_point_coeffs(points, graph.indices)
+    assert np.abs(graph.coeffs - reference).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name, k", [
+    ("duplicates", 2), ("duplicates", 5), ("k_above_m", 4), ("k_above_m", 9),
+    ("k_above_m_scaled", 6), ("all_equal", 3), ("all_zero", 4),
+])
+def test_batched_graph_degenerate_rows_match_reference_objective(name, k):
+    rng = np.random.default_rng(16)
+    points = {
+        "duplicates": np.repeat(rng.standard_normal((8, 3)), 3, axis=0),
+        "k_above_m": rng.standard_normal((30, 2)),
+        "k_above_m_scaled": 1e3 * rng.standard_normal((30, 2)),
+        "all_equal": np.full((8, 3), 2.5),
+        "all_zero": np.zeros((6, 2)),
+    }[name]
+    graph = build_graph(points, k)
+    assert graph.coeffs.min() >= 0.0
+    assert np.abs(graph.coeffs.sum(axis=1) - 1.0).max() <= 1e-12
+    reference = per_point_coeffs(points, graph.indices)
+    for i in range(len(points)):
+        neighbors = points[graph.indices[i]]
+        batched, scale = reconstruction_objective(points[i], neighbors, graph.coeffs[i])
+        expected, _ = reconstruction_objective(points[i], neighbors, reference[i])
+        assert abs(batched - expected) <= 1e-12 * max(1.0, scale)
+
+
+def test_singular_batch_falls_back_to_per_point_reference(monkeypatch):
+    # the 1e-8 Gram ridge is lost against 1e18 entries, so the KKT systems of
+    # points with duplicate neighbors are exactly singular
+    points = np.repeat(1e9 * np.random.default_rng(17).standard_normal((5, 3)), 3, axis=0)
+    with pytest.raises(NumericError) as per_point:
+        per_point_coeffs(points, build_knn(points, 4))
+    fallback_rows = []
+    reference = neighborhood.solve_reconstruction
+
+    def counted(x, neighbors):
+        fallback_rows.append(x)
+        return reference(x, neighbors)
+
+    monkeypatch.setattr(neighborhood, "solve_reconstruction", counted)
+    with pytest.raises(NumericError) as batched:
+        build_graph(points, 4)
+    assert fallback_rows
+    assert str(batched.value) == str(per_point.value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subadapt.data_model import NumericError, ValidationError
-from subadapt.qp_solver import QpProblem, solve
+from subadapt.qp_solver import QpProblem, _feasible_start, solve
 
 
 def kkt_residual(p, x, activity_atol=1e-7):
@@ -163,3 +163,42 @@ def test_pinned_variable():
     assert x[1] == pytest.approx(0.7, abs=1e-12)
     assert x[0] == pytest.approx(0.4, abs=1e-8)
     assert x[2] == pytest.approx(0.4, abs=1e-8)
+
+
+def bisection_start(p, warm_start):
+    """Shift-then-clip projection onto the box/sum set by 200-step bisection."""
+    x0 = np.full(p.n, p.eq_sum / p.n) if warm_start is None else warm_start.copy()
+    t_lo = float((p.lower - x0).min()) - 1.0
+    t_hi = float((p.upper - x0).max()) + 1.0
+    for _ in range(200):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if np.clip(x0 + t_mid, p.lower, p.upper).sum() < p.eq_sum:
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+    x = np.clip(x0 + t_hi, p.lower, p.upper)
+    interior = (x > p.lower) & (x < p.upper)
+    if interior.any():
+        x[interior] += (p.eq_sum - x.sum()) / interior.sum()
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("sum_at", ["inside", "lower", "upper"])
+def test_exact_start_matches_bisection(n, sum_at):
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        lower = rng.uniform(-3.0, 1.0, n)
+        upper = lower + rng.uniform(0.0, 3.0, n)
+        pinned = rng.random(n) < 0.25
+        upper[pinned] = lower[pinned]
+        eq_sum = {"inside": float(rng.uniform(lower.sum(), upper.sum())),
+                  "lower": lower.sum(), "upper": upper.sum()}[sum_at]
+        p = QpProblem(np.eye(n), np.zeros(n), lower, upper, eq_sum)
+        # cold start, warm starts inside the box, and far outside it
+        warm = [None, rng.uniform(lower, upper),
+                rng.normal(0.0, 10.0 ** rng.uniform(1, 4), n)][trial % 3]
+        x = _feasible_start(p, warm)
+        assert np.abs(x - bisection_start(p, warm)).max() <= 1e-12
+        assert np.all(x >= lower) and np.all(x <= upper)
+        assert x[pinned] == pytest.approx(lower[pinned], abs=0.0)
