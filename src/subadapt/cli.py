@@ -16,12 +16,15 @@ import json
 import math
 import os
 import sys
+import tempfile
+import types
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .data_model import DatasetPair, FeatureScaler, Hyperparams, LOSS_KINDS, \
-    ModelState, NumericError, ValidationError, validate
+    ModelState, NumericError, ValidationError, check_model_state, validate
 from .classifier import predict_target
 from .evaluation import run_cv
 from .trainer import fit
@@ -76,10 +79,24 @@ def make_shifted_pair(seed, n1=100, n2=100, n3=20, m=5, shift=1.0, rot_deg=20.0)
 # file formats
 
 def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Write through a uniquely named temporary file beside ``path``, then
+    rename it over ``path``; concurrent writers never share a temporary."""
+    directory, name = os.path.split(os.fspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        # mkstemp creates the file private; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _f17(value) -> str:
@@ -246,12 +263,24 @@ def load_model(path):
         theta[i] = [number(float, v, "theta") for v in values]
     vectors = {name: take_vector(name)
                for name in ("w", "phi", "varphi", "u", "v", "pi")}
+    for name, size in (("w", r), ("phi", m), ("varphi", m), ("u", m), ("v", m)):
+        if vectors[name].size != size:
+            raise ValidationError(f"{path}: vector {name!r} does not match theta {r} x {m}")
+    if not vectors["pi"].size:
+        raise ValidationError(f"{path}: vector 'pi' is empty")
     state = ModelState(theta=theta, w=vectors["w"], phi=vectors["phi"],
                        varphi=vectors["varphi"], u=vectors["u"],
                        v=vectors["v"], pi=vectors["pi"], loss=loss)
     scaler = None
     if number(int, take_field("scaler"), "scaler"):
         scaler = FeatureScaler(mean=take_vector("mean"), std=take_vector("std"))
+    extra = next((i for i in range(cursor, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise ValidationError(f"{path}: line {extra + 1}: content after the last field")
+    try:
+        check_model_state(state, hp.delta)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from None
     return state, hp, scaler
 
 
@@ -287,7 +316,7 @@ class RunConfig:
     report: str | None = None
     trace: str | None = None
     param: str | None = None
-    grid: list | None = None
+    grid: list[float] | None = None
 
     def to_json(self) -> str:
         payload = {k: v for k, v in asdict(self).items() if v is not None}
@@ -295,17 +324,47 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except ValueError as err:
+            raise ValidationError(f"config is not valid JSON: {err}") from None
+        if not isinstance(payload, dict):
+            raise ValidationError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValidationError(f"unknown config fields: {unknown}")
+        hints = typing.get_type_hints(cls)
+        for name, value in payload.items():
+            if not _json_fits(value, hints[name]):
+                raise ValidationError(
+                    f"config field {name!r} must be {hints[name]}, "
+                    f"got {json.dumps(value)}")
         return cls(**payload)
 
     def hyperparams(self) -> Hyperparams:
         kwargs = {name: getattr(self, name) for name in _HP_FIELDS
                   if getattr(self, name) is not None}
         return Hyperparams(**kwargs)
+
+
+def _json_fits(value, kind) -> bool:
+    """Whether a decoded JSON value fits a field annotation such as
+    ``float | None`` or ``list[float] | None``. An integer fits float;
+    a boolean fits only bool."""
+    args = typing.get_args(kind)
+    origin = typing.get_origin(kind)
+    if origin is types.UnionType:
+        return any(_json_fits(value, option) for option in args)
+    if origin is list:
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    if kind is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def _merge_config(args, option_names):

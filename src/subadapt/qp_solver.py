@@ -5,10 +5,14 @@
 
 A primal active-set method fixes variables at their bounds and solves the
 remaining equality-constrained subproblem through a bordered KKT system.
-Singular reduced Hessians (PSD but rank deficient, including H = 0) fall
-back to an eigendecomposition of the reduced Hessian and follow directions
-of linear descent until a bound blocks; the feasible set is compact, so a
-blocking bound always exists.
+Given a ``KktBasis`` (the explicit inverse of the all-free KKT matrix of a
+nearby H0, with H - H0 in low-rank factored form) each step comes instead
+from a small Schur complement against that inverse, verified against H
+itself (Gill, Murray, Saunders & Wright 1990, "A Schur-complement method
+for sparse quadratic programming"). Singular reduced Hessians (PSD but
+rank deficient, including H = 0) fall back to an eigendecomposition of the
+reduced Hessian and follow directions of linear descent until a bound
+blocks; the feasible set is compact, so a blocking bound always exists.
 """
 
 from __future__ import annotations
@@ -19,9 +23,14 @@ import numpy as np
 
 from .data_model import NumericError, ValidationError
 
-# Reject H only when its smallest eigenvalue is below -PSD_EIG_TOL; smaller
-# negative curvature is rounding noise from assembling sums of outer products.
+# Reject H only when its smallest eigenvalue is below -PSD_EIG_TOL times
+# max(1, max|H|); smaller negative curvature is rounding noise from assembling
+# sums of outer products, and that noise grows with the entries of H.
 PSD_EIG_TOL = 1e-8
+
+# A KktBasis is built only when the infinity-norm condition number of its
+# bordered matrix stays below this bound.
+BASIS_COND_LIMIT = 1e8
 
 _MAX_ITERS_PER_VAR = 100
 
@@ -70,16 +79,21 @@ def _validate(p: QpProblem) -> None:
         raise ValidationError("equality constraint infeasible for the given bounds")
 
 
+def _psd_tolerance(h: np.ndarray) -> float:
+    return PSD_EIG_TOL * max(1.0, float(np.abs(h).max(initial=0.0)))
+
+
 def _require_psd(h: np.ndarray) -> None:
     # Cholesky of H + tol*I succeeds iff the smallest eigenvalue exceeds -tol.
     n = h.shape[0]
+    tol = _psd_tolerance(h)
     try:
-        np.linalg.cholesky(h + PSD_EIG_TOL * np.eye(n))
+        np.linalg.cholesky(h + tol * np.eye(n))
         return
     except np.linalg.LinAlgError:
         pass
     lam_min = float(np.linalg.eigvalsh(h)[0])
-    if lam_min < -PSD_EIG_TOL:
+    if lam_min < -tol:
         raise NumericError(
             f"H is not positive semidefinite (min eigenvalue {lam_min:.3e})")
 
@@ -138,7 +152,7 @@ def _reduced_step(hff: np.ndarray, gf: np.ndarray):
     hr = z.T @ hff @ z
     gr = z.T @ gf
     lam, vec = np.linalg.eigh(0.5 * (hr + hr.T))
-    if lam[0] < -PSD_EIG_TOL:
+    if lam[0] < -_psd_tolerance(hff):
         raise NumericError(
             "H is not positive semidefinite on the constraint subspace")
     cut = 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0)))
@@ -174,29 +188,152 @@ def _free_subproblem(p: QpProblem, x, free_idx, grad):
         sol = None
     if sol is not None and np.all(np.isfinite(sol)):
         step = sol[:nf] - x[free_idx]
-        # A near-singular system solves with a tiny backward residual yet a
-        # huge, direction-unreliable solution; anything far beyond the box is
-        # decided exactly by the eigendecomposition path instead.
-        box_scale = max(1.0, float(np.abs(x).max()),
-                        float((p.upper[free_idx] - p.lower[free_idx]).max()))
         resid = np.abs(k @ sol - rhs).max()
         scale = max(1.0, np.abs(rhs).max(), np.abs(k).max() * max(1.0, np.abs(sol).max()))
-        if resid <= 1e-9 * scale and np.abs(step).max() <= 1e6 * box_scale:
-            descent = float(gf @ step)
-            if descent <= 1e-10 * max(1.0, np.abs(gf).max()) * max(1.0, np.abs(step).max()):
-                return step, False
+        if _step_verified(p, x, free_idx, gf, step, resid, scale):
+            return step, False
     return _reduced_step(hff, gf)
 
 
-def solve(p: QpProblem, warm_start=None) -> np.ndarray:
+def _step_verified(p: QpProblem, x, free_idx, gf, step, resid, scale) -> bool:
+    """Accept a solved free-set step: small backward residual of its KKT
+    system, a length not far beyond the box, and a descent direction."""
+    # A near-singular system solves with a tiny backward residual yet a
+    # huge, direction-unreliable solution; anything far beyond the box is
+    # decided exactly by the eigendecomposition path instead.
+    box_scale = max(1.0, float(np.abs(x).max()),
+                    float((p.upper[free_idx] - p.lower[free_idx]).max()))
+    if not (resid <= 1e-9 * scale and np.abs(step).max() <= 1e6 * box_scale):
+        return False
+    descent = float(gf @ step)
+    return descent <= 1e-10 * max(1.0, np.abs(gf).max()) * max(1.0, np.abs(step).max())
+
+
+@dataclass(frozen=True)
+class KktBasis:
+    """Explicit inverse of the all-free bordered KKT matrix
+    K0 = [[H0, 1], [1', 0]], and factors with H = H0 + u diag(d) u' for the
+    problem at hand (u is n x q, d has no zero entry)."""
+
+    inverse: np.ndarray
+    u: np.ndarray
+    d: np.ndarray
+
+    def updated(self, u, d) -> "KktBasis":
+        """The same inverse, for a problem whose H = H0 + u diag(d) u'."""
+        return KktBasis(self.inverse, np.asarray(u, dtype=float),
+                        np.asarray(d, dtype=float))
+
+
+def kkt_basis(h0) -> KktBasis | None:
+    """Basis of H0 with empty factors, or None when K0 is singular or its
+    infinity-norm condition number exceeds BASIS_COND_LIMIT."""
+    h0 = np.asarray(h0, dtype=float)
+    n = h0.shape[0]
+    k0 = np.ones((n + 1, n + 1))
+    k0[:n, :n] = h0
+    k0[n, n] = 0.0
+    try:
+        inverse = np.linalg.inv(k0)
+    except np.linalg.LinAlgError:
+        return None
+    cond = np.abs(k0).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
+    if not cond <= BASIS_COND_LIMIT:
+        return None
+    # symmetric to the last bit, so that the Schur complement is too
+    return KktBasis(0.5 * (inverse + inverse.T), np.zeros((n, 0)), np.zeros(0))
+
+
+class _SchurSteps:
+    """Free-set steps of one QP from a KktBasis.
+
+    The step (dx, nu) with dx fixed at zero on the fixed set A solves the
+    bordered system of H = H0 + U D U', which is the all-free K0 bordered by
+    V = [[U; 0], E_A] (E_A: unit columns of A) with corner
+    C = blockdiag(-D^-1, 0). With S = C - V' M0 V and y0 = M0 b, the
+    solution is y0 - M0 V S^-1 (-V' y0): one O(n^2) product with M0 plus
+    work in q + |A|, where M0 U and U' M0 U are formed once per QP.
+    """
+
+    def __init__(self, p: QpProblem, basis: KktBasis):
+        n = p.n
+        if basis.inverse.shape != (n + 1, n + 1) or basis.u.ndim != 2 \
+                or basis.u.shape[0] != n or basis.d.shape != basis.u.shape[1:] \
+                or not np.all(np.isfinite(basis.d)) or np.any(basis.d == 0.0):
+            raise ValidationError("KKT basis does not match the QP")
+        self.q = basis.u.shape[1]
+        self.m0 = basis.inverse
+        self.u = basis.u
+        self.m0u = self.m0[:, :n] @ basis.u
+        utm0u = basis.u.T @ self.m0u[:n]
+        self.corner = -np.diag(1.0 / basis.d) - 0.5 * (utm0u + utm0u.T)
+        self.h_row_max = np.abs(p.h).max(axis=1, initial=0.0)
+
+    def step(self, p: QpProblem, x, free, grad):
+        """(step, H_FF step) for the free coordinates, or None when the
+        Schur complement is singular or the step fails verification."""
+        n, q = p.n, self.q
+        free_idx = np.flatnonzero(free)
+        fixed_idx = np.flatnonzero(~free)
+        cross = self.m0u[fixed_idx]
+        schur = np.empty((q + fixed_idx.size, q + fixed_idx.size))
+        schur[:q, :q] = self.corner
+        schur[q:, :q] = -cross
+        schur[:q, q:] = -cross.T
+        schur[q:, q:] = -self.m0[np.ix_(fixed_idx, fixed_idx)]
+        m0v = np.concatenate([self.m0u, self.m0[:, fixed_idx]], axis=1)
+
+        def apply(b):
+            y = self.m0 @ b
+            vy = np.concatenate([self.u.T @ y[:n], y[fixed_idx]])
+            out = y - m0v @ np.linalg.solve(schur, -vy)
+            out[fixed_idx] = 0.0
+            return out
+
+        b = np.empty(n + 1)
+        b[:n] = -grad
+        b[n] = p.eq_sum - x.sum()
+
+        def residual(sol):
+            # rows of the fixed set carry their bound multiplier: no residual
+            h_dir = p.h @ sol[:n]
+            r = np.zeros(n + 1)
+            r[free_idx] = h_dir[free_idx] + sol[n] + grad[free_idx]
+            r[n] = sol[:n].sum() - b[n]
+            return r, h_dir
+
+        try:
+            sol = apply(b)
+            sol -= apply(residual(sol)[0])
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(sol)):
+            return None
+        r, h_dir = residual(sol)
+        step = sol[free_idx]
+        row_scale = max(1.0, float(self.h_row_max[free_idx].max()))
+        scale = max(1.0, np.abs(b[free_idx]).max(), abs(b[n]),
+                    row_scale * max(1.0, np.abs(x[free_idx] + step).max(), abs(sol[n])))
+        if not _step_verified(p, x, free_idx, grad[free_idx], step,
+                              np.abs(r).max(), scale):
+            return None
+        return step, h_dir[free_idx]
+
+
+def solve(p: QpProblem, warm_start=None, basis: KktBasis | None = None) -> np.ndarray:
     """Minimize the QP; deterministic for fixed input.
 
     The result is feasible to 1e-8 on bounds and sum and satisfies the KKT
     stationarity conditions to well below 1e-6 in max norm.
+
+    With a ``basis`` whose factors match p.h, each step comes from a Schur
+    complement while q + |fixed| < |free|; otherwise, and whenever that step
+    fails verification against p.h, from the dense free-set system.
     """
     _validate(p)
     _require_psd(p.h)
     n = p.n
+    schur = None if basis is None else _SchurSteps(p, basis)
     lo, up = p.lower, p.upper
     x = _feasible_start(p, warm_start)
 
@@ -214,12 +351,20 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
 
         step = None
         if free_idx.size:
-            step, is_ray = _free_subproblem(p, x, free_idx, grad)
+            found = None
+            if schur is not None and schur.q + (n - free_idx.size) < free_idx.size:
+                found = schur.step(p, x, free, grad)
+            if found is not None:
+                (step, hd), is_ray = found, False
+            else:
+                step, is_ray = _free_subproblem(p, x, free_idx, grad)
+                hd = None
             if step is not None and not is_ray:
                 # Ill-conditioned subproblems bounce by rounding noise instead
                 # of shrinking the step; a step predicting no material decrease
                 # means the subproblem is solved.
-                hd = p.h[np.ix_(free_idx, free_idx)] @ step
+                if hd is None:
+                    hd = p.h[np.ix_(free_idx, free_idx)] @ step
                 predicted = -(grad[free_idx] @ step + 0.5 * step @ hd)
                 tol_pred = 1e-13 * max(1.0, float(np.abs(grad).max(initial=0.0))
                                        * max(1.0, float(np.abs(x).max())))

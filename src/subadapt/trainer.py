@@ -20,7 +20,7 @@ from .data_model import DatasetPair, Hyperparams, ModelState, validate
 from .losses import loss_value
 from .neighborhood import NeighborGraph, build_graph
 from .subspace import build_phi, projected_means, update_theta, update_w
-from .weights import build_weight_problem, update_pi
+from .weights import WeightFitState, build_weight_problem, update_pi
 
 
 @dataclass
@@ -90,9 +90,11 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi, pair: DatasetPair,
 
 
 def block_cycle(theta, w, phi_vec, varphi_vec, pi, pair, graph_s, graph_t, hp,
-                update_subspace=True, update_weights=True, on_block=None):
+                update_subspace=True, update_weights=True, on_block=None,
+                weight_state: WeightFitState | None = None):
     """Run one full block cycle; ``on_block(name, params...)`` is invoked
-    after each block with the current parameters."""
+    after each block with the current parameters. ``weight_state`` carries
+    the weight step's per-fit data from cycle to cycle."""
     if update_subspace:
         phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
         theta = update_theta(phi_mat, hp.r, prev_theta=theta)
@@ -107,8 +109,10 @@ def block_cycle(theta, w, phi_vec, varphi_vec, pi, pair, graph_s, graph_t, hp,
 
     qp_objectives = (math.nan, math.nan)
     if update_weights:
-        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
-        new_pi = update_pi(problem, warm_start=pi)
+        problem = build_weight_problem(
+            phi_vec, theta, pair, graph_s, hp,
+            recon_quad=None if weight_state is None else weight_state.recon_quad)
+        new_pi = update_pi(problem, warm_start=pi, fit_state=weight_state)
         qp_objectives = (problem.objective(new_pi),
                          problem.objective(np.ones(pair.n1)))
         pi = new_pi
@@ -144,6 +148,7 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
     w = np.zeros(r)
     pi = np.ones(pair.n1)
     theta = None if update_subspace else np.eye(r, m)
+    weight_state = WeightFitState(graph_s, hp) if update_weights else None
 
     trace = TrainingTrace()
     prev_objective = None
@@ -163,7 +168,7 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
         theta, w, phi_vec, varphi_vec, pi = block_cycle(
             theta, w, phi_vec, varphi_vec, pi, pair, graph_s, graph_t, hp,
             update_subspace=update_subspace, update_weights=update_weights,
-            on_block=on_block)
+            on_block=on_block, weight_state=weight_state)
 
         trace.objective_after_subspace.append(records["subspace"])
         trace.objective_after_classifier.append(records["classifier"])

@@ -16,7 +16,7 @@ import numpy as np
 from .data_model import DatasetPair, Hyperparams, ValidationError
 from .losses import loss_value
 from .neighborhood import NeighborGraph
-from .qp_solver import QpProblem, solve
+from .qp_solver import KktBasis, QpProblem, kkt_basis, solve
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,47 @@ class WeightStepProblem:
         return h, c
 
 
+def reconstruction_quadratic(graph_s: NeighborGraph, c2: float) -> np.ndarray:
+    """c2 (I - W)'(I - W) for the source graph's coefficient matrix W."""
+    eye_minus_w = np.eye(graph_s.n) - graph_s.dense_coefficients()
+    return c2 * (eye_minus_w.T @ eye_minus_w)
+
+
+class WeightFitState:
+    """Weight-step data fixed for one fit: the reconstruction quadratic, and
+    the KKT basis of the fit's first weight QP.
+
+    The weight QPs of one fit differ only in their matching term, so
+    H_t - H_1 = c3 (gamma_t'gamma_t - gamma_1'gamma_1) has rank at most 2r and
+    the first QP's KKT inverse serves every later one. When that basis is
+    singular or ill-conditioned, every QP of the fit takes the dense path.
+    """
+
+    def __init__(self, graph_s: NeighborGraph, hp: Hyperparams):
+        self.recon_quad = reconstruction_quadratic(graph_s, hp.c2)
+        self._first = None  # (gamma, basis) of the first QP; False if unusable
+
+    def basis(self, problem: WeightStepProblem, h: np.ndarray) -> KktBasis | None:
+        """Basis for the QP of ``problem``, whose Hessian is ``h``."""
+        if self._first is None:
+            basis = kkt_basis(h)
+            self._first = False if basis is None else (problem.gamma, basis)
+            return basis
+        if self._first is False:
+            return None
+        gamma_1, basis = self._first
+        if problem.c3 == 0.0:
+            return basis
+        r = gamma_1.shape[0]
+        return basis.updated(np.concatenate([problem.gamma.T, gamma_1.T], axis=1),
+                             problem.c3 * np.repeat([1.0, -1.0], r))
+
+
 def build_weight_problem(phi_vec, theta, pair: DatasetPair,
-                         graph_s: NeighborGraph, hp: Hyperparams) -> WeightStepProblem:
-    """Per-point losses, scattered reconstruction quadratic, and matching pieces."""
+                         graph_s: NeighborGraph, hp: Hyperparams,
+                         recon_quad=None) -> WeightStepProblem:
+    """Per-point losses, scattered reconstruction quadratic, and matching
+    pieces; ``recon_quad`` reuses a fit's ``WeightFitState.recon_quad``."""
     phi_vec = np.asarray(phi_vec, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if phi_vec.shape != (pair.m,):
@@ -64,8 +102,8 @@ def build_weight_problem(phi_vec, theta, pair: DatasetPair,
         raise ValidationError("source graph size does not match the source set")
     tau = np.asarray(loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec),
                      dtype=float)
-    eye_minus_w = np.eye(pair.n1) - graph_s.dense_coefficients()
-    recon_quad = hp.c2 * (eye_minus_w.T @ eye_minus_w)
+    if recon_quad is None:
+        recon_quad = reconstruction_quadratic(graph_s, hp.c2)
     gamma = (theta @ pair.source_x.T) / pair.n1
     vartheta = (pair.target_x @ theta.T).mean(axis=0)
     return WeightStepProblem(tau=tau, recon_quad=recon_quad, gamma=gamma,
@@ -73,11 +111,14 @@ def build_weight_problem(phi_vec, theta, pair: DatasetPair,
                              n1=pair.n1)
 
 
-def update_pi(problem: WeightStepProblem, warm_start=None) -> np.ndarray:
-    """Solve the weight subproblem; feasible to QP tolerances."""
+def update_pi(problem: WeightStepProblem, warm_start=None,
+              fit_state: WeightFitState | None = None) -> np.ndarray:
+    """Solve the weight subproblem; feasible to QP tolerances. Within a fit,
+    ``fit_state`` supplies the KKT basis that speeds up the solve."""
     h, c = problem.qp_matrices()
     qp = QpProblem(h=h, c=c,
                    lower=np.zeros(problem.n1),
                    upper=np.full(problem.n1, problem.delta),
                    eq_sum=float(problem.n1))
-    return solve(qp, warm_start=warm_start)
+    basis = None if fit_state is None else fit_state.basis(problem, qp.h)
+    return solve(qp, warm_start=warm_start, basis=basis)

@@ -7,6 +7,7 @@ import pytest
 from subadapt.classifier import predict_target
 from subadapt.cli import (
     RunConfig,
+    _atomic_write,
     load_model,
     main,
     make_shifted_pair,
@@ -243,6 +244,37 @@ def test_malformed_model_field_exits_2(tmp_path, capsys, field, offset, replacem
     assert f"field {field!r}" in capsys.readouterr().err
 
 
+def predict_with_edited_model(tmp_path, edit):
+    """Train a small model, apply ``edit`` to its lines, then predict."""
+    data = synth(tmp_path, "edited")
+    model_path = tmp_path / "model.txt"
+    assert main(["train", "--source", str(data / "source.csv"),
+                 "--target", str(data / "target.csv"), "--model", str(model_path),
+                 "--neighbors", "3", "--max-iters", "3"]) == 0
+    lines = model_path.read_text().splitlines()
+    edit(lines)
+    model_path.write_text("\n".join(lines) + "\n")
+    return main(["predict", "--model", str(model_path),
+                 "--input", str(data / "target.csv"), "--output", str(tmp_path / "p.csv")])
+
+
+def test_model_failing_state_invariants_exits_2(tmp_path, capsys):
+    def edit(lines):
+        index = lines.index(next(line for line in lines if line.startswith("varphi ")))
+        values = lines[index + 1].split()
+        values[0] = "123.0"
+        lines[index + 1] = " ".join(values)
+
+    assert predict_with_edited_model(tmp_path, edit) == 2
+    assert "v is inconsistent" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_model_with_trailing_content_exits_2(tmp_path, capsys):
+    assert predict_with_edited_model(tmp_path, lambda lines: lines.append("garbage here")) == 2
+    assert "content after the last field" in capsys.readouterr().err
+
+
 def test_predict_dimension_mismatch_exits_2(tmp_path):
     theta = np.eye(1, 3)
     state = ModelState.from_parameters(theta, np.zeros(1), np.zeros(3),
@@ -352,6 +384,38 @@ def test_run_config_rejects_unknown_fields():
     from subadapt.data_model import ValidationError
     with pytest.raises(ValidationError, match="unknown config"):
         RunConfig.from_json('{"c9": 1.0}')
+
+
+@pytest.mark.parametrize("payload", [
+    '{"c1": "abc"}', '{"k": 2.5}', '{"normalize": 1}', '{"c2": true}',
+    '{"grid": [0.1, "x"]}', '{"source": 3}', '[1, 2]', '{"c1": ',
+])
+def test_config_of_wrong_json_type_exits_2(tmp_path, capsys, payload):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(payload)
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_run_config_accepts_integers_for_floats():
+    config = RunConfig.from_json('{"c1": 2, "tol": 1e-6, "k": 3, "grid": [1, 0.5]}')
+    assert config.c1 == 2 and config.k == 3 and config.grid == [1, 0.5]
+
+
+def test_atomic_write_ignores_a_stale_temporary_name(tmp_path):
+    target = tmp_path / "out.txt"
+    (tmp_path / "out.txt.tmp").mkdir()
+    _atomic_write(target, "first\n")
+    _atomic_write(target, "second\n")
+    assert target.read_text() == "second\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "out.txt.tmp"]
+
+
+def test_atomic_write_failure_leaves_no_temporary(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        _atomic_write(tmp_path / "taken", "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_missing_input_file_exits_2(tmp_path):

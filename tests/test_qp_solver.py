@@ -1,8 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from subadapt.data_model import NumericError, ValidationError
-from subadapt.qp_solver import QpProblem, _feasible_start, solve
+from subadapt import qp_solver
+from subadapt.cli import make_shifted_pair
+from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
+from subadapt.neighborhood import build_graph
+from subadapt.qp_solver import QpProblem, _feasible_start, kkt_basis, solve
+from subadapt.weights import WeightFitState, build_weight_problem
 
 
 def kkt_residual(p, x, activity_atol=1e-7):
@@ -148,6 +154,13 @@ def test_indefinite_h_rejected():
                         np.zeros(2), np.ones(2), 1.0))
 
 
+def test_indefinite_large_scale_h_rejected():
+    # the PSD tolerance grows with max|H| (here to 1), but not past -1e2
+    with pytest.raises(NumericError, match="positive semidefinite"):
+        solve(QpProblem(np.diag([1e8, -1e2]), np.zeros(2),
+                        np.zeros(2), np.ones(2), 1.0))
+
+
 def test_tiny_negative_curvature_tolerated():
     h = np.diag([1.0, -1e-10])
     p = QpProblem(h, np.zeros(2), np.zeros(2), np.ones(2), 1.0)
@@ -202,3 +215,97 @@ def test_exact_start_matches_bisection(n, sum_at):
         assert np.abs(x - bisection_start(p, warm)).max() <= 1e-12
         assert np.all(x >= lower) and np.all(x <= upper)
         assert x[pinned] == pytest.approx(lower[pinned], abs=0.0)
+
+
+def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
+    """(QP, warm start, basis) of consecutive weight steps of one fit's
+    graph, with the projection and classifier drifting from cycle to cycle."""
+    sx, sy, tx, ty = make_shifted_pair([seed, 0], n1=n, n2=n, n3=10, m=6,
+                                       shift=1.5, rot_deg=30.0)
+    pair = DatasetPair(sx, sy, tx, ty[:10])
+    hp = Hyperparams(**hp_kwargs).resolved(pair.m)
+    graph_s = build_graph(pair.source_x, hp.k)
+    state = WeightFitState(graph_s, hp)
+    rng = np.random.default_rng(seed)
+    pi = np.ones(n)
+    start = rng.standard_normal((pair.m, hp.r))
+    for _ in range(cycles):
+        theta = np.linalg.qr(start + 0.2 * rng.standard_normal(start.shape))[0].T
+        phi_vec = 0.1 * rng.standard_normal(pair.m)
+        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
+                                       recon_quad=state.recon_quad)
+        h, c = problem.qp_matrices()
+        qp = QpProblem(h, c, np.zeros(n), np.full(n, hp.delta), float(n))
+        yield qp, pi, state.basis(problem, qp.h)
+        pi = solve(qp, warm_start=pi)
+
+
+def count_steps(monkeypatch):
+    """Count Schur steps taken and dense free-set steps solved."""
+    counts = Counter()
+    schur_step = qp_solver._SchurSteps.step
+    dense_step = qp_solver._free_subproblem
+
+    def schur(self, *args):
+        found = schur_step(self, *args)
+        counts["schur" if found is not None else "rejected"] += 1
+        return found
+
+    def dense(*args):
+        counts["dense"] += 1
+        return dense_step(*args)
+
+    monkeypatch.setattr(qp_solver._SchurSteps, "step", schur)
+    monkeypatch.setattr(qp_solver, "_free_subproblem", dense)
+    return counts
+
+
+@pytest.mark.parametrize("hp_kwargs", [
+    {}, {"c3": 0.0}, {"delta": 1.05}, {"loss": "logistic", "c2": 0.3, "c3": 20.0},
+])
+def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
+    counts = count_steps(monkeypatch)
+    fast = Counter()
+    for seed in range(3):
+        for cycle, (qp, warm, basis) in enumerate(weight_qp_sequence(seed, **hp_kwargs)):
+            assert basis is not None
+            q = 0 if cycle == 0 or hp_kwargs.get("c3") == 0.0 else 2 * 5
+            assert basis.u.shape == (qp.n, q)
+            reference = solve(qp, warm_start=warm)
+            counts.clear()
+            x = solve(qp, warm_start=warm, basis=basis)
+            fast.update(counts)
+            assert np.abs(x - reference).max() <= 1e-9
+            assert kkt_residual(qp, x) <= 1e-8
+    assert fast["schur"] > 0
+    assert fast["rejected"] == 0
+    if hp_kwargs.get("delta") == 1.05:
+        # most weights end at a bound: once 2r + |fixed| >= |free| the dense
+        # free-set system is solved instead
+        assert fast["dense"] > 0
+
+
+def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
+    counts = count_steps(monkeypatch)
+    rng = np.random.default_rng(3)
+    for qp, warm, basis in weight_qp_sequence(4, cycles=2):
+        wrong = basis.updated(rng.standard_normal((qp.n, 3)), np.array([1e3, -2.0, 5.0]))
+        reference = solve(qp, warm_start=warm)
+        counts.clear()
+        x = solve(qp, warm_start=warm, basis=wrong)
+        assert np.abs(x - reference).max() <= 1e-9
+        assert counts["rejected"] > 0 and counts["dense"] > 0
+
+
+def test_basis_of_wrong_size_rejected():
+    p = QpProblem(np.eye(3), np.zeros(3), np.zeros(3), np.ones(3), 1.5)
+    with pytest.raises(ValidationError, match="basis"):
+        solve(p, basis=kkt_basis(np.eye(4)))
+    with pytest.raises(ValidationError, match="basis"):
+        solve(p, basis=kkt_basis(np.eye(3)).updated(np.ones((3, 1)), np.zeros(1)))
+
+
+def test_singular_kkt_matrix_has_no_basis():
+    assert kkt_basis(np.zeros((4, 4))) is None
+    assert kkt_basis(np.diag([1.0, 1e-12, 1e-12])) is None
+    assert kkt_basis(np.eye(4)) is not None

@@ -6,7 +6,8 @@ from subadapt.losses import loss_value
 from subadapt.neighborhood import build_graph
 from subadapt.subspace import projected_means
 from subadapt.trainer import full_objective
-from subadapt.weights import WeightStepProblem, build_weight_problem, update_pi
+from subadapt.weights import WeightFitState, WeightStepProblem, build_weight_problem, \
+    update_pi
 
 
 def make_instance(rng, n1=6, n2=5, m=3, **hp_kwargs):
@@ -161,3 +162,49 @@ def test_matching_improvement_over_uniform():
         problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
         pi = update_pi(problem)
         assert problem.objective(pi) <= problem.objective(np.ones(pair.n1)) + 1e-8
+
+
+def test_fit_state_recon_quad_matches_standalone_build():
+    rng = np.random.default_rng(9)
+    pair, hp, graph_s, theta, phi_vec = make_instance(rng, n1=12, c2=0.7)
+    state = WeightFitState(graph_s, hp)
+    standalone = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
+    reused = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
+                                  recon_quad=state.recon_quad)
+    assert np.array_equal(reused.recon_quad, standalone.recon_quad)
+
+
+@pytest.mark.parametrize("hp_kwargs", [{}, {"c3": 0.0}, {"delta": 1.05}])
+def test_update_pi_with_fit_state_matches_standalone(hp_kwargs):
+    # consecutive cycles of one fit: the first builds the basis, the rest
+    # reuse it through low-rank factors
+    rng = np.random.default_rng(10)
+    pair, hp, graph_s, theta, phi_vec = make_instance(
+        rng, n1=40, n2=30, m=5, k=4, **hp_kwargs)
+    state = WeightFitState(graph_s, hp)
+    pi = np.ones(pair.n1)
+    for _ in range(4):
+        theta = np.linalg.qr(theta.T + 0.1 * rng.standard_normal(theta.T.shape))[0].T
+        phi_vec = phi_vec + 0.1 * rng.standard_normal(phi_vec.shape)
+        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
+                                       recon_quad=state.recon_quad)
+        fast = update_pi(problem, warm_start=pi, fit_state=state)
+        reference = update_pi(problem, warm_start=pi)
+        assert np.abs(fast - reference).max() <= 1e-9
+        pi = reference
+    assert state.basis(problem, problem.qp_matrices()[0]) is not None
+
+
+@pytest.mark.parametrize("hp_kwargs", [{"c2": 0.0}, {"k": 1}])
+def test_fit_state_has_no_basis_for_singular_kkt(hp_kwargs):
+    # c2 = 0 leaves H of rank r; k = 1 gives (I - W) one null vector per
+    # connected component of the nearest-neighbor graph
+    rng = np.random.default_rng(11)
+    pair, hp, graph_s, theta, phi_vec = make_instance(
+        rng, n1=40, n2=30, m=5, **hp_kwargs)
+    state = WeightFitState(graph_s, hp)
+    problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
+                                   recon_quad=state.recon_quad)
+    assert state.basis(problem, problem.qp_matrices()[0]) is None
+    # and the later cycles of the fit keep the dense path
+    assert state.basis(problem, problem.qp_matrices()[0]) is None
