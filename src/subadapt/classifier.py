@@ -5,6 +5,9 @@ adaptation-vector recovery, and prediction.
 The descent update keeps the plain fixed-step rule as its first candidate
 and halves the step whenever the proposal fails to decrease the objective,
 so the accepted trajectory is monotone even for the nonsmooth hinge loss.
+The loss kind and the labels are checked once per update; each proposal is
+scored once, and the margins of the accepted one are reused for the next
+subgradient.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_model import DatasetPair, Hyperparams, NumericError, ValidationError
-from .losses import loss_subgradient, loss_value
+from .losses import checked_labels, margin_loss, margin_subgradient
 from .neighborhood import NeighborGraph
 
 # proposals halve the step at most this many times before the update stops
@@ -46,11 +49,13 @@ class _QContext:
             raise ValidationError("pi length does not match the source set")
         if graph_t.n != pair.n2:
             raise ValidationError("target graph size does not match the target set")
+        # source labels, then the labeled target prefix
+        self.y = checked_labels(hp.loss, np.concatenate([pair.source_y, pair.target_y]))
+        self.n1 = pair.n1
+        self.n3 = pair.n3
         self.xs = pair.source_x
-        self.ys = pair.source_y
         self.pi = pi
         self.xt_lab = pair.target_x[:pair.n3]
-        self.yt = pair.target_y
         self.anchor = theta.T @ w
         resid = graph_t.residual_vectors(pair.target_x)
         self.resid_gram = resid.T @ resid
@@ -58,24 +63,30 @@ class _QContext:
         self.c2 = hp.c2
         self.loss = hp.loss
 
-    def value(self, phi_vec, varphi_vec) -> float:
-        total = float(loss_value(self.loss, self.ys, self.xs @ phi_vec) @ self.pi)
-        if self.yt.size:
-            total += float(loss_value(self.loss, self.yt, self.xt_lab @ varphi_vec).sum())
+    def point(self, phi_vec, varphi_vec):
+        """The objective at (phi, varphi) and the margins y*f of its labeled
+        points, which ``grads`` takes for the subgradient there."""
+        scores = np.concatenate([self.xs @ phi_vec, self.xt_lab @ varphi_vec])
+        if not np.isfinite(scores).all():
+            raise ValidationError("non-finite classifier score")
+        margins = self.y * scores
+        losses = margin_loss(self.loss, margins)
+        total = float(losses[:self.n1] @ self.pi)
+        if self.n3:
+            total += float(losses[self.n1:].sum())
         du = phi_vec - self.anchor
         dv = varphi_vec - self.anchor
         total += 0.5 * self.c1 * (du @ du + dv @ dv)
         total += self.c2 * float(varphi_vec @ self.resid_gram @ varphi_vec)
-        return total
+        return total, margins
 
-    def grads(self, phi_vec, varphi_vec):
-        g_src = loss_subgradient(self.loss, self.ys, self.xs @ phi_vec)
-        g_phi = self.xs.T @ (g_src * self.pi) + self.c1 * (phi_vec - self.anchor)
+    def grads(self, phi_vec, varphi_vec, margins):
+        g_loss = margin_subgradient(self.loss, self.y, margins)
+        g_phi = self.xs.T @ (g_loss[:self.n1] * self.pi) + self.c1 * (phi_vec - self.anchor)
         g_varphi = self.c1 * (varphi_vec - self.anchor) \
             + 2.0 * self.c2 * (self.resid_gram @ varphi_vec)
-        if self.yt.size:
-            g_tgt = loss_subgradient(self.loss, self.yt, self.xt_lab @ varphi_vec)
-            g_varphi = g_varphi + self.xt_lab.T @ g_tgt
+        if self.n3:
+            g_varphi = g_varphi + self.xt_lab.T @ g_loss[self.n1:]
         return g_phi, g_varphi
 
 
@@ -91,13 +102,15 @@ def q_objective(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp) -> float:
     """Weighted source losses + labeled target losses + anchor pull + target
     reconstruction smoothness, as a function of the two classifier vectors."""
     phi_vec, varphi_vec = _vectors(phi_vec, varphi_vec, pair.m)
-    return _QContext(theta, w, pi, pair, graph_t, hp).value(phi_vec, varphi_vec)
+    return _QContext(theta, w, pi, pair, graph_t, hp).point(phi_vec, varphi_vec)[0]
 
 
 def q_subgradients(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
     """Subgradients of the classifier objective in (phi, varphi)."""
     phi_vec, varphi_vec = _vectors(phi_vec, varphi_vec, pair.m)
-    return _QContext(theta, w, pi, pair, graph_t, hp).grads(phi_vec, varphi_vec)
+    ctx = _QContext(theta, w, pi, pair, graph_t, hp)
+    _, margins = ctx.point(phi_vec, varphi_vec)
+    return ctx.grads(phi_vec, varphi_vec, margins)
 
 
 def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
@@ -112,20 +125,20 @@ def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
     ctx = _QContext(theta, w, pi, pair, graph_t, hp)
     phi_cur = phi_vec.copy()
     varphi_cur = varphi_vec.copy()
-    q_cur = ctx.value(phi_cur, varphi_cur)
+    q_cur, margins = ctx.point(phi_cur, varphi_cur)
     trace = InnerTrace(q_values=[q_cur])
     for _ in range(hp.max_inner_iters):
-        g_phi, g_varphi = ctx.grads(phi_cur, varphi_cur)
-        if not (np.all(np.isfinite(g_phi)) and np.all(np.isfinite(g_varphi))):
+        g_phi, g_varphi = ctx.grads(phi_cur, varphi_cur, margins)
+        if not (np.isfinite(g_phi).all() and np.isfinite(g_varphi).all()):
             raise NumericError("non-finite subgradient in the classifier update")
         step = hp.step
         accepted = False
         for _ in range(MAX_STEP_HALVINGS + 1):
             phi_try = phi_cur - step * g_phi
             varphi_try = varphi_cur - step * g_varphi
-            q_try = ctx.value(phi_try, varphi_try)
+            q_try, margins_try = ctx.point(phi_try, varphi_try)
             if q_try < q_cur:
-                phi_cur, varphi_cur, q_cur = phi_try, varphi_try, q_try
+                phi_cur, varphi_cur, q_cur, margins = phi_try, varphi_try, q_try, margins_try
                 trace.q_values.append(q_cur)
                 trace.accepted_steps += 1
                 accepted = True

@@ -417,21 +417,7 @@ def cmd_train(args) -> int:
     state, trace = fit(pair, hp)
     save_model(config.model, state, hp.resolved(pair.m), scaler)
     if config.trace is not None:
-        payload = {
-            "objective_after_subspace": trace.objective_after_subspace,
-            "objective_after_classifier": trace.objective_after_classifier,
-            "objective_after_weights": trace.objective_after_weights,
-            "matching_term": trace.matching_term,
-            "q_value": trace.q_value,
-            "pi_min": trace.pi_min,
-            "pi_max": trace.pi_max,
-            "pi_mean": trace.pi_mean,
-            "inner_steps": trace.inner_steps,
-            "pi_step_objective": trace.pi_step_objective,
-            "pi_step_objective_uniform": trace.pi_step_objective_uniform,
-            "n_iters": trace.n_iters,
-            "stop_reason": trace.stop_reason,
-        }
+        payload = asdict(trace)
         _atomic_write(config.trace, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 

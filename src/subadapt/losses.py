@@ -3,6 +3,11 @@
 All three losses act on the margin y*f of a {+1,-1} label with a real
 classifier score; each is convex and nonincreasing in the margin. Inputs
 may be scalars or arrays of matching shape.
+
+``loss_value``/``loss_subgradient`` check their inputs; the margin kernels
+``margin_loss``/``margin_subgradient`` hold the formulas and check nothing,
+for callers that have passed the kind and labels through ``checked_labels``
+once already.
 """
 
 from __future__ import annotations
@@ -12,50 +17,61 @@ import numpy as np
 from .data_model import LOSS_KINDS, ValidationError
 
 
-def _checked(kind, y, f):
+def checked_labels(kind, y):
+    """Check the loss kind and the {+1,-1} labels; return the labels as a
+    1-d float array."""
     if kind not in LOSS_KINDS:
         raise ValidationError(f"unknown loss kind: {kind!r}")
-    scalar = np.ndim(y) == 0 and np.ndim(f) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.all(np.abs(y) == 1.0):
+        raise ValidationError("label outside {+1,-1}")
+    return y
+
+
+def _checked(kind, y, f):
+    scalar = np.ndim(y) == 0 and np.ndim(f) == 0
+    y = checked_labels(kind, y)
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if not np.all(np.isfinite(f)):
         raise ValidationError("non-finite classifier score")
-    if not np.all(np.abs(y) == 1.0):
-        raise ValidationError("label outside {+1,-1}")
     return y, f, scalar
 
 
 def _sigmoid(z):
-    # 1 / (1 + exp(-z)) without overflow on either tail
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) without overflow on either tail: exp(-|z|) is
+    # exp(-z) for z >= 0 and exp(z) for z < 0
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def margin_loss(kind, margin):
+    """Unchecked pointwise loss of margins y*f for a known ``kind``."""
+    if kind == "hinge":
+        return np.maximum(0.0, 1.0 - margin)
+    if kind == "logistic":
+        return np.logaddexp(0.0, -margin)
+    return np.exp(-margin)
+
+
+def margin_subgradient(kind, y, margin):
+    """Unchecked d(loss)/df for float labels ``y`` and margins y*f."""
+    if kind == "hinge":
+        return np.where(margin < 1.0, -y, 0.0)
+    if kind == "logistic":
+        return -y * _sigmoid(-margin)
+    return -y * np.exp(-margin)
 
 
 def loss_value(kind, y, f):
     """Pointwise loss: hinge max(0, 1-yf), logistic ln(1+exp(-yf)), or exp(-yf)."""
     y, f, scalar = _checked(kind, y, f)
-    margin = y * f
-    if kind == "hinge":
-        out = np.maximum(0.0, 1.0 - margin)
-    elif kind == "logistic":
-        out = np.logaddexp(0.0, -margin)
-    else:
-        out = np.exp(-margin)
+    out = margin_loss(kind, y * f)
     return float(out[0]) if scalar else out
 
 
 def loss_subgradient(kind, y, f):
     """d(loss)/df; the hinge kink at yf = 1 returns the subgradient 0."""
     y, f, scalar = _checked(kind, y, f)
-    margin = y * f
-    if kind == "hinge":
-        out = np.where(margin < 1.0, -y, 0.0)
-    elif kind == "logistic":
-        out = -y * _sigmoid(-margin)
-    else:
-        out = -y * np.exp(-margin)
+    out = margin_subgradient(kind, y, y * f)
     return float(out[0]) if scalar else out

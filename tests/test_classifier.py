@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subadapt.classifier import (
+    MAX_STEP_HALVINGS,
     predict_source,
     predict_target,
     q_objective,
@@ -9,8 +10,8 @@ from subadapt.classifier import (
     recover_u_v,
     update_phi_varphi,
 )
-from subadapt.data_model import DatasetPair, Hyperparams
-from subadapt.losses import loss_value
+from subadapt.data_model import DatasetPair, Hyperparams, ValidationError
+from subadapt.losses import loss_subgradient, loss_value
 from subadapt.neighborhood import build_graph
 
 
@@ -184,6 +185,118 @@ def test_descent_trace_monotone_and_gradient_shrinks():
                                        pair, graph_t, hp))
     assert np.linalg.norm(g1) <= np.linalg.norm(g0)
     assert all(b < a for a, b in zip(trace.q_values, trace.q_values[1:]))
+
+
+def descent_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
+    """The backtracked descent written on the checked public loss functions,
+    scoring every point afresh for both the objective and the subgradient.
+    Returns (phi, varphi, q_values, hit_step_floor, halvings)."""
+    xt_lab = pair.target_x[:pair.n3]
+    anchor = theta.T @ w
+    resid = graph_t.residual_vectors(pair.target_x)
+    gram = resid.T @ resid
+
+    # same operation order as the classifier module, so the trajectories
+    # agree to rounding even where a step decides on an ulp-sized decrease
+    def q(p, v):
+        total = float(loss_value(hp.loss, pair.source_y, pair.source_x @ p) @ pi)
+        if pair.n3:
+            total += float(loss_value(hp.loss, pair.target_y, xt_lab @ v).sum())
+        du, dv = p - anchor, v - anchor
+        total += 0.5 * hp.c1 * (du @ du + dv @ dv)
+        return total + hp.c2 * float(v @ gram @ v)
+
+    def grads(p, v):
+        g_src = loss_subgradient(hp.loss, pair.source_y, pair.source_x @ p)
+        g_p = pair.source_x.T @ (g_src * pi) + hp.c1 * (p - anchor)
+        g_v = hp.c1 * (v - anchor) + 2.0 * hp.c2 * (gram @ v)
+        if pair.n3:
+            g_v = g_v + xt_lab.T @ loss_subgradient(hp.loss, pair.target_y, xt_lab @ v)
+        return g_p, g_v
+
+    q_values = [q(phi_vec, varphi_vec)]
+    hit_floor = False
+    halvings = 0
+    for _ in range(hp.max_inner_iters):
+        g_p, g_v = grads(phi_vec, varphi_vec)
+        step = hp.step
+        for _ in range(MAX_STEP_HALVINGS + 1):
+            q_try = q(phi_vec - step * g_p, varphi_vec - step * g_v)
+            if q_try < q_values[-1]:
+                phi_vec, varphi_vec = phi_vec - step * g_p, varphi_vec - step * g_v
+                q_values.append(q_try)
+                break
+            step *= 0.5
+            halvings += 1
+        else:
+            hit_floor = True
+            break
+    return phi_vec, varphi_vec, q_values, hit_floor, halvings
+
+
+@pytest.mark.parametrize("n3", [0, 4])
+@pytest.mark.parametrize("loss", ["hinge", "logistic", "exponential"])
+@pytest.mark.parametrize("step, max_inner, floored", [(1e-2, 50, False), (10.0, 200, True)])
+def test_descent_matches_reference_loop(loss, n3, step, max_inner, floored):
+    rng = np.random.default_rng(21)
+    pair, hp, graph_t, theta, w, pi = make_instance(
+        rng, n3=n3, c1=2.0, c2=0.5, loss=loss, step=step, max_inner_iters=max_inner)
+    phi_vec = 0.5 * rng.standard_normal(4)
+    varphi_vec = 0.5 * rng.standard_normal(4)
+    phi_ref, varphi_ref, q_ref, floor_ref, halvings = descent_reference(
+        phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
+    phi_out, varphi_out, trace = update_phi_varphi(
+        phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
+    assert trace.accepted_steps == len(q_ref) - 1
+    assert trace.hit_step_floor == floor_ref == floored
+    if floored:
+        assert halvings > MAX_STEP_HALVINGS  # some proposals were halved before the floor
+    else:
+        assert trace.accepted_steps == max_inner
+    assert np.allclose(trace.q_values, q_ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(phi_out, phi_ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(varphi_out, varphi_ref, rtol=1e-12, atol=1e-14)
+
+
+def test_bad_label_rejected_without_pair_validation():
+    rng = np.random.default_rng(22)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng)
+    source_y = pair.source_y.copy()
+    source_y[3] = 2
+    target_y = pair.target_y.copy()
+    target_y[-1] = 2
+    zeros = np.zeros(4)
+    for bad in (DatasetPair(pair.source_x, source_y, pair.target_x, pair.target_y),
+                DatasetPair(pair.source_x, pair.source_y, pair.target_x, target_y)):
+        for entry in (q_objective, q_subgradients, update_phi_varphi):
+            with pytest.raises(ValidationError, match=r"label outside \{\+1,-1\}"):
+                entry(zeros, zeros, theta, w, pi, bad, graph_t, hp)
+
+
+def test_unknown_loss_rejected():
+    rng = np.random.default_rng(23)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="squared")
+    zeros = np.zeros(4)
+    for entry in (q_objective, q_subgradients, update_phi_varphi):
+        with pytest.raises(ValidationError, match="unknown loss kind: 'squared'"):
+            entry(zeros, zeros, theta, w, pi, pair, graph_t, hp)
+
+
+def test_non_finite_scores_rejected():
+    rng = np.random.default_rng(24)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="logistic")
+    finite = np.zeros(4)
+    for phi_vec, varphi_vec in (([np.inf, 0, 0, 0], finite), (finite, [0, np.nan, 0, 0])):
+        for entry in (q_objective, q_subgradients, update_phi_varphi):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValidationError, match="non-finite classifier score"):
+                entry(np.array(phi_vec, dtype=float), np.array(varphi_vec, dtype=float),
+                      theta, w, pi, pair, graph_t, hp)
+    # a finite start whose first proposal overflows the scores
+    huge = Hyperparams(k=hp.k, r=hp.r, loss="logistic", step=1e308)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValidationError, match="non-finite classifier score"):
+        update_phi_varphi(finite, finite, theta, w, pi, pair, graph_t, huge)
 
 
 def test_recover_u_v_pure_shared_classifier():

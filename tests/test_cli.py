@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from subadapt.cli import (
 )
 from subadapt.data_model import FeatureScaler, Hyperparams, ModelState, \
     check_model_state
+from subadapt.trainer import TrainingTrace
 
 
 def synth(tmp_path, name, *extra):
@@ -108,7 +110,9 @@ def test_train_model_reload_and_revalidate(tmp_path):
     assert scaler is None
     check_model_state(state, hp.delta)
     trace = json.loads(trace_path.read_text())
+    assert set(trace) == {f.name for f in fields(TrainingTrace)}
     assert trace["n_iters"] >= 1
+    assert len(trace["inner_hit_step_floor"]) == trace["n_iters"]
     diffs = np.diff(trace["objective_after_weights"])
     assert np.all(diffs <= 1e-6)
 

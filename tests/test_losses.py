@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subadapt.data_model import ValidationError
-from subadapt.losses import loss_subgradient, loss_value
+from subadapt.losses import _sigmoid, loss_subgradient, loss_value
 
 
 def central_difference(kind, y, f, h=1e-6):
@@ -128,3 +128,17 @@ def test_bad_label_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValidationError, match="unknown loss"):
         loss_value("squared", 1, 1.0)
+
+
+def test_sigmoid_bit_identical_to_masked_branches():
+    def masked(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    edges = np.array([0.0, 1e-300, 1.0, 700.0, 1e4])
+    z = np.concatenate([edges, -edges, np.random.default_rng(15).standard_normal(10_000)])
+    assert _sigmoid(z).tobytes() == masked(z).tobytes()

@@ -7,6 +7,7 @@ from subadapt.data_model import DatasetPair, Hyperparams, check_model_state
 from subadapt.losses import loss_value
 from subadapt.neighborhood import build_graph
 from subadapt.subspace import projected_means
+from subadapt import trainer
 from subadapt.trainer import block_cycle, fit, full_objective
 
 
@@ -239,3 +240,21 @@ def test_fit_validates_inputs():
     from subadapt.data_model import ValidationError
     with pytest.raises(ValidationError, match="delta"):
         fit(pair, Hyperparams(delta=0.2, k=3))
+
+
+def test_trace_records_each_descent_run(monkeypatch):
+    runs = []
+    descend = trainer.update_phi_varphi
+
+    def recording(*args, **kwargs):
+        out = descend(*args, **kwargs)
+        runs.append(out[2])
+        return out
+
+    monkeypatch.setattr(trainer, "update_phi_varphi", recording)
+    # a large step makes some descent runs stop at the step floor
+    _, trace = fit(synthetic_pair([3, 0]),
+                   Hyperparams(k=3, step=10.0, max_outer_iters=6, tol=1e-12))
+    assert trace.inner_steps == [run.accepted_steps for run in runs]
+    assert trace.inner_hit_step_floor == [run.hit_step_floor for run in runs]
+    assert set(trace.inner_hit_step_floor) == {True, False}
