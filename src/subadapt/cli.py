@@ -52,7 +52,12 @@ def make_shifted_pair(seed, n1=100, n2=100, n3=20, m=5, shift=1.0, rot_deg=20.0)
         raise ValidationError("counts must be positive with n3 <= n2")
     if m < 2:
         raise ValidationError("the generator needs m >= 2 for its rotation plane")
-    rng = np.random.default_rng(seed)
+    if not (math.isfinite(shift) and math.isfinite(rot_deg)):
+        raise ValidationError("shift and rot_deg must be finite")
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError:  # a negative seed entry
+        raise ValidationError("seed must be nonnegative") from None
 
     def sample(n):
         base = np.concatenate([np.ones(n - n // 2, dtype=np.int64),

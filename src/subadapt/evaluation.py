@@ -140,6 +140,12 @@ def run_cv(source_x, source_y, target_x, target_y, hp: Hyperparams,
     target_y = np.asarray(target_y)
     if target_y.shape != (target_x.shape[0],):
         raise ValidationError("run_cv needs a label for every target row")
+    # one fold would leave no training rows
+    if not 2 <= folds <= target_x.shape[0]:
+        raise ValidationError(f"folds must satisfy 2 <= folds <= n, got {folds}, "
+                              f"n = {target_x.shape[0]}")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     fold_sets = kfold_split(target_x.shape[0], folds, seed)
     classes = sorted(set(np.unique(source_y)) | set(np.unique(target_y)))
     binary = set(classes).issubset({-1, 1})

@@ -1,10 +1,14 @@
-"""Dense convex quadratic programs with box bounds and one sum constraint.
+"""Convex quadratic programs with box bounds and one sum constraint.
 
     minimize    0.5 * x'Hx + c'x
     subject to  lower <= x <= upper,   sum(x) = eq_sum
 
 A primal active-set method fixes variables at their bounds and solves the
 remaining equality-constrained subproblem through a bordered KKT system.
+H is either a dense symmetric PSD matrix, checked on every solve, or a
+``GramHessian``: a sum of Gram matrices held in factored form, symmetric
+PSD by construction, whose products cost O(nk + nr) and whose dense matrix
+is formed only when a dense free-set block is needed.
 Given a ``KktBasis`` (the explicit inverse of the all-free KKT matrix of a
 nearby H0, with H - H0 in low-rank factored form) each step comes instead
 from a small Schur complement against that inverse, verified against H
@@ -35,18 +39,84 @@ BASIS_COND_LIMIT = 1e8
 _MAX_ITERS_PER_VAR = 100
 
 
+class GramHessian:
+    """H = a R'R + b G'G in factored form, with R = I - W.
+
+    Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
+    n x k, distinct columns other than i), G is r x n, and a, b >= 0.
+    ``recon_quad`` is the dense (a/2) R'R, passed in so that the QPs of one
+    fit share one matrix; it is trusted to match the factors. The
+    constructor checks everything H's symmetry and PSD rest on, so ``solve``
+    runs no symmetry scan or PSD check on a GramHessian.
+    """
+
+    def __init__(self, indices, coeffs, a, gamma, b, recon_quad):
+        indices = np.asarray(indices)
+        coeffs = np.asarray(coeffs, dtype=float)
+        gamma = np.asarray(gamma, dtype=float)
+        recon_quad = np.asarray(recon_quad, dtype=float)
+        n = indices.shape[0] if indices.ndim == 2 else -1
+        if n < 0 or coeffs.shape != indices.shape or gamma.ndim != 2 \
+                or gamma.shape[1] != n or recon_quad.shape != (n, n):
+            raise ValidationError("Gram Hessian factors have mismatched shapes")
+        if not np.issubdtype(indices.dtype, np.integer) or \
+                (indices.size and not 0 <= indices.min() <= indices.max() < n):
+            raise ValidationError("Gram Hessian column index out of range")
+        ordered = np.sort(indices, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any() \
+                or (indices == np.arange(n)[:, None]).any():
+            raise ValidationError(
+                "Gram Hessian rows must list distinct columns other than their own")
+        if not (np.isfinite(coeffs).all() and np.isfinite(gamma).all()):
+            raise ValidationError("Gram Hessian factors contain non-finite entries")
+        a, b = float(a), float(b)
+        if not (0.0 <= a < np.inf and 0.0 <= b < np.inf):
+            raise ValidationError("Gram Hessian scales must be finite and nonnegative")
+        self.shape = (n, n)
+        self.indices = indices
+        self.coeffs = coeffs
+        self.a = a
+        self.gamma = gamma
+        self.b = b
+        self.recon_quad = recon_quad
+        self._flat_indices = indices.ravel()
+        self._dense = None
+
+    def __matmul__(self, v) -> np.ndarray:
+        """H v for a vector v, in O(nk + nr)."""
+        v = np.asarray(v, dtype=float)
+        rv = v - np.einsum("ik,ik->i", self.coeffs, v[self.indices])
+        rtrv = rv - np.bincount(self._flat_indices, (self.coeffs * rv[:, None]).ravel(),
+                                minlength=self.shape[0])
+        return self.a * rtrv + self.b * (self.gamma.T @ (self.gamma @ v))
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of H, in O(nk + nr); named as ndarray's."""
+        w_sq = np.bincount(self._flat_indices, self.coeffs.ravel() ** 2,
+                           minlength=self.shape[0])
+        return self.a * (1.0 + w_sq) + self.b * (self.gamma ** 2).sum(axis=0)
+
+    def dense(self) -> np.ndarray:
+        """H as a dense matrix, formed on the first call and cached."""
+        if self._dense is None:
+            self._dense = 2.0 * self.recon_quad + self.b * (self.gamma.T @ self.gamma)
+        return self._dense
+
+
 @dataclass(frozen=True)
 class QpProblem:
-    """Problem data; the objective convention is 0.5 x'Hx + c'x."""
+    """Problem data; the objective convention is 0.5 x'Hx + c'x. ``h`` is
+    a dense matrix or a ``GramHessian``."""
 
-    h: np.ndarray
+    h: np.ndarray | GramHessian
     c: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     eq_sum: float
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.array(self.h, dtype=float))
+        if not isinstance(self.h, GramHessian):
+            object.__setattr__(self, "h", np.array(self.h, dtype=float))
         object.__setattr__(self, "c", np.array(self.c, dtype=float))
         object.__setattr__(self, "lower", np.array(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.array(self.upper, dtype=float))
@@ -58,20 +128,23 @@ class QpProblem:
 
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.h @ x + self.c @ x)
+        return float(0.5 * x @ (self.h @ x) + self.c @ x)
 
 
-def _validate(p: QpProblem) -> None:
+def _validate(p: QpProblem, dense_h: bool) -> None:
+    """Shapes, finiteness and feasibility; H's entries and symmetry only when
+    ``dense_h`` (a GramHessian was checked by its constructor)."""
     n = p.n
     if p.c.ndim != 1 or p.h.shape != (n, n) or p.lower.shape != (n,) or p.upper.shape != (n,):
         raise ValidationError("QP dimension mismatch")
-    if not (np.all(np.isfinite(p.h)) and np.all(np.isfinite(p.c))
+    if not ((not dense_h or np.all(np.isfinite(p.h))) and np.all(np.isfinite(p.c))
             and np.all(np.isfinite(p.lower)) and np.all(np.isfinite(p.upper))
             and np.isfinite(p.eq_sum)):
         raise ValidationError("QP contains non-finite entries")
-    scale = max(1.0, float(np.abs(p.h).max(initial=0.0)))
-    if float(np.abs(p.h - p.h.T).max(initial=0.0)) > 1e-10 * scale:
-        raise ValidationError("H is not symmetric")
+    if dense_h:
+        scale = max(1.0, float(np.abs(p.h).max(initial=0.0)))
+        if float(np.abs(p.h - p.h.T).max(initial=0.0)) > 1e-10 * scale:
+            raise ValidationError("H is not symmetric")
     if np.any(p.lower > p.upper):
         raise ValidationError("infeasible bounds: lower > upper")
     slack = 1e-9 * max(1.0, abs(p.eq_sum))
@@ -165,6 +238,13 @@ def _reduced_step(hff: np.ndarray, gf: np.ndarray):
     return z @ y, False
 
 
+def _dense_block(h, idx) -> np.ndarray:
+    """H[idx, idx] as a dense array; a GramHessian forms its dense matrix
+    once and slices that."""
+    dense = h.dense() if isinstance(h, GramHessian) else h
+    return dense[np.ix_(idx, idx)]
+
+
 def _free_subproblem(p: QpProblem, x, free_idx, grad):
     """Step for the free coordinates holding the rest fixed. Returns (step, is_ray)."""
     nf = free_idx.size
@@ -172,7 +252,7 @@ def _free_subproblem(p: QpProblem, x, free_idx, grad):
         i = free_idx[0]
         target = p.eq_sum - x.sum() + x[i]
         return np.array([target - x[i]]), False
-    hff = p.h[np.ix_(free_idx, free_idx)]
+    hff = _dense_block(p.h, free_idx)
     gf = grad[free_idx]
     # bordered KKT system in absolute coordinates: fast path
     k = np.zeros((nf + 1, nf + 1))
@@ -226,9 +306,10 @@ class KktBasis:
 
 
 def kkt_basis(h0) -> KktBasis | None:
-    """Basis of H0 with empty factors, or None when K0 is singular or its
-    infinity-norm condition number exceeds BASIS_COND_LIMIT."""
-    h0 = np.asarray(h0, dtype=float)
+    """Basis of H0 (dense, or a GramHessian's dense matrix) with empty
+    factors, or None when K0 is singular or its infinity-norm condition
+    number exceeds BASIS_COND_LIMIT."""
+    h0 = h0.dense() if isinstance(h0, GramHessian) else np.asarray(h0, dtype=float)
     n = h0.shape[0]
     k0 = np.ones((n + 1, n + 1))
     k0[:n, :n] = h0
@@ -267,7 +348,10 @@ class _SchurSteps:
         self.m0u = self.m0[:, :n] @ basis.u
         utm0u = basis.u.T @ self.m0u[:n]
         self.corner = -np.diag(1.0 / basis.d) - 0.5 * (utm0u + utm0u.T)
-        self.h_row_max = np.abs(p.h).max(axis=1, initial=0.0)
+        # H_ii is at most max_j |H_ij|, so scaling the residual by the free
+        # rows' diagonal is no looser than by their row maxima, and it needs
+        # no O(n^2) scan of a GramHessian
+        self.h_diag = p.h.diagonal()
 
     def step(self, p: QpProblem, x, free, grad):
         """(step, H_FF step) for the free coordinates, or None when the
@@ -311,7 +395,7 @@ class _SchurSteps:
             return None
         r, h_dir = residual(sol)
         step = sol[free_idx]
-        row_scale = max(1.0, float(self.h_row_max[free_idx].max()))
+        row_scale = max(1.0, float(self.h_diag[free_idx].max()))
         scale = max(1.0, np.abs(b[free_idx]).max(), abs(b[n]),
                     row_scale * max(1.0, np.abs(x[free_idx] + step).max(), abs(sol[n])))
         if not _step_verified(p, x, free_idx, grad[free_idx], step,
@@ -328,10 +412,14 @@ def solve(p: QpProblem, warm_start=None, basis: KktBasis | None = None) -> np.nd
 
     With a ``basis`` whose factors match p.h, each step comes from a Schur
     complement while q + |fixed| < |free|; otherwise, and whenever that step
-    fails verification against p.h, from the dense free-set system.
+    fails verification against p.h, from the dense free-set system. A dense
+    p.h is checked for symmetry and PSD first; a GramHessian is both by
+    construction.
     """
-    _validate(p)
-    _require_psd(p.h)
+    dense_h = not isinstance(p.h, GramHessian)
+    _validate(p, dense_h)
+    if dense_h:
+        _require_psd(p.h)
     n = p.n
     schur = None if basis is None else _SchurSteps(p, basis)
     lo, up = p.lower, p.upper
@@ -364,7 +452,7 @@ def solve(p: QpProblem, warm_start=None, basis: KktBasis | None = None) -> np.nd
                 # of shrinking the step; a step predicting no material decrease
                 # means the subproblem is solved.
                 if hd is None:
-                    hd = p.h[np.ix_(free_idx, free_idx)] @ step
+                    hd = _dense_block(p.h, free_idx) @ step
                 predicted = -(grad[free_idx] @ step + 0.5 * step @ hd)
                 tol_pred = 1e-13 * max(1.0, float(np.abs(grad).max(initial=0.0))
                                        * max(1.0, float(np.abs(x).max())))

@@ -1,10 +1,18 @@
 """Per-point source weight step: assemble and solve the constrained QP.
 
 The weights trade off three pulls: small per-point losses (linear term),
-agreement with the neighborhood reconstruction of the weights (quadratic
-term from scattered coefficient rows), and matching the weighted source
-mean to the target mean in the subspace. The feasible set is the box
-[0, delta] intersected with the plane sum(pi) = n1.
+agreement with the neighborhood reconstruction of the weights (the Gram
+term c2 ||(I - W) pi||^2 of the source graph), and matching the weighted
+source mean to the target mean in the subspace (the Gram term
+0.5 c3 ||gamma pi - vartheta||^2). The feasible set is the box [0, delta]
+intersected with the plane sum(pi) = n1.
+
+Within a fit the QP's Hessian 2 c2 (I - W)'(I - W) + c3 gamma'gamma is
+passed in factored form (``GramHessian``): symmetric PSD by construction,
+applied through the graph's (indices, coeffs) and gamma, and formed densely
+only for the fit's first KKT basis and for dense free-set fallbacks. A
+standalone ``update_pi`` solves the dense H of ``qp_matrices``, the
+reference path.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from .data_model import DatasetPair, Hyperparams, ValidationError
 from .losses import loss_value
 from .neighborhood import NeighborGraph
-from .qp_solver import KktBasis, QpProblem, kkt_basis, solve
+from .qp_solver import GramHessian, KktBasis, QpProblem, kkt_basis, solve
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,8 @@ class WeightStepProblem:
     ``recon_quad`` already carries the c2 factor; ``gamma`` has column i
     equal to theta @ source_x[i] / n1 and ``vartheta`` is the projected
     target mean, so the matching penalty is 0.5*c3*||gamma pi - vartheta||^2.
+    ``graph`` is the source graph with recon_quad = c2 (I - W)'(I - W);
+    with it the objective and the factored Hessian apply (I - W) sparsely.
     """
 
     tau: np.ndarray
@@ -35,20 +45,37 @@ class WeightStepProblem:
     c3: float
     delta: float
     n1: int
+    graph: NeighborGraph | None = None
+    c2: float = 0.0
 
     def objective(self, pi) -> float:
         """Value of the weight subproblem at pi, constant term included."""
         pi = np.asarray(pi, dtype=float)
         gap = self.gamma @ pi - self.vartheta
-        return float(self.tau @ pi + pi @ self.recon_quad @ pi
-                     + 0.5 * self.c3 * (gap @ gap))
+        if self.graph is None:
+            recon = pi @ self.recon_quad @ pi
+        else:
+            resid = self.graph.residual_vectors(pi[:, None])[:, 0]
+            recon = self.c2 * (resid @ resid)
+        return float(self.tau @ pi + recon + 0.5 * self.c3 * (gap @ gap))
+
+    def linear_term(self) -> np.ndarray:
+        """c of the QP."""
+        return self.tau - self.c3 * (self.gamma.T @ self.vartheta)
 
     def qp_matrices(self):
         """(H, c) such that 0.5 pi'H pi + c'pi matches the objective up to
-        the constant 0.5*c3*||vartheta||^2."""
+        the constant 0.5*c3*||vartheta||^2; H dense."""
         h = 2.0 * self.recon_quad + self.c3 * (self.gamma.T @ self.gamma)
-        c = self.tau - self.c3 * (self.gamma.T @ self.vartheta)
-        return h, c
+        return h, self.linear_term()
+
+    def gram_hessian(self) -> GramHessian:
+        """The H of ``qp_matrices`` in factored form; its ``dense()`` has the
+        same bits."""
+        if self.graph is None:
+            raise ValidationError("the factored Hessian needs the source graph")
+        return GramHessian(self.graph.indices, self.graph.coeffs, 2.0 * self.c2,
+                           self.gamma, self.c3, self.recon_quad)
 
 
 def reconstruction_quadratic(graph_s: NeighborGraph, c2: float) -> np.ndarray:
@@ -71,8 +98,9 @@ class WeightFitState:
         self.recon_quad = reconstruction_quadratic(graph_s, hp.c2)
         self._first = None  # (gamma, basis) of the first QP; False if unusable
 
-    def basis(self, problem: WeightStepProblem, h: np.ndarray) -> KktBasis | None:
-        """Basis for the QP of ``problem``, whose Hessian is ``h``."""
+    def basis(self, problem: WeightStepProblem, h) -> KktBasis | None:
+        """Basis for the QP of ``problem``, whose Hessian is ``h`` (dense or
+        a GramHessian, formed densely here on the first QP only)."""
         if self._first is None:
             basis = kkt_basis(h)
             self._first = False if basis is None else (problem.gamma, basis)
@@ -108,14 +136,18 @@ def build_weight_problem(phi_vec, theta, pair: DatasetPair,
     vartheta = (pair.target_x @ theta.T).mean(axis=0)
     return WeightStepProblem(tau=tau, recon_quad=recon_quad, gamma=gamma,
                              vartheta=vartheta, c3=hp.c3, delta=hp.delta,
-                             n1=pair.n1)
+                             n1=pair.n1, graph=graph_s, c2=hp.c2)
 
 
 def update_pi(problem: WeightStepProblem, warm_start=None,
               fit_state: WeightFitState | None = None) -> np.ndarray:
     """Solve the weight subproblem; feasible to QP tolerances. Within a fit,
-    ``fit_state`` supplies the KKT basis that speeds up the solve."""
-    h, c = problem.qp_matrices()
+    ``fit_state`` selects the factored Hessian and supplies the KKT basis
+    that speed up the solve; without it the dense H is solved."""
+    if fit_state is None:
+        h, c = problem.qp_matrices()
+    else:
+        h, c = problem.gram_hessian(), problem.linear_term()
     qp = QpProblem(h=h, c=c,
                    lower=np.zeros(problem.n1),
                    upper=np.full(problem.n1, problem.delta),

@@ -62,6 +62,36 @@ def test_synth_identity_shift_changes_only_draws():
     assert not np.array_equal(sx, tx)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be nonnegative"),
+    ("--rot-deg", "inf", "must be finite"),
+    ("--shift", "nan", "must be finite"),
+])
+def test_synth_bad_parameter_exits_2(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "bad"
+    assert main(["synth", "--n1", "10", "--n2", "10", "--n3", "5", "--m", "3",
+                 flag, value, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("eval", ["--folds", "1"], "2 <= folds <= n"),
+    ("sweep", ["--folds", "1", "--param", "c3", "--grid", "1,2"], "2 <= folds <= n"),
+    ("eval", ["--seed", "-1"], "seed must be nonnegative"),
+])
+def test_cv_bad_folds_or_seed_exits_2(tmp_path, capsys, command, extra, message):
+    data = synth(tmp_path, "cv")
+    capsys.readouterr()
+    assert main([command, "--source", str(data / "source.csv"),
+                 "--target", str(data / "target.csv"),
+                 "--report", str(tmp_path / "r.json"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((12, 4))

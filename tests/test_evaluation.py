@@ -53,6 +53,24 @@ def test_kfold_rejects_too_many_folds():
         kfold_split(5, 6, seed=0)
 
 
+@pytest.mark.parametrize("folds", [0, 1, 21])
+def test_run_cv_rejects_fold_counts_outside_two_to_n(folds):
+    # one fold would hold out every target row and train on none
+    sx, sy, tx, ty = make_shifted_pair(0, n1=20, n2=20, n3=20, m=3)
+    with pytest.raises(ValidationError, match="2 <= folds <= n"):
+        run_cv(sx, sy, tx, ty, Hyperparams(k=2), folds=folds, seed=0)
+
+
+def test_run_cv_checks_seed_before_drawing_folds(monkeypatch):
+    def draw(*args):
+        raise AssertionError("folds drawn before the seed was checked")
+
+    monkeypatch.setattr("subadapt.evaluation.kfold_split", draw)
+    sx, sy, tx, ty = make_shifted_pair(0, n1=20, n2=20, n3=20, m=3)
+    with pytest.raises(ValidationError, match="seed"):
+        run_cv(sx, sy, tx, ty, Hyperparams(k=2), folds=4, seed=-1)
+
+
 def test_half_label_even():
     labeled = half_label_mask(np.arange(18), seed=0)
     assert labeled.size == 9

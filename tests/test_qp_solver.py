@@ -7,8 +7,9 @@ from subadapt import qp_solver
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
 from subadapt.neighborhood import build_graph
-from subadapt.qp_solver import QpProblem, _feasible_start, kkt_basis, solve
-from subadapt.weights import WeightFitState, build_weight_problem
+from subadapt.qp_solver import GramHessian, QpProblem, _feasible_start, kkt_basis, solve
+from subadapt.trainer import fit
+from subadapt.weights import WeightFitState, build_weight_problem, update_pi
 
 
 def kkt_residual(p, x, activity_atol=1e-7):
@@ -217,9 +218,16 @@ def test_exact_start_matches_bisection(n, sum_at):
         assert x[pinned] == pytest.approx(lower[pinned], abs=0.0)
 
 
-def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
-    """(QP, warm start, basis) of consecutive weight steps of one fit's
-    graph, with the projection and classifier drifting from cycle to cycle."""
+def dense_qp(problem):
+    """The weight step's QP with the dense H of ``qp_matrices``."""
+    n = problem.n1
+    return QpProblem(*problem.qp_matrices(), np.zeros(n), np.full(n, problem.delta), float(n))
+
+
+def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
+    """(problem, warm start, fit state) of consecutive weight steps of one
+    fit's graph, with the projection and classifier drifting from cycle to
+    cycle; each warm start is the dense solution of the previous step."""
     sx, sy, tx, ty = make_shifted_pair([seed, 0], n1=n, n2=n, n3=10, m=6,
                                        shift=1.5, rot_deg=30.0)
     pair = DatasetPair(sx, sy, tx, ty[:10])
@@ -234,10 +242,15 @@ def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
         phi_vec = 0.1 * rng.standard_normal(pair.m)
         problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
                                        recon_quad=state.recon_quad)
-        h, c = problem.qp_matrices()
-        qp = QpProblem(h, c, np.zeros(n), np.full(n, hp.delta), float(n))
+        yield problem, pi, state
+        pi = solve(dense_qp(problem), warm_start=pi)
+
+
+def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
+    """(dense QP, warm start, basis) of ``weight_problem_sequence``."""
+    for problem, pi, state in weight_problem_sequence(seed, cycles, n, **hp_kwargs):
+        qp = dense_qp(problem)
         yield qp, pi, state.basis(problem, qp.h)
-        pi = solve(qp, warm_start=pi)
 
 
 def count_steps(monkeypatch):
@@ -309,3 +322,123 @@ def test_singular_kkt_matrix_has_no_basis():
     assert kkt_basis(np.zeros((4, 4))) is None
     assert kkt_basis(np.diag([1.0, 1e-12, 1e-12])) is None
     assert kkt_basis(np.eye(4)) is not None
+
+
+def seeded_weight_problem(seed, n=30, **hp_kwargs):
+    sx, sy, tx, ty = make_shifted_pair([seed, 1], n1=n, n2=n, n3=5, m=4,
+                                       shift=1.5, rot_deg=30.0)
+    pair = DatasetPair(sx, sy, tx, ty[:5])
+    hp = Hyperparams(**hp_kwargs).resolved(pair.m)
+    rng = np.random.default_rng(seed)
+    theta = np.linalg.qr(rng.standard_normal((pair.m, hp.r)))[0].T
+    return build_weight_problem(rng.standard_normal(pair.m), theta, pair,
+                                build_graph(pair.source_x, hp.k), hp)
+
+
+@pytest.mark.parametrize("hp_kwargs", [
+    {}, {"k": 1}, {"k": 29}, {"c2": 0.0}, {"c3": 0.0}, {"c2": 0.0, "c3": 0.0},
+])
+def test_gram_hessian_matches_dense_formula(hp_kwargs):
+    for seed in range(3):
+        problem = seeded_weight_problem(seed, **hp_kwargs)
+        h = problem.gram_hessian()
+        reference = problem.qp_matrices()[0]
+        assert h.shape == reference.shape
+        rng = np.random.default_rng(seed)
+        for v in [np.ones(problem.n1), *rng.standard_normal((5, problem.n1))]:
+            expected = reference @ v
+            assert np.abs(h @ v - expected).max() <= \
+                1e-12 * max(1.0, np.abs(reference).max() * np.abs(v).sum())
+        assert np.abs(h.diagonal() - np.diag(reference)).max() <= \
+            1e-12 * max(1.0, np.abs(reference).max())
+        assert np.array_equal(h.dense(), reference)
+        assert h.dense() is h.dense()
+
+
+def gram_parts(n=6, k=2, r=2):
+    rng = np.random.default_rng(0)
+    indices = np.array([[(i + 1 + j) % n for j in range(k)] for i in range(n)])
+    coeffs = np.full((n, k), 1.0 / k)
+    return dict(indices=indices, coeffs=coeffs, a=2.0, gamma=rng.standard_normal((r, n)),
+                b=3.0, recon_quad=np.zeros((n, n)))
+
+
+def test_gram_hessian_parts_accepted():
+    parts = gram_parts()
+    h = GramHessian(**parts)
+    r_mat = np.eye(6)
+    r_mat[np.repeat(np.arange(6), 2), parts["indices"].ravel()] -= 0.5
+    expected = 2.0 * r_mat.T @ r_mat + 3.0 * parts["gamma"].T @ parts["gamma"]
+    v = np.arange(6.0)
+    assert np.abs(h @ v - expected @ v).max() <= 1e-12 * np.abs(expected).max() * 15
+    assert np.abs(h.diagonal() - np.diag(expected)).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("a", -1.0, "nonnegative"),
+    ("b", -1e-300, "nonnegative"),
+    ("a", np.nan, "nonnegative"),
+    ("b", np.inf, "nonnegative"),
+    ("gamma", np.array([[np.nan] * 6, [0.0] * 6]), "non-finite"),
+    ("coeffs", np.array([[np.inf, 0.0]] + [[0.5, 0.5]] * 5), "non-finite"),
+    ("indices", np.array([[1, 6]] + [[0, 1]] * 5), "out of range"),
+    ("indices", np.array([[1, -1]] + [[2, 3]] * 5), "out of range"),
+    ("indices", np.full((6, 2), 1.0), "out of range"),
+    ("indices", np.array([[1, 1]] + [[4, 5]] * 5), "distinct"),
+    ("indices", np.array([[0, 1]] + [[4, 5]] * 5), "distinct"),
+    ("coeffs", np.full((6, 3), 0.5), "shapes"),
+    ("indices", np.arange(6), "shapes"),
+    ("gamma", np.zeros((2, 5)), "shapes"),
+    ("gamma", np.zeros(6), "shapes"),
+    ("recon_quad", np.zeros((5, 5)), "shapes"),
+])
+def test_gram_hessian_rejects_bad_parts(field, value, message):
+    parts = gram_parts()
+    parts[field] = value
+    with pytest.raises(ValidationError, match=message):
+        GramHessian(**parts)
+
+
+@pytest.mark.parametrize("hp_kwargs", [
+    {}, {"c3": 0.0}, {"delta": 1.05}, {"loss": "logistic", "c2": 0.3, "c3": 20.0},
+])
+def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
+    counts = count_steps(monkeypatch)
+    formed = Counter()
+    form_dense = GramHessian.dense
+
+    def dense(self):
+        formed["dense"] += self._dense is None
+        return form_dense(self)
+
+    monkeypatch.setattr(GramHessian, "dense", dense)
+    fast = Counter()
+    for seed in range(3):
+        for cycle, (problem, warm, state) in enumerate(
+                weight_problem_sequence(seed, **hp_kwargs)):
+            qp = dense_qp(problem)
+            reference = solve(qp, warm_start=warm)
+            counts.clear()
+            formed.clear()
+            x = update_pi(problem, warm_start=warm, fit_state=state)
+            fast.update(counts)
+            assert np.abs(x - reference).max() <= 1e-9
+            assert kkt_residual(qp, x) <= 1e-8
+            # H is formed densely for the fit's first basis and for dense
+            # free-set fallbacks, at most once per QP
+            assert formed["dense"] == int(cycle == 0 or counts["dense"] > 0)
+    assert fast["schur"] > 0
+    assert fast["rejected"] == 0
+
+
+def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
+    def refuse(h):
+        raise AssertionError("dense PSD check on the weight path")
+
+    monkeypatch.setattr(qp_solver, "_require_psd", refuse)
+    sx, sy, tx, ty = make_shifted_pair([5, 0], n1=60, n2=60, n3=10, m=5,
+                                       shift=1.5, rot_deg=30.0)
+    state, trace = fit(DatasetPair(sx, sy, tx, ty[:10]),
+                       Hyperparams(tol=1e-12, max_outer_iters=4))
+    assert trace.n_iters == 4
+    assert abs(state.pi.sum() - 60.0) <= 1e-8 * 60.0

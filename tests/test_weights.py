@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,23 @@ def test_qp_matrices_consistent_with_objective_terms():
 
         assert abs(qp_value - direct) <= 1e-9
         assert abs(problem.objective(pi) - direct) <= 1e-9
+
+
+@pytest.mark.parametrize("hp_kwargs", [{}, {"k": 1}, {"k": 11}, {"c2": 0.0}, {"c3": 0.0}])
+def test_objective_from_sparse_residual_matches_dense_formula(hp_kwargs):
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        pair, hp, graph_s, theta, phi_vec = make_instance(rng, n1=12, **hp_kwargs)
+        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
+        assert problem.graph is graph_s and problem.c2 == hp.c2
+        for pi in (np.ones(pair.n1), random_feasible_pi(rng, pair.n1, hp.delta)):
+            gap = problem.gamma @ pi - problem.vartheta
+            dense = float(problem.tau @ pi + pi @ problem.recon_quad @ pi
+                          + 0.5 * problem.c3 * (gap @ gap))
+            assert abs(problem.objective(pi) - dense) <= 1e-12 * max(1.0, abs(dense))
+            # without its graph the problem falls back to the dense formula
+            graphless = dataclasses.replace(problem, graph=None)
+            assert graphless.objective(pi) == dense
 
 
 def test_uniform_weights_optimal_without_matching():
