@@ -65,8 +65,9 @@ def accuracy(predicted, truth) -> float:
 
 def kfold_split(n: int, folds: int, seed) -> list:
     """Seeded random partition of range(n) into folds of near-equal size."""
-    if folds < 1 or folds > n:
-        raise ValidationError(f"folds must satisfy 1 <= folds <= n, got {folds}, n = {n}")
+    # one fold would leave no training rows
+    if folds < 2 or folds > n:
+        raise ValidationError(f"folds must satisfy 2 <= folds <= n, got {folds}, n = {n}")
     perm = np.random.default_rng(seed).permutation(n)
     sizes = np.full(folds, n // folds)
     sizes[: n % folds] += 1
@@ -140,10 +141,6 @@ def run_cv(source_x, source_y, target_x, target_y, hp: Hyperparams,
     target_y = np.asarray(target_y)
     if target_y.shape != (target_x.shape[0],):
         raise ValidationError("run_cv needs a label for every target row")
-    # one fold would leave no training rows
-    if not 2 <= folds <= target_x.shape[0]:
-        raise ValidationError(f"folds must satisfy 2 <= folds <= n, got {folds}, "
-                              f"n = {target_x.shape[0]}")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     fold_sets = kfold_split(target_x.shape[0], folds, seed)

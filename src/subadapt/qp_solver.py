@@ -43,9 +43,9 @@ class GramHessian:
     """H = a R'R + b G'G in factored form, with R = I - W.
 
     Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
-    n x k, distinct columns other than i), G is r x n, and a, b >= 0.
-    ``recon_quad`` is the dense (a/2) R'R, passed in so that the QPs of one
-    fit share one matrix; it is trusted to match the factors. The
+    n x k), G is r x n, and a, b >= 0. ``recon_quad`` is the dense (a/2) R'R,
+    passed in so that the QPs of one fit share one matrix; it is trusted to
+    match the factors, and ``diagonal`` and ``dense`` read it. The
     constructor checks everything H's symmetry and PSD rest on, so ``solve``
     runs no symmetry scan or PSD check on a GramHessian.
     """
@@ -62,11 +62,6 @@ class GramHessian:
         if not np.issubdtype(indices.dtype, np.integer) or \
                 (indices.size and not 0 <= indices.min() <= indices.max() < n):
             raise ValidationError("Gram Hessian column index out of range")
-        ordered = np.sort(indices, axis=1)
-        if (ordered[:, 1:] == ordered[:, :-1]).any() \
-                or (indices == np.arange(n)[:, None]).any():
-            raise ValidationError(
-                "Gram Hessian rows must list distinct columns other than their own")
         if not (np.isfinite(coeffs).all() and np.isfinite(gamma).all()):
             raise ValidationError("Gram Hessian factors contain non-finite entries")
         a, b = float(a), float(b)
@@ -91,10 +86,8 @@ class GramHessian:
         return self.a * rtrv + self.b * (self.gamma.T @ (self.gamma @ v))
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal of H, in O(nk + nr); named as ndarray's."""
-        w_sq = np.bincount(self._flat_indices, self.coeffs.ravel() ** 2,
-                           minlength=self.shape[0])
-        return self.a * (1.0 + w_sq) + self.b * (self.gamma ** 2).sum(axis=0)
+        """The diagonal of H, in O(n + nr); named as ndarray's."""
+        return 2.0 * np.diag(self.recon_quad) + self.b * (self.gamma ** 2).sum(axis=0)
 
     def dense(self) -> np.ndarray:
         """H as a dense matrix, formed on the first call and cached."""
@@ -131,10 +124,11 @@ class QpProblem:
         return float(0.5 * x @ (self.h @ x) + self.c @ x)
 
 
-def _validate(p: QpProblem, dense_h: bool) -> None:
-    """Shapes, finiteness and feasibility; H's entries and symmetry only when
-    ``dense_h`` (a GramHessian was checked by its constructor)."""
+def _validate(p: QpProblem) -> None:
+    """Shapes, finiteness and feasibility; H's entries and symmetry only for
+    a dense H (a GramHessian was checked by its constructor)."""
     n = p.n
+    dense_h = not isinstance(p.h, GramHessian)
     if p.c.ndim != 1 or p.h.shape != (n, n) or p.lower.shape != (n,) or p.upper.shape != (n,):
         raise ValidationError("QP dimension mismatch")
     if not ((not dense_h or np.all(np.isfinite(p.h))) and np.all(np.isfinite(p.c))
@@ -306,10 +300,9 @@ class KktBasis:
 
 
 def kkt_basis(h0) -> KktBasis | None:
-    """Basis of H0 (dense, or a GramHessian's dense matrix) with empty
-    factors, or None when K0 is singular or its infinity-norm condition
-    number exceeds BASIS_COND_LIMIT."""
-    h0 = h0.dense() if isinstance(h0, GramHessian) else np.asarray(h0, dtype=float)
+    """Basis of H0 with empty factors, or None when K0 is singular or its
+    infinity-norm condition number exceeds BASIS_COND_LIMIT."""
+    h0 = np.asarray(h0, dtype=float)
     n = h0.shape[0]
     k0 = np.ones((n + 1, n + 1))
     k0[:n, :n] = h0
@@ -416,9 +409,8 @@ def solve(p: QpProblem, warm_start=None, basis: KktBasis | None = None) -> np.nd
     p.h is checked for symmetry and PSD first; a GramHessian is both by
     construction.
     """
-    dense_h = not isinstance(p.h, GramHessian)
-    _validate(p, dense_h)
-    if dense_h:
+    _validate(p)
+    if not isinstance(p.h, GramHessian):
         _require_psd(p.h)
     n = p.n
     schur = None if basis is None else _SchurSteps(p, basis)

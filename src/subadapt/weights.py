@@ -35,7 +35,9 @@ class WeightStepProblem:
     equal to theta @ source_x[i] / n1 and ``vartheta`` is the projected
     target mean, so the matching penalty is 0.5*c3*||gamma pi - vartheta||^2.
     ``graph`` is the source graph with recon_quad = c2 (I - W)'(I - W);
-    with it the objective and the factored Hessian apply (I - W) sparsely.
+    the objective and the factored Hessian apply (I - W) through it, so
+    they need it and ``c2``. A problem built without both can only be
+    solved through the dense ``qp_matrices``.
     """
 
     tau: np.ndarray
@@ -46,18 +48,24 @@ class WeightStepProblem:
     delta: float
     n1: int
     graph: NeighborGraph | None = None
-    c2: float = 0.0
+    c2: float | None = None
+
+    def __post_init__(self):
+        if (self.graph is None) != (self.c2 is None):
+            raise ValidationError("the source graph and c2 must be given together")
+
+    def _require_graph(self) -> None:
+        if self.graph is None:
+            raise ValidationError("the sparse reconstruction term needs the source graph")
 
     def objective(self, pi) -> float:
         """Value of the weight subproblem at pi, constant term included."""
+        self._require_graph()
         pi = np.asarray(pi, dtype=float)
         gap = self.gamma @ pi - self.vartheta
-        if self.graph is None:
-            recon = pi @ self.recon_quad @ pi
-        else:
-            resid = self.graph.residual_vectors(pi[:, None])[:, 0]
-            recon = self.c2 * (resid @ resid)
-        return float(self.tau @ pi + recon + 0.5 * self.c3 * (gap @ gap))
+        resid = self.graph.residual_vectors(pi[:, None])[:, 0]
+        return float(self.tau @ pi + self.c2 * (resid @ resid)
+                     + 0.5 * self.c3 * (gap @ gap))
 
     def linear_term(self) -> np.ndarray:
         """c of the QP."""
@@ -72,8 +80,7 @@ class WeightStepProblem:
     def gram_hessian(self) -> GramHessian:
         """The H of ``qp_matrices`` in factored form; its ``dense()`` has the
         same bits."""
-        if self.graph is None:
-            raise ValidationError("the factored Hessian needs the source graph")
+        self._require_graph()
         return GramHessian(self.graph.indices, self.graph.coeffs, 2.0 * self.c2,
                            self.gamma, self.c3, self.recon_quad)
 
@@ -102,7 +109,7 @@ class WeightFitState:
         """Basis for the QP of ``problem``, whose Hessian is ``h`` (dense or
         a GramHessian, formed densely here on the first QP only)."""
         if self._first is None:
-            basis = kkt_basis(h)
+            basis = kkt_basis(h.dense() if isinstance(h, GramHessian) else h)
             self._first = False if basis is None else (problem.gamma, basis)
             return basis
         if self._first is False:

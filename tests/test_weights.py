@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from subadapt.data_model import DatasetPair, Hyperparams
+from subadapt.data_model import DatasetPair, Hyperparams, ValidationError
 from subadapt.losses import loss_value
 from subadapt.neighborhood import build_graph
 from subadapt.subspace import projected_means
@@ -95,9 +95,20 @@ def test_objective_from_sparse_residual_matches_dense_formula(hp_kwargs):
             dense = float(problem.tau @ pi + pi @ problem.recon_quad @ pi
                           + 0.5 * problem.c3 * (gap @ gap))
             assert abs(problem.objective(pi) - dense) <= 1e-12 * max(1.0, abs(dense))
-            # without its graph the problem falls back to the dense formula
-            graphless = dataclasses.replace(problem, graph=None)
-            assert graphless.objective(pi) == dense
+
+
+def test_sparse_terms_need_the_graph_and_c2():
+    rng = np.random.default_rng(13)
+    pair, hp, graph_s, theta, phi_vec = make_instance(rng)
+    problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
+    for field in ("graph", "c2"):
+        with pytest.raises(ValidationError, match="given together"):
+            dataclasses.replace(problem, **{field: None})
+    graphless = dataclasses.replace(problem, graph=None, c2=None)
+    with pytest.raises(ValidationError, match="needs the source graph"):
+        graphless.objective(np.ones(pair.n1))
+    with pytest.raises(ValidationError, match="needs the source graph"):
+        graphless.gram_hessian()
 
 
 def test_uniform_weights_optimal_without_matching():
