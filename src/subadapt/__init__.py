@@ -24,6 +24,7 @@ from .neighborhood import NeighborGraph, build_graph, build_knn, solve_reconstru
 from .qp_solver import QpProblem, solve
 from .subspace import MeanEmbeddings, build_phi, projected_means, update_theta, update_w
 from .classifier import (
+    ObjectiveContext,
     q_objective,
     q_subgradients,
     recover_u_v,
@@ -44,7 +45,7 @@ __all__ = [
     "NeighborGraph", "build_graph", "build_knn", "solve_reconstruction",
     "QpProblem", "solve",
     "MeanEmbeddings", "build_phi", "projected_means", "update_theta", "update_w",
-    "q_objective", "q_subgradients", "recover_u_v", "predict_source",
+    "ObjectiveContext", "q_objective", "q_subgradients", "recover_u_v", "predict_source",
     "predict_target", "update_phi_varphi",
     "WeightStepProblem", "build_weight_problem", "update_pi",
     "TrainingTrace", "block_cycle", "fit", "full_objective",

@@ -24,12 +24,18 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data_model import DatasetPair, FeatureScaler, Hyperparams, LOSS_KINDS, \
-    ModelState, NumericError, ValidationError, check_model_state, validate
+    ModelState, NumericError, ValidationError, check_model_state
 from .classifier import predict_target
 from .evaluation import run_cv
 from .trainer import fit
 
 MODEL_FORMAT = "subadapt-model-v1"
+
+# The numeric hyperparameters in field order, each with the type its model
+# file line is written and parsed as; ``loss`` is written first, apart.
+_HP_KINDS = {name: float if hint is float else int
+             for name, hint in typing.get_type_hints(Hyperparams).items()
+             if name != "loss"}
 
 SYNTH_DEFAULTS = dict(n1=100, n2=100, n3=20, m=5, shift=1.0, rot_deg=20.0)
 
@@ -183,15 +189,11 @@ def _vector_lines(name, vec):
 def save_model(path, state: ModelState, hp: Hyperparams, scaler=None):
     """Text model file: explicit dimensions, row-major matrices, 17
     significant digits, the full hyperparameters, and a format version."""
-    lines = [MODEL_FORMAT,
-             f"loss {state.loss}",
-             f"c1 {_f17(hp.c1)}", f"c2 {_f17(hp.c2)}", f"c3 {_f17(hp.c3)}",
-             f"r {state.r}", f"k {hp.k}",
-             f"delta {_f17(hp.delta)}", f"step {_f17(hp.step)}",
-             f"max_outer_iters {hp.max_outer_iters}",
-             f"max_inner_iters {hp.max_inner_iters}",
-             f"tol {_f17(hp.tol)}", f"seed {hp.seed}",
-             f"theta {state.r} {state.m}"]
+    lines = [MODEL_FORMAT, f"loss {state.loss}"]
+    for name, kind in _HP_KINDS.items():
+        value = state.r if name == "r" else getattr(hp, name)
+        lines.append(f"{name} {_f17(value) if kind is float else value}")
+    lines.append(f"theta {state.r} {state.m}")
     for row in state.theta:
         lines.append(" ".join(_f17(v) for v in row))
     for name, vec in (("w", state.w), ("phi", state.phi),
@@ -247,10 +249,7 @@ def load_model(path):
         raise ValidationError(f"{path}: unknown model format")
     loss = take_field("loss")
     hp_kwargs = dict(loss=loss)
-    for name, kind in (("c1", float), ("c2", float), ("c3", float), ("r", int),
-                       ("k", int), ("delta", float), ("step", float),
-                       ("max_outer_iters", int), ("max_inner_iters", int),
-                       ("tol", float), ("seed", int)):
+    for name, kind in _HP_KINDS.items():
         hp_kwargs[name] = number(kind, take_field(name), name)
     hp = Hyperparams(**hp_kwargs)
 
@@ -279,6 +278,11 @@ def load_model(path):
     scaler = None
     if number(int, take_field("scaler"), "scaler"):
         scaler = FeatureScaler(mean=take_vector("mean"), std=take_vector("std"))
+        if scaler.mean.size != m or scaler.std.size != m:
+            raise ValidationError(f"{path}: scaler vectors do not match theta {r} x {m}")
+        if not (np.isfinite(scaler.mean).all() and np.isfinite(scaler.std).all()
+                and (scaler.std > 0).all()):
+            raise ValidationError(f"{path}: scaler needs a finite mean and a positive finite std")
     extra = next((i for i in range(cursor, len(lines)) if lines[i].strip()), None)
     if extra is not None:
         raise ValidationError(f"{path}: line {extra + 1}: content after the last field")
@@ -292,8 +296,7 @@ def load_model(path):
 # ---------------------------------------------------------------------------
 # run configuration
 
-_HP_FIELDS = ("c1", "c2", "c3", "r", "k", "delta", "step", "loss",
-              "max_outer_iters", "max_inner_iters", "tol", "seed")
+_HP_FIELDS = tuple(f.name for f in fields(Hyperparams))
 
 
 @dataclass
@@ -418,7 +421,6 @@ def cmd_train(args) -> int:
         target_x = scaler.apply(target_x)
 
     pair = DatasetPair(source_x, source_y, target_x, target_y)
-    validate(pair, hp)
     state, trace = fit(pair, hp)
     save_model(config.model, state, hp.resolved(pair.m), scaler)
     if config.trace is not None:
@@ -505,20 +507,15 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# hyperparameter flags whose name is not the field name
+_HP_FLAGS = {"r": "--subspace-dim", "k": "--neighbors", "max_outer_iters": "--max-iters"}
+
+
 def _add_hyper_flags(parser):
     parser.add_argument("--config", help="JSON config file (exclusive with flags)")
-    parser.add_argument("--c1", type=float, dest="c1")
-    parser.add_argument("--c2", type=float, dest="c2")
-    parser.add_argument("--c3", type=float, dest="c3")
-    parser.add_argument("--subspace-dim", type=int, dest="r")
-    parser.add_argument("--neighbors", type=int, dest="k")
-    parser.add_argument("--delta", type=float, dest="delta")
-    parser.add_argument("--step", type=float, dest="step")
-    parser.add_argument("--loss", choices=LOSS_KINDS, dest="loss")
-    parser.add_argument("--max-iters", type=int, dest="max_outer_iters")
-    parser.add_argument("--max-inner-iters", type=int, dest="max_inner_iters")
-    parser.add_argument("--tol", type=float, dest="tol")
-    parser.add_argument("--seed", type=int, dest="seed")
+    for name in _HP_FIELDS:
+        parser.add_argument(_HP_FLAGS.get(name, "--" + name.replace("_", "-")), dest=name,
+                            type=_HP_KINDS.get(name), choices=LOSS_KINDS if name == "loss" else None)
     parser.add_argument("--normalize", action="store_const", const=True,
                         dest="normalize")
 

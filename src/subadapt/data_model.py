@@ -204,10 +204,15 @@ class ModelState:
 
 def check_model_state(state: ModelState, delta: float) -> None:
     """Assert the trained-state invariants; raise ValidationError otherwise."""
+    for name in ("theta", "w", "phi", "varphi", "u", "v", "pi"):
+        if not np.isfinite(getattr(state, name)).all():
+            raise ValidationError(f"non-finite value in {name}")
+    if not np.isfinite(delta):
+        raise ValidationError("non-finite delta")
     r = state.r
     gram = state.theta @ state.theta.T
-    if np.abs(gram - np.eye(r)).max() > 1e-10:
-        raise ValidationError("theta rows are not orthonormal within 1e-10")
+    if r < 1 or np.abs(gram - np.eye(r)).max() > 1e-10:
+        raise ValidationError("theta needs at least one row, all orthonormal within 1e-10")
     n1 = state.pi.shape[0]
     if state.pi.min() < -1e-8 or state.pi.max() > delta + 1e-8:
         raise ValidationError("pi violates its box bounds")

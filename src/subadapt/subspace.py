@@ -22,15 +22,13 @@ DEGENERATE_EIG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MeanEmbeddings:
-    """Subspace means of both domains plus the raw weighted mean gap.
+    """Target mean and weighted source mean in the subspace.
 
-    ``mu_s_pi`` equals ``theta @ d_raw + mu_t`` by construction.
+    ``mu_s_pi`` equals ``theta @ raw_mean_difference(pair, pi) + mu_t``.
     """
 
-    mu_s: np.ndarray
     mu_t: np.ndarray
     mu_s_pi: np.ndarray
-    d_raw: np.ndarray
 
 
 def raw_mean_difference(pair: DatasetPair, pi: np.ndarray) -> np.ndarray:
@@ -42,7 +40,7 @@ def raw_mean_difference(pair: DatasetPair, pi: np.ndarray) -> np.ndarray:
 
 
 def projected_means(theta: np.ndarray, pair: DatasetPair, pi: np.ndarray) -> MeanEmbeddings:
-    """Unweighted and weighted domain means in the current subspace."""
+    """Target mean and weighted source mean in the current subspace."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != pair.m:
         raise ValidationError("theta columns do not match the feature dimension")
@@ -51,12 +49,8 @@ def projected_means(theta: np.ndarray, pair: DatasetPair, pi: np.ndarray) -> Mea
         raise ValidationError("pi length does not match the source set")
     source_proj = pair.source_x @ theta.T
     target_proj = pair.target_x @ theta.T
-    return MeanEmbeddings(
-        mu_s=source_proj.mean(axis=0),
-        mu_t=target_proj.mean(axis=0),
-        mu_s_pi=(source_proj.T @ pi) / pair.n1,
-        d_raw=raw_mean_difference(pair, pi),
-    )
+    return MeanEmbeddings(mu_t=target_proj.mean(axis=0),
+                          mu_s_pi=(source_proj.T @ pi) / pair.n1)
 
 
 def build_phi(phi_vec, varphi_vec, pi, pair: DatasetPair, hp: Hyperparams) -> np.ndarray:
@@ -95,13 +89,11 @@ def _canonical_rows(vals: np.ndarray, vecs: np.ndarray):
     return vals[order], rows[order]
 
 
-def update_theta(phi_mat: np.ndarray, r: int, prev_theta=None,
-                 select: str = "smallest") -> np.ndarray:
+def update_theta(phi_mat: np.ndarray, r: int, prev_theta=None) -> np.ndarray:
     """Row-orthonormal r x m minimizer of the trace form.
 
     Rows are the eigenvectors of the r algebraically smallest eigenvalues in
     ascending order, each with its first nonzero component made positive.
-    ``select="largest"`` flips to the r largest eigenvalues (descending).
     When the whole spectrum is numerically zero any orthonormal matrix is
     optimal, so the previous projection is kept if one is supplied.
     """
@@ -113,13 +105,9 @@ def update_theta(phi_mat: np.ndarray, r: int, prev_theta=None,
         raise ValidationError("non-finite phi matrix")
     if not 1 <= r <= m:
         raise ValidationError(f"r must satisfy 1 <= r <= m, got r = {r}")
-    if select not in ("smallest", "largest"):
-        raise ValidationError(f"unknown eigenvalue selection: {select!r}")
     vals, vecs = np.linalg.eigh(0.5 * (phi_mat + phi_mat.T))
     if prev_theta is not None and np.abs(vals).max(initial=0.0) <= DEGENERATE_EIG_TOL:
         return np.array(prev_theta, dtype=float)
-    if select == "largest":
-        vals, vecs = vals[::-1], vecs[:, ::-1]
     vals, rows = _canonical_rows(vals, vecs)
     return rows[:r]
 

@@ -1,5 +1,6 @@
-"""The outer block-coordinate loop: full-objective evaluation,
-initialization, convergence, and a monotonicity-auditable trace.
+"""The outer block-coordinate loop: full-objective evaluation as five named
+terms on the fit's one ``ObjectiveContext``, initialization, convergence,
+and a monotonicity-auditable trace read off the terms after each block.
 
 Block order per cycle: projection (exact eigen-step), shared classifier
 (closed form), classifier vectors (backtracked descent), source weights
@@ -12,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .classifier import recover_u_v, update_phi_varphi
+from .classifier import ObjectiveContext, recover_u_v, update_phi_varphi
 from .data_model import DatasetPair, Hyperparams, ModelState, validate
 from .losses import loss_value
-from .neighborhood import NeighborGraph, build_graph
+from .neighborhood import build_graph
 from .subspace import build_phi, projected_means, update_theta, update_w
 from .weights import WeightFitState, build_weight_problem, update_pi
 
@@ -64,64 +66,77 @@ class IterationSnapshot:
     pi: np.ndarray
 
 
-def full_objective(theta, w, phi_vec, varphi_vec, pi, pair: DatasetPair,
-                   graph_s: NeighborGraph, graph_t: NeighborGraph,
-                   hp: Hyperparams) -> float:
-    """The five-term training objective at the given parameters."""
-    theta = np.asarray(theta, dtype=float)
-    w = np.asarray(w, dtype=float)
-    phi_vec = np.asarray(phi_vec, dtype=float)
-    varphi_vec = np.asarray(varphi_vec, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+class ObjectiveTerms(NamedTuple):
+    """The five terms of the training objective at one point."""
 
-    total = float(loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec) @ pi)
+    source_loss: float
+    target_loss: float
+    adaptation: float
+    reconstruction: float
+    matching: float
+
+    @property
+    def total(self) -> float:
+        # summed left to right in this order, so totals keep their exact bits
+        return self.source_loss + self.target_loss + self.adaptation \
+            + self.reconstruction + self.matching
+
+
+def full_objective(theta, w, phi_vec, varphi_vec, pi,
+                   ctx: ObjectiveContext) -> ObjectiveTerms:
+    """The five named terms of the training objective at the given parameters."""
+    pi = np.asarray(pi, dtype=float)
+    pair, hp = ctx.pair, ctx.hp
+
+    source = float(loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec) @ pi)
+    target = 0.0
     if pair.n3:
-        target_scores = pair.target_x[:pair.n3] @ varphi_vec
-        total += float(loss_value(hp.loss, pair.target_y, target_scores).sum())
+        target = float(loss_value(hp.loss, pair.target_y, ctx.xt_lab @ varphi_vec).sum())
 
     u, v = recover_u_v(theta, w, phi_vec, varphi_vec)
-    total += 0.5 * hp.c1 * (float(u @ u) + float(v @ v))
+    adaptation = 0.5 * hp.c1 * (float(u @ u) + float(v @ v))
 
-    pi_resid = graph_s.residual_vectors(pi[:, None])[:, 0]
-    h_resid = graph_t.residual_vectors(pair.target_x) @ varphi_vec
-    total += hp.c2 * (float(pi_resid @ pi_resid) + float(h_resid @ h_resid))
+    pi_resid = ctx.graph_s.residual_vectors(pi[:, None])[:, 0]
+    h_resid = ctx.target_resid @ varphi_vec
+    reconstruction = hp.c2 * (float(pi_resid @ pi_resid) + float(h_resid @ h_resid))
 
     means = projected_means(theta, pair, pi)
     gap = means.mu_s_pi - means.mu_t
-    total += 0.5 * hp.c3 * float(gap @ gap)
-    return total
+    return ObjectiveTerms(source, target, adaptation, reconstruction,
+                          0.5 * hp.c3 * float(gap @ gap))
 
 
-def block_cycle(theta, w, phi_vec, varphi_vec, pi, pair, graph_s, graph_t, hp,
-                update_subspace=True, update_weights=True, on_block=None,
+def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
+                update_subspace=True, update_weights=True,
                 weight_state: WeightFitState | None = None):
-    """Run one full block cycle; ``on_block(name, params...)`` is invoked
-    after each block with the current parameters. ``weight_state`` carries
-    the weight step's per-fit data from cycle to cycle."""
+    """Run one full block cycle. Returns the new (theta, w, phi, varphi, pi),
+    the objective terms after each of the three blocks, the descent's
+    InnerTrace, and the weight QP's (solved, uniform) objectives, NaN with the
+    weight block off. ``weight_state`` carries the weight step's per-fit data."""
+    pair, hp = ctx.pair, ctx.hp
     if update_subspace:
         phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
         theta = update_theta(phi_mat, hp.r, prev_theta=theta)
         w = update_w(theta, phi_vec, varphi_vec)
-    if on_block is not None:
-        on_block("subspace", theta, w, phi_vec, varphi_vec, pi, None)
+    after_subspace = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
 
+    # hp goes by keyword: the benchmark's descent counter reads it there
     phi_vec, varphi_vec, inner = update_phi_varphi(
-        phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
-    if on_block is not None:
-        on_block("classifier", theta, w, phi_vec, varphi_vec, pi, inner)
+        phi_vec, varphi_vec, theta, w, pi, ctx, hp=hp)
+    after_classifier = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
 
     qp_objectives = (math.nan, math.nan)
     if update_weights:
         problem = build_weight_problem(
-            phi_vec, theta, pair, graph_s, hp,
+            phi_vec, theta, pair, ctx.graph_s, hp,
             recon_quad=None if weight_state is None else weight_state.recon_quad)
         new_pi = update_pi(problem, warm_start=pi, fit_state=weight_state)
         qp_objectives = (problem.objective(new_pi),
                          problem.objective(np.ones(pair.n1)))
         pi = new_pi
-    if on_block is not None:
-        on_block("weights", theta, w, phi_vec, varphi_vec, pi, qp_objectives)
-    return theta, w, phi_vec, varphi_vec, pi
+    after_weights = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
+    return ((theta, w, phi_vec, varphi_vec, pi),
+            (after_subspace, after_classifier, after_weights), inner, qp_objectives)
 
 
 def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
@@ -144,6 +159,7 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
     hp = hp.resolved(pair.m)
     graph_s = build_graph(pair.source_x, hp.k)
     graph_t = build_graph(pair.target_x, hp.k)
+    ctx = ObjectiveContext(pair, graph_s, graph_t, hp)
 
     m, r = pair.m, hp.r
     phi_vec = np.zeros(m)
@@ -158,33 +174,20 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
     stop_reason = "max_iters"
 
     for iteration in range(hp.max_outer_iters):
-        records = {}
-
-        def on_block(name, th, wv, ph, vph, pv, extra):
-            records[name] = full_objective(th, wv, ph, vph, pv, pair,
-                                           graph_s, graph_t, hp)
-            if name == "classifier":
-                records["inner"] = extra
-            elif name == "weights":
-                records["qp"] = extra
-
-        theta, w, phi_vec, varphi_vec, pi = block_cycle(
-            theta, w, phi_vec, varphi_vec, pi, pair, graph_s, graph_t, hp,
+        (theta, w, phi_vec, varphi_vec, pi), terms, inner, qp_objectives = block_cycle(
+            theta, w, phi_vec, varphi_vec, pi, ctx,
             update_subspace=update_subspace, update_weights=update_weights,
-            on_block=on_block, weight_state=weight_state)
+            weight_state=weight_state)
 
-        trace.objective_after_subspace.append(records["subspace"])
-        trace.objective_after_classifier.append(records["classifier"])
-        trace.objective_after_weights.append(records["weights"])
-        inner = records["inner"]
+        trace.objective_after_subspace.append(terms[0].total)
+        trace.objective_after_classifier.append(terms[1].total)
+        trace.objective_after_weights.append(terms[2].total)
         trace.q_value.append(inner.q_values[-1])
         trace.inner_steps.append(inner.accepted_steps)
         trace.inner_hit_step_floor.append(inner.hit_step_floor)
-        trace.pi_step_objective.append(records["qp"][0])
-        trace.pi_step_objective_uniform.append(records["qp"][1])
-        means = projected_means(theta, pair, pi)
-        gap = means.mu_s_pi - means.mu_t
-        trace.matching_term.append(0.5 * hp.c3 * float(gap @ gap))
+        trace.pi_step_objective.append(qp_objectives[0])
+        trace.pi_step_objective_uniform.append(qp_objectives[1])
+        trace.matching_term.append(terms[2].matching)
         trace.pi_min.append(float(pi.min()))
         trace.pi_max.append(float(pi.max()))
         trace.pi_mean.append(float(pi.mean()))
@@ -195,7 +198,7 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
                 iteration=iteration, theta=theta.copy(), w=w.copy(),
                 phi=phi_vec.copy(), varphi=varphi_vec.copy(), pi=pi.copy()))
 
-        objective = records["weights"]
+        objective = trace.objective_after_weights[-1]
         if prev_objective is not None and \
                 abs(objective - prev_objective) <= hp.tol * max(1.0, abs(prev_objective)):
             stop_reason = "converged"

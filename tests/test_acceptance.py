@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from subadapt.classifier import q_objective, q_subgradients, recover_u_v
+from subadapt.classifier import ObjectiveContext, q_objective, q_subgradients, recover_u_v
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.evaluation import run_cv
@@ -56,11 +56,11 @@ def test_criterion_1_gradient_correctness():
         phi_vec = 0.5 * rng.standard_normal(m)
         varphi_vec = 0.5 * rng.standard_normal(m)
 
-        g_phi, g_varphi = q_subgradients(phi_vec, varphi_vec, theta, w, pi,
-                                         pair, graph_t, hp)
+        ctx = ObjectiveContext(pair, build_graph(xs, k), graph_t, hp)
+        g_phi, g_varphi = q_subgradients(phi_vec, varphi_vec, theta, w, pi, ctx)
 
         def q_at(pv, vv):
-            return q_objective(pv, vv, theta, w, pi, pair, graph_t, hp)
+            return q_objective(pv, vv, theta, w, pi, ctx)
 
         h = 1e-6
         for i in range(m):

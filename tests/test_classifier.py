@@ -3,6 +3,7 @@ import pytest
 
 from subadapt.classifier import (
     MAX_STEP_HALVINGS,
+    ObjectiveContext,
     predict_source,
     predict_target,
     q_objective,
@@ -31,6 +32,10 @@ def make_instance(rng, n1=8, n2=7, n3=4, m=4, **hp_kwargs):
     return pair, hp, graph_t, theta, w, pi
 
 
+def context(pair, graph_t, hp):
+    return ObjectiveContext(pair, build_graph(pair.source_x, hp.k), graph_t, hp)
+
+
 def q_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
     """Definitional term-by-term re-evaluation with explicit loops."""
     total = 0.0
@@ -55,7 +60,7 @@ def test_q_objective_all_zero_hinge():
     rng = np.random.default_rng(0)
     pair, hp, graph_t, theta, _, _ = make_instance(rng, loss="hinge")
     value = q_objective(np.zeros(4), np.zeros(4), theta, np.zeros(theta.shape[0]),
-                        np.ones(pair.n1), pair, graph_t, hp)
+                        np.ones(pair.n1), context(pair, graph_t, hp))
     assert value == pytest.approx(pair.n1 + pair.n3, abs=1e-12)
 
 
@@ -65,7 +70,7 @@ def test_q_objective_reduces_to_weighted_source_loss():
         rng, n3=0, c1=0.0, c2=0.0, loss="logistic")
     phi_vec = rng.standard_normal(4)
     value = q_objective(phi_vec, rng.standard_normal(4), theta, w, pi,
-                        pair, graph_t, hp)
+                        context(pair, graph_t, hp))
     expected = float(loss_value("logistic", pair.source_y,
                                 pair.source_x @ phi_vec) @ pi)
     assert value == pytest.approx(expected, abs=1e-12)
@@ -77,7 +82,7 @@ def test_q_objective_matches_reference(loss):
     pair, hp, graph_t, theta, w, pi = make_instance(rng, c1=3.0, c2=0.7, loss=loss)
     phi_vec = rng.standard_normal(4)
     varphi_vec = rng.standard_normal(4)
-    value = q_objective(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
+    value = q_objective(phi_vec, varphi_vec, theta, w, pi, context(pair, graph_t, hp))
     reference = q_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
     assert abs(value - reference) <= 1e-10
 
@@ -96,7 +101,7 @@ def test_subgradient_zero_when_hinges_inactive():
     theta = np.eye(2, 4)
     pi = rng.uniform(0.5, 1.5, 8)
     g_phi, _ = q_subgradients(phi_big, np.zeros(4), theta, np.zeros(2), pi,
-                              pair, graph_t, hp)
+                              context(pair, graph_t, hp))
     assert np.abs(g_phi).max() == 0.0
 
 
@@ -112,7 +117,7 @@ def test_reconstruction_term_vanishes_for_exact_graph():
     theta = np.eye(2, 3)
     varphi_vec = rng.standard_normal(3)
     _, g_varphi = q_subgradients(np.zeros(3), varphi_vec, theta, np.zeros(2),
-                                 np.ones(6), pair, graph_t, hp)
+                                 np.ones(6), context(pair, graph_t, hp))
     assert np.abs(g_varphi).max() <= 1e-9
 
 
@@ -122,16 +127,16 @@ def test_subgradients_match_finite_differences(loss):
     pair, hp, graph_t, theta, w, pi = make_instance(rng, c1=2.0, c2=0.5, loss=loss)
     phi_vec = 0.3 * rng.standard_normal(4)
     varphi_vec = 0.3 * rng.standard_normal(4)
-    g_phi, g_varphi = q_subgradients(phi_vec, varphi_vec, theta, w, pi,
-                                     pair, graph_t, hp)
+    ctx = context(pair, graph_t, hp)
+    g_phi, g_varphi = q_subgradients(phi_vec, varphi_vec, theta, w, pi, ctx)
     h = 1e-6
     for i in range(4):
         delta = np.zeros(4)
         delta[i] = h
-        fd_phi = (q_objective(phi_vec + delta, varphi_vec, theta, w, pi, pair, graph_t, hp)
-                  - q_objective(phi_vec - delta, varphi_vec, theta, w, pi, pair, graph_t, hp)) / (2 * h)
-        fd_varphi = (q_objective(phi_vec, varphi_vec + delta, theta, w, pi, pair, graph_t, hp)
-                     - q_objective(phi_vec, varphi_vec - delta, theta, w, pi, pair, graph_t, hp)) / (2 * h)
+        fd_phi = (q_objective(phi_vec + delta, varphi_vec, theta, w, pi, ctx)
+                  - q_objective(phi_vec - delta, varphi_vec, theta, w, pi, ctx)) / (2 * h)
+        fd_varphi = (q_objective(phi_vec, varphi_vec + delta, theta, w, pi, ctx)
+                     - q_objective(phi_vec, varphi_vec - delta, theta, w, pi, ctx)) / (2 * h)
         assert abs(g_phi[i] - fd_phi) <= 1e-5 * max(1.0, abs(g_phi[i]))
         assert abs(g_varphi[i] - fd_varphi) <= 1e-5 * max(1.0, abs(g_varphi[i]))
 
@@ -150,7 +155,7 @@ def test_update_fixed_point_returns_input():
     pi = np.zeros(5)  # kills the source loss term
     anchor = theta.T @ w
     phi_out, varphi_out, trace = update_phi_varphi(
-        anchor.copy(), anchor.copy(), theta, w, pi, pair, graph_t, hp)
+        anchor.copy(), anchor.copy(), theta, w, pi, context(pair, graph_t, hp), hp)
     assert np.array_equal(phi_out, anchor)
     assert np.array_equal(varphi_out, anchor)
     assert trace.accepted_steps == 0 and trace.hit_step_floor
@@ -163,9 +168,9 @@ def test_single_tiny_step_decreases_q():
                      loss="logistic", step=1e-8, max_inner_iters=1)
     phi_vec = rng.standard_normal(4)
     varphi_vec = rng.standard_normal(4)
-    q0 = q_objective(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
-    _, _, trace = update_phi_varphi(phi_vec, varphi_vec, theta, w, pi,
-                                    pair, graph_t, hp)
+    ctx = context(pair, graph_t, hp)
+    q0 = q_objective(phi_vec, varphi_vec, theta, w, pi, ctx)
+    _, _, trace = update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx, hp)
     assert trace.accepted_steps == 1
     assert trace.q_values[-1] < q0
 
@@ -177,12 +182,11 @@ def test_descent_trace_monotone_and_gradient_shrinks():
                      step=1e-2, max_inner_iters=50)
     phi_vec = rng.standard_normal(4)
     varphi_vec = rng.standard_normal(4)
-    g0 = np.concatenate(q_subgradients(phi_vec, varphi_vec, theta, w, pi,
-                                       pair, graph_t, hp))
+    ctx = context(pair, graph_t, hp)
+    g0 = np.concatenate(q_subgradients(phi_vec, varphi_vec, theta, w, pi, ctx))
     phi_out, varphi_out, trace = update_phi_varphi(
-        phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
-    g1 = np.concatenate(q_subgradients(phi_out, varphi_out, theta, w, pi,
-                                       pair, graph_t, hp))
+        phi_vec, varphi_vec, theta, w, pi, ctx, hp)
+    g1 = np.concatenate(q_subgradients(phi_out, varphi_out, theta, w, pi, ctx))
     assert np.linalg.norm(g1) <= np.linalg.norm(g0)
     assert all(b < a for a, b in zip(trace.q_values, trace.q_values[1:]))
 
@@ -246,7 +250,7 @@ def test_descent_matches_reference_loop(loss, n3, step, max_inner, floored):
     phi_ref, varphi_ref, q_ref, floor_ref, halvings = descent_reference(
         phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
     phi_out, varphi_out, trace = update_phi_varphi(
-        phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
+        phi_vec, varphi_vec, theta, w, pi, context(pair, graph_t, hp), hp)
     assert trace.accepted_steps == len(q_ref) - 1
     assert trace.hit_step_floor == floor_ref == floored
     if floored:
@@ -260,43 +264,41 @@ def test_descent_matches_reference_loop(loss, n3, step, max_inner, floored):
 
 def test_bad_label_rejected_without_pair_validation():
     rng = np.random.default_rng(22)
-    pair, hp, graph_t, theta, w, pi = make_instance(rng)
+    pair, hp, graph_t, _, _, _ = make_instance(rng)
     source_y = pair.source_y.copy()
     source_y[3] = 2
     target_y = pair.target_y.copy()
     target_y[-1] = 2
-    zeros = np.zeros(4)
+    # the labels are checked once per fit, when the objective context is built
     for bad in (DatasetPair(pair.source_x, source_y, pair.target_x, pair.target_y),
                 DatasetPair(pair.source_x, pair.source_y, pair.target_x, target_y)):
-        for entry in (q_objective, q_subgradients, update_phi_varphi):
-            with pytest.raises(ValidationError, match=r"label outside \{\+1,-1\}"):
-                entry(zeros, zeros, theta, w, pi, bad, graph_t, hp)
+        with pytest.raises(ValidationError, match=r"label outside \{\+1,-1\}"):
+            context(bad, graph_t, hp)
 
 
 def test_unknown_loss_rejected():
     rng = np.random.default_rng(23)
-    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="squared")
-    zeros = np.zeros(4)
-    for entry in (q_objective, q_subgradients, update_phi_varphi):
-        with pytest.raises(ValidationError, match="unknown loss kind: 'squared'"):
-            entry(zeros, zeros, theta, w, pi, pair, graph_t, hp)
+    pair, hp, graph_t, _, _, _ = make_instance(rng, loss="squared")
+    with pytest.raises(ValidationError, match="unknown loss kind: 'squared'"):
+        context(pair, graph_t, hp)
 
 
 def test_non_finite_scores_rejected():
     rng = np.random.default_rng(24)
     pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="logistic")
+    ctx = context(pair, graph_t, hp)
     finite = np.zeros(4)
     for phi_vec, varphi_vec in (([np.inf, 0, 0, 0], finite), (finite, [0, np.nan, 0, 0])):
-        for entry in (q_objective, q_subgradients, update_phi_varphi):
+        for entry, extra in ((q_objective, ()), (q_subgradients, ()), (update_phi_varphi, (hp,))):
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValidationError, match="non-finite classifier score"):
                 entry(np.array(phi_vec, dtype=float), np.array(varphi_vec, dtype=float),
-                      theta, w, pi, pair, graph_t, hp)
+                      theta, w, pi, ctx, *extra)
     # a finite start whose first proposal overflows the scores
     huge = Hyperparams(k=hp.k, r=hp.r, loss="logistic", step=1e308)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValidationError, match="non-finite classifier score"):
-        update_phi_varphi(finite, finite, theta, w, pi, pair, graph_t, huge)
+        update_phi_varphi(finite, finite, theta, w, pi, ctx, huge)
 
 
 def test_recover_u_v_pure_shared_classifier():

@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -178,6 +178,62 @@ def test_model_file_round_trip_bytes(tmp_path):
     assert model_path.read_bytes() == second.read_bytes()
 
 
+GOLDEN_V1_MODEL = """\
+subadapt-model-v1
+loss logistic
+c1 0.10000000000000001
+c2 2.5
+c3 0.001
+r 2
+k 2
+delta 1.75
+step 0.01
+max_outer_iters 7
+max_inner_iters 9
+tol 9.9999999999999995e-08
+seed 3
+theta 2 3
+0.59999999999999998 0.80000000000000004 0
+0 0 1
+w 2
+0.25 -1.5
+phi 3
+0.10000000000000001 -2 3
+varphi 3
+1 0.5 -0.125
+u 3
+-0.049999999999999989 -2.2000000000000002 4.5
+v 3
+0.84999999999999998 0.29999999999999999 1.375
+pi 3
+0.5 1.5 1
+scaler 1
+mean 3
+1 -2 0.33333333333333331
+std 3
+0.5 1 2
+"""
+
+
+def test_model_file_matches_golden_v1_text(tmp_path):
+    theta = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+    state = ModelState.from_parameters(
+        theta, np.array([0.25, -1.5]), np.array([0.1, -2.0, 3.0]),
+        np.array([1.0, 0.5, -0.125]), np.array([0.5, 1.5, 1.0]), "logistic")
+    hp = Hyperparams(c1=0.1, c2=2.5, c3=1e-3, k=2, delta=1.75, step=0.01,
+                     loss="logistic", max_outer_iters=7, max_inner_iters=9,
+                     tol=1e-7, seed=3)  # r left unset: the file takes it from theta
+    scaler = FeatureScaler(mean=np.array([1.0, -2.0, 1.0 / 3.0]),
+                           std=np.array([0.5, 1.0, 2.0]))
+    model_path = tmp_path / "m.txt"
+    save_model(model_path, state, hp, scaler)
+    assert model_path.read_bytes() == GOLDEN_V1_MODEL.encode("utf-8")
+    loaded, loaded_hp, loaded_scaler = load_model(model_path)
+    assert loaded_hp == replace(hp, r=2)
+    assert np.array_equal(loaded.theta, theta)
+    assert np.array_equal(loaded_scaler.mean, scaler.mean)
+
+
 def test_predict_zero_classifier_all_positive(tmp_path):
     theta = np.eye(2, 3)
     state = ModelState.from_parameters(theta, np.zeros(2), np.zeros(3),
@@ -302,6 +358,55 @@ def test_model_failing_state_invariants_exits_2(tmp_path, capsys):
     assert predict_with_edited_model(tmp_path, edit) == 2
     assert "v is inconsistent" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+def set_model_vector(lines, name, values):
+    index = next(i for i, line in enumerate(lines) if line.split()[0] == name)
+    lines[index:index + 2] = [f"{name} {len(values)}", " ".join(values)]
+
+
+def no_theta_rows(lines):
+    index = lines.index("theta 1 3")
+    lines[index:index + 2] = ["theta 0 3"]
+    set_model_vector(lines, "w", [])
+
+
+def nan_varphi_and_v(lines):
+    set_model_vector(lines, "varphi", ["nan", "0", "0"])
+    set_model_vector(lines, "v", ["nan", "0", "0"])
+
+
+@pytest.mark.parametrize("edit, scaler, message", [
+    (no_theta_rows, None, "theta needs at least one row"),
+    (lambda lines: set_model_vector(lines, "pi", ["nan", "1", "1", "1"]), None,
+     "non-finite value in pi"),
+    (nan_varphi_and_v, None, "non-finite value in varphi"),
+    (lambda lines: lines.__setitem__(lines.index("delta 3"), "delta nan"), None,
+     "non-finite delta"),
+    (None, (np.zeros(2), np.ones(2)), "scaler vectors do not match theta 1 x 3"),
+    (None, (np.zeros(3), np.array([1.0, 0.0, 1.0])), "positive finite std"),
+    (None, (np.array([0.0, np.inf, 0.0]), np.ones(3)), "finite mean"),
+], ids=["no-theta-rows", "nan-pi", "nan-varphi-v", "nan-delta", "short-scaler",
+        "zero-std", "inf-mean"])
+def test_malformed_model_values_exit_2(tmp_path, capsys, edit, scaler, message):
+    state = ModelState.from_parameters(np.eye(1, 3), np.zeros(1), np.zeros(3),
+                                       np.zeros(3), np.ones(4), "hinge")
+    model_path = tmp_path / "m.txt"
+    save_model(model_path, state, Hyperparams(r=1),
+               None if scaler is None else FeatureScaler(*scaler))
+    if edit is not None:
+        lines = model_path.read_text().splitlines()
+        edit(lines)
+        model_path.write_text("\n".join(lines) + "\n")
+    rows = tmp_path / "rows.csv"
+    write_feature_csv(rows, np.ones((2, 3)))
+    out = tmp_path / "p.csv"
+    rc = main(["predict", "--model", str(model_path), "--input", str(rows),
+               "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_model_with_trailing_content_exits_2(tmp_path, capsys):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from subadapt.classifier import predict_target, recover_u_v
+from subadapt.classifier import ObjectiveContext, predict_target, recover_u_v
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, check_model_state
 from subadapt.losses import loss_value
-from subadapt.neighborhood import build_graph
+from subadapt.neighborhood import NeighborGraph, build_graph
 from subadapt.subspace import projected_means
 from subadapt import trainer
-from subadapt.trainer import block_cycle, fit, full_objective
+from subadapt.trainer import ObjectiveTerms, block_cycle, fit, full_objective
 
 
 def separable_identical_pair(rng, n=20, m=3, margin=1.5):
@@ -27,27 +27,30 @@ def synthetic_pair(seed, **kwargs):
 
 def objective_reference(theta, w, phi_vec, varphi_vec, pi, pair, graph_s,
                         graph_t, hp):
-    """Explicit five-term evaluation with loops, independent of the trainer."""
-    total = 0.0
+    """Explicit five-term evaluation with loops, independent of the trainer.
+    Returns the terms in ObjectiveTerms order."""
+    source = 0.0
     for i in range(pair.n1):
-        total += loss_value(hp.loss, int(pair.source_y[i]),
-                            float(pair.source_x[i] @ phi_vec)) * pi[i]
+        source += loss_value(hp.loss, int(pair.source_y[i]),
+                             float(pair.source_x[i] @ phi_vec)) * pi[i]
+    target = 0.0
     for j in range(pair.n3):
-        total += loss_value(hp.loss, int(pair.target_y[j]),
-                            float(pair.target_x[j] @ varphi_vec))
+        target += loss_value(hp.loss, int(pair.target_y[j]),
+                             float(pair.target_x[j] @ varphi_vec))
     anchor = theta.T @ w
     u = phi_vec - anchor
     v = varphi_vec - anchor
-    total += hp.c1 / 2.0 * (float(u @ u) + float(v @ v))
+    adaptation = hp.c1 / 2.0 * (float(u @ u) + float(v @ v))
+    reconstruction = 0.0
     for i in range(pair.n1):
         recon = sum(graph_s.coeffs[i][a] * pi[graph_s.indices[i][a]]
                     for a in range(graph_s.k))
-        total += hp.c2 * (pi[i] - recon) ** 2
+        reconstruction += hp.c2 * (pi[i] - recon) ** 2
     for j in range(pair.n2):
         score = float(pair.target_x[j] @ varphi_vec)
         recon = sum(graph_t.coeffs[j][a] * float(pair.target_x[graph_t.indices[j][a]] @ varphi_vec)
                     for a in range(graph_t.k))
-        total += hp.c2 * (score - recon) ** 2
+        reconstruction += hp.c2 * (score - recon) ** 2
     mu_s_pi = np.zeros(theta.shape[0])
     for i in range(pair.n1):
         mu_s_pi += theta @ pair.source_x[i] * pi[i] / pair.n1
@@ -55,8 +58,7 @@ def objective_reference(theta, w, phi_vec, varphi_vec, pi, pair, graph_s,
     for j in range(pair.n2):
         mu_t += theta @ pair.target_x[j] / pair.n2
     gap = mu_s_pi - mu_t
-    total += hp.c3 / 2.0 * float(gap @ gap)
-    return total
+    return source, target, adaptation, reconstruction, hp.c3 / 2.0 * float(gap @ gap)
 
 
 def flattened_objective_trace(trace):
@@ -77,7 +79,7 @@ def test_full_objective_zero_parameters():
     theta = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
     pi = np.ones(pair.n1)
     value = full_objective(theta, np.zeros(2), np.zeros(4), np.zeros(4), pi,
-                           pair, graph_s, graph_t, hp)
+                           ObjectiveContext(pair, graph_s, graph_t, hp)).total
     means = projected_means(theta, pair, pi)
     gap = means.mu_s_pi - means.mu_t
     expected = pair.n1 + pair.n3 + hp.c3 / 2.0 * float(gap @ gap)
@@ -93,8 +95,8 @@ def test_full_objective_losses_only():
     theta = np.eye(2, 4)
     phi_vec = rng.standard_normal(4)
     varphi_vec = rng.standard_normal(4)
-    value = full_objective(theta, np.zeros(2), phi_vec, varphi_vec,
-                           np.ones(pair.n1), pair, graph_s, graph_t, hp)
+    value = full_objective(theta, np.zeros(2), phi_vec, varphi_vec, np.ones(pair.n1),
+                           ObjectiveContext(pair, graph_s, graph_t, hp)).total
     expected = float(loss_value("logistic", pair.source_y,
                                 pair.source_x @ phi_vec).sum())
     expected += float(loss_value("logistic", pair.target_y,
@@ -115,11 +117,21 @@ def test_full_objective_matches_reference(loss):
     varphi_vec = 0.4 * rng.standard_normal(4)
     pi = rng.uniform(0.3, 1.7, pair.n1)
     pi *= pair.n1 / pi.sum()
-    value = full_objective(theta, w, phi_vec, varphi_vec, pi, pair,
-                           graph_s, graph_t, hp)
+    terms = full_objective(theta, w, phi_vec, varphi_vec, pi,
+                           ObjectiveContext(pair, graph_s, graph_t, hp))
     reference = objective_reference(theta, w, phi_vec, varphi_vec, pi, pair,
                                     graph_s, graph_t, hp)
-    assert abs(value - reference) <= 1e-10
+    value = terms.total
+    assert abs(value - sum(reference)) <= 1e-10
+    for term, expected in zip(terms, reference):
+        assert abs(term - expected) <= 1e-10
+    # total adds the named terms left to right, bit for bit
+    running = 0.0
+    for term in terms:
+        running += term
+    assert value == running
+    assert terms._fields == ("source_loss", "target_loss", "adaptation",
+                             "reconstruction", "matching")
 
 
 def test_fit_separable_identical_domains_reaches_full_accuracy():
@@ -196,12 +208,13 @@ def test_fit_converged_state_is_fixed_point():
     assert trace.stop_reason == "converged"
     graph_s = build_graph(pair.source_x, hp.k)
     graph_t = build_graph(pair.target_x, hp.k)
-    hp_r = hp.resolved(pair.m)
+    ctx = ObjectiveContext(pair, graph_s, graph_t, hp.resolved(pair.m))
     before = full_objective(state.theta, state.w, state.phi, state.varphi,
-                            state.pi, pair, graph_s, graph_t, hp_r)
-    out = block_cycle(state.theta, state.w, state.phi, state.varphi, state.pi,
-                      pair, graph_s, graph_t, hp_r)
-    after = full_objective(*out, pair, graph_s, graph_t, hp_r)
+                            state.pi, ctx).total
+    params, terms, _, _ = block_cycle(state.theta, state.w, state.phi, state.varphi,
+                                      state.pi, ctx)
+    after = full_objective(*params, ctx).total
+    assert after == terms[-1].total
     assert abs(after - before) <= hp.tol * max(1.0, abs(before))
 
 
@@ -258,3 +271,48 @@ def test_trace_records_each_descent_run(monkeypatch):
     assert trace.inner_steps == [run.accepted_steps for run in runs]
     assert trace.inner_hit_step_floor == [run.hit_step_floor for run in runs]
     assert set(trace.inner_hit_step_floor) == {True, False}
+
+
+def test_block_terms_feed_the_trace(monkeypatch):
+    # every trace entry is read off the terms block_cycle returns: the
+    # objectives are their totals and the matching term is the one after
+    # the weights block, equal bit for bit to a fresh projected_means pass
+    pair = synthetic_pair(37)
+    hp = Hyperparams(k=3, max_outer_iters=6, tol=1e-12)
+    seen = []
+    evaluate = trainer.full_objective
+
+    def recording(*args):
+        terms = evaluate(*args)
+        seen.append(terms)
+        return terms
+
+    monkeypatch.setattr(trainer, "full_objective", recording)
+    snapshots = []
+    _, trace = fit(pair, hp, iteration_callback=snapshots.append)
+    assert len(seen) == 3 * trace.n_iters
+    assert all(isinstance(terms, ObjectiveTerms) for terms in seen)
+    assert trace.objective_after_subspace == [t.total for t in seen[0::3]]
+    assert trace.objective_after_classifier == [t.total for t in seen[1::3]]
+    assert trace.objective_after_weights == [t.total for t in seen[2::3]]
+    assert trace.matching_term == [t.matching for t in seen[2::3]]
+    for snap, matching in zip(snapshots, trace.matching_term):
+        means = projected_means(snap.theta, pair, snap.pi)
+        gap = means.mu_s_pi - means.mu_t
+        assert matching == 0.5 * hp.c3 * float(gap @ gap)
+
+
+def test_target_residual_computed_once_per_fit(monkeypatch):
+    pair = synthetic_pair(41)
+    calls = []
+    residual_vectors = NeighborGraph.residual_vectors
+
+    def counting(self, points):
+        if points is pair.target_x:
+            calls.append(points)
+        return residual_vectors(self, points)
+
+    monkeypatch.setattr(NeighborGraph, "residual_vectors", counting)
+    _, trace = fit(pair, Hyperparams(k=3, max_outer_iters=5, tol=1e-12))
+    assert trace.n_iters == 5
+    assert len(calls) == 1

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from subadapt.classifier import ObjectiveContext
 from subadapt.data_model import DatasetPair, Hyperparams, ValidationError
 from subadapt.losses import loss_value
 from subadapt.neighborhood import build_graph
@@ -178,10 +179,9 @@ def test_update_pi_never_increases_full_objective():
         pi0 = random_feasible_pi(rng, pair.n1, hp.delta)
         problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
         pi1 = update_pi(problem, warm_start=pi0)
-        before = full_objective(theta, w, phi_vec, varphi_vec, pi0, pair,
-                                graph_s, graph_t, hp)
-        after = full_objective(theta, w, phi_vec, varphi_vec, pi1, pair,
-                               graph_s, graph_t, hp)
+        ctx = ObjectiveContext(pair, graph_s, graph_t, hp)
+        before = full_objective(theta, w, phi_vec, varphi_vec, pi0, ctx).total
+        after = full_objective(theta, w, phi_vec, varphi_vec, pi1, ctx).total
         assert after <= before + 1e-8
 
 
