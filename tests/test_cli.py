@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from subadapt import cli
 from subadapt.classifier import predict_target
 from subadapt.cli import (
     RunConfig,
@@ -288,6 +289,26 @@ def test_predict_matches_in_process(tmp_path):
         assert int(file_label) == label
 
 
+def test_predict_output_bytes_match_17_digit_format(tmp_path):
+    state = ModelState.from_parameters(np.eye(1, 3), np.zeros(1), np.zeros(3),
+                                       np.array([1.0, 0.0, 0.0]), np.ones(4), "hinge")
+    model_path = tmp_path / "m.txt"
+    save_model(model_path, state, Hyperparams(r=1), None)
+    first = np.array([0.0, -0.0, 5e-324, -1e308, 0.1, 1 / 3, -123456789.123456789, 2.0 ** 60])
+    x = np.zeros((first.size, 3))
+    x[:, 0] = first
+    rows = tmp_path / "rows.csv"
+    write_feature_csv(rows, x)
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model_path), "--input", str(rows),
+                 "--output", str(out)]) == 0
+    scores, labels = predict_target(state.varphi, x)
+    assert len(set(labels.tolist())) == 2 and len(set(scores.tolist())) == first.size - 1
+    expected = "score,label\n" + "".join(
+        f"{format(float(s), '.17g')},{int(l)}\n" for s, l in zip(scores, labels))
+    assert out.read_bytes() == expected.encode()
+
+
 def save_linear_model(path, m=3):
     state = ModelState.from_parameters(np.eye(1, m), np.zeros(1), np.zeros(m),
                                        np.zeros(m), np.ones(4), "hinge")
@@ -486,6 +507,23 @@ def test_sweep_rows_in_grid_order(tmp_path):
     first = report_path.read_bytes()
     assert main(args) == 0
     assert report_path.read_bytes() == first
+
+
+def test_sweep_reads_each_csv_once(tmp_path, monkeypatch):
+    data = synth(tmp_path, "d8b")
+    calls = []
+    real = cli.read_feature_csv
+
+    def counting(path, *args, **kwargs):
+        calls.append(os.path.basename(path))
+        return real(path, *args, **kwargs)
+    monkeypatch.setattr(cli, "read_feature_csv", counting)
+    assert main(["sweep", "--source", str(data / "source.csv"),
+                 "--target", str(data / "target.csv"),
+                 "--report", str(tmp_path / "s.json"), "--param", "c3",
+                 "--grid", "1,10,100", "--folds", "2", "--neighbors", "3",
+                 "--max-iters", "3"]) == 0
+    assert calls == ["source.csv", "target.csv"]
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):
