@@ -13,7 +13,7 @@ are reused for the next subgradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,12 +121,17 @@ def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
                       hp: Hyperparams):
     """Backtracked subgradient descent on both classifier vectors jointly.
 
-    ``hp`` supplies the descent controls; the objective comes from ``ctx``.
-    Runs up to ``hp.max_inner_iters`` accepted steps. Each step proposes the
-    fixed-step update and accepts only if the objective strictly decreases;
-    otherwise the step is halved, and after MAX_STEP_HALVINGS failed
-    halvings the whole update stops at the current point.
+    ``hp`` supplies the descent controls, ``step`` and ``max_inner_iters``;
+    the objective comes from ``ctx``, and every other field of ``hp`` must
+    equal ``ctx.hp``'s. Runs up to ``hp.max_inner_iters`` accepted steps.
+    Each step proposes the fixed-step update and accepts only if the
+    objective strictly decreases; otherwise the step is halved, and after
+    MAX_STEP_HALVINGS failed halvings the whole update stops at the current
+    point.
     """
+    if replace(hp, step=ctx.hp.step, max_inner_iters=ctx.hp.max_inner_iters) != ctx.hp:
+        raise ValidationError("hyperparameters other than step and max_inner_iters "
+                              "differ from the objective context's")
     phi_vec, varphi_vec, anchor, pi = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
     phi_cur = phi_vec.copy()
     varphi_cur = varphi_vec.copy()

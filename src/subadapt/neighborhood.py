@@ -7,6 +7,14 @@ on the neighbor Gram matrix; a graph solves all points' QPs in one batch.
 A small ridge on the Gram diagonal keeps duplicate or collinear neighbors
 from making the problem degenerate. Graphs are built once before training
 and held fixed.
+
+The neighbor search is exact and blocked: each block of rows takes its
+squared distances in Gram form from one matrix product, keeps as candidates
+every point within a rigorous rounding bound of its k-th smallest, and
+ranks the candidates on the reference's own distance expression, so ties
+and indices match the per-row ``_knn_reference`` bit for bit. Rows whose
+distances could overflow, or that keep too many tied candidates, take the
+per-row reference.
 """
 
 from __future__ import annotations
@@ -21,6 +29,10 @@ from .qp_solver import QpProblem, solve
 GRAM_RIDGE = 1e-8
 
 _MAX_ITERS_PER_COORD = 100
+
+# rows per screened kNN block; at n = 800 the search time is flat from 16 to
+# 128 rows, and a block's distance matrix (rows x n) stays small
+_KNN_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -56,21 +68,85 @@ def build_knn(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbors of each point, self excluded.
 
     Neighbors are ordered by ascending Euclidean distance; exact distance
-    ties break toward the smaller index.
+    ties break toward the smaller index. Raises ``ValidationError`` when a
+    squared distance overflows float64.
+
+    The search is exact: every row's answer has the bits of ``_knn_reference``.
+    Blocks of rows screen candidates on Gram-form distances and rank the
+    survivors on the reference's own distance expression; rows that could
+    overflow or keep too many candidates take the reference loop.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValidationError("points must be a 2-d matrix")
     if not np.all(np.isfinite(points)):
         raise ValidationError("non-finite feature value")
-    n = points.shape[0]
+    n, m = points.shape
     if not 1 <= k <= n - 1:
         raise ValidationError(f"k must satisfy 1 <= k <= n - 1, got k = {k}, n = {n}")
+    # Error bound, for u = 2^-53 and gamma_j = j*u / (1 - j*u), any summation
+    # order and with or without FMA (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 3.1 and 3.5). With S = |x_i|^2 + |x_j|^2 and the
+    # exact squared distance d <= 2S:
+    #   reference ((x_j - x_i)**2).sum(): m nonnegative terms, each rounded
+    #     three times, so |ref - d| <= gamma_{m+2} d <= 2 gamma_{m+2} S;
+    #   Gram form fl(fl(sq_i + sq_j) - 2 G_ij): |sq_i - |x_i|^2| <= gamma_m
+    #     |x_i|^2, |G_ij - x_i.x_j| <= gamma_m S / 2, so
+    #     |gram - d| <= 2 gamma_{m+2} S.
+    # Hence |gram - ref| <= 4 gamma_{m+2} (|x_i|^2 + max_j |x_j|^2). delta_i
+    # is twice that bound on the computed sq, a factor that covers
+    # sq >= |x|^2 (1 - gamma_m) and the rounding of delta and of the
+    # threshold; its subnormal floor covers gradual underflow (each rounded
+    # product may lose up to 2^-1075 outright).
+    # Screening: k points have gram <= gram_kth, so ref_kth <= gram_kth +
+    # delta_i, and each of the reference's k nearest j has
+    # gram_ij <= ref_ij + delta_i <= ref_kth + delta_i <= gram_kth + 2 delta_i:
+    # the candidates hold the whole answer and every tie at its k-th
+    # distance. A row with S <= max/4 cannot overflow in either form.
+    u = np.finfo(float).eps / 2
+    gamma = (m + 2) * u / (1.0 - (m + 2) * u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", points, points)
+        scale = sq + sq.max()
+        delta = 8.0 * gamma * scale + 8.0 * (m + 2) * np.finfo(float).smallest_subnormal
+    safe = scale <= np.finfo(float).max / 4
+    cap = 4 * k + 32
     indices = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        d = ((points - points[i]) ** 2).sum(axis=1)
+    for start in range(0, n, _KNN_BLOCK_ROWS):
+        stop = min(start + _KNN_BLOCK_ROWS, n)
+        block = np.arange(start, stop)
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = sq[start:stop, None] + sq - 2.0 * (points[start:stop] @ points.T)
+            approx[block - start, block] = np.inf
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            keep = approx <= (kth + 2.0 * delta[start:stop])[:, None]
+        counts = keep.sum(axis=1)
+        screened = safe[start:stop] & (counts <= cap)
+        rows, cols = np.nonzero(keep[screened])
+        dist = ((points[cols] - points[block[screened][rows]]) ** 2).sum(axis=1)
+        # rows ascend, and columns ascend within a row: a stable sort by
+        # distance leaves ties in index order, as the reference does
+        order = np.lexsort((dist, rows))
+        first = np.cumsum(counts[screened]) - counts[screened]
+        indices[block[screened]] = cols[order[first[:, None] + np.arange(k)]]
+        fallback = block[~screened]
+        if fallback.size:
+            indices[fallback] = _knn_reference(points, k, fallback)
+    return indices
+
+
+def _knn_reference(points: np.ndarray, k: int, rows) -> np.ndarray:
+    """The per-row reference for ``build_knn``: the k nearest neighbors of
+    each point in ``rows`` by a full stable sort of its distances."""
+    indices = np.empty((len(rows), k), dtype=np.int64)
+    for out, i in enumerate(rows):
+        with np.errstate(over="ignore"):
+            d = ((points - points[i]) ** 2).sum(axis=1)
+        if not np.isfinite(d).all():
+            raise ValidationError(
+                f"squared distance from point {i} overflows float64; rescale the features")
         d[i] = np.inf
-        indices[i] = np.argsort(d, kind="stable")[:k]
+        indices[out] = np.argsort(d, kind="stable")[:k]
     return indices
 
 

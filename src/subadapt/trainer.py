@@ -41,6 +41,9 @@ class TrainingTrace:
     objective_after_subspace: list = field(default_factory=list)
     objective_after_classifier: list = field(default_factory=list)
     objective_after_weights: list = field(default_factory=list)
+    terms_after_subspace: list = field(default_factory=list)
+    terms_after_classifier: list = field(default_factory=list)
+    terms_after_weights: list = field(default_factory=list)
     matching_term: list = field(default_factory=list)
     q_value: list = field(default_factory=list)
     pi_min: list = field(default_factory=list)
@@ -182,6 +185,9 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
         trace.objective_after_subspace.append(terms[0].total)
         trace.objective_after_classifier.append(terms[1].total)
         trace.objective_after_weights.append(terms[2].total)
+        trace.terms_after_subspace.append(terms[0]._asdict())
+        trace.terms_after_classifier.append(terms[1]._asdict())
+        trace.terms_after_weights.append(terms[2]._asdict())
         trace.q_value.append(inner.q_values[-1])
         trace.inner_steps.append(inner.accepted_steps)
         trace.inner_hit_step_floor.append(inner.hit_step_floor)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from subadapt.classifier import (
 from subadapt.data_model import DatasetPair, Hyperparams, ValidationError
 from subadapt.losses import loss_subgradient, loss_value
 from subadapt.neighborhood import build_graph
+from subadapt.trainer import fit
 
 
 def make_instance(rng, n1=8, n2=7, n3=4, m=4, **hp_kwargs):
@@ -299,6 +302,33 @@ def test_non_finite_scores_rejected():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValidationError, match="non-finite classifier score"):
         update_phi_varphi(finite, finite, theta, w, pi, ctx, huge)
+
+
+@pytest.mark.parametrize("change", [
+    {"c1": 3.0}, {"c2": 0.0}, {"c3": 1.0}, {"loss": "hinge"}, {"r": 1}, {"k": 3},
+    {"delta": 2.0}, {"max_outer_iters": 7}, {"tol": 1e-3}, {"seed": 5},
+])
+def test_update_rejects_hp_disagreeing_with_context(change):
+    rng = np.random.default_rng(25)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="logistic")
+    ctx = context(pair, graph_t, hp)
+    with pytest.raises(ValidationError, match="differ from the objective context"):
+        update_phi_varphi(np.zeros(4), np.zeros(4), theta, w, pi, ctx, replace(hp, **change))
+
+
+def test_update_takes_its_descent_controls_from_hp():
+    rng = np.random.default_rng(26)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="logistic")
+    ctx = context(pair, graph_t, hp)
+    start = 0.5 * rng.standard_normal(4)
+    _, _, trace = update_phi_varphi(start, start, theta, w, pi, ctx,
+                                    replace(hp, step=1e-4, max_inner_iters=3))
+    assert trace.accepted_steps == 3
+    _, _, base = update_phi_varphi(start, start, theta, w, pi, ctx, hp)
+    assert base.accepted_steps == hp.max_inner_iters
+    # block_cycle passes the context's own hp
+    _, trace = fit(pair, replace(hp, max_outer_iters=2))
+    assert trace.n_iters == 2
 
 
 def test_recover_u_v_pure_shared_classifier():

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -144,6 +145,17 @@ def test_train_model_reload_and_revalidate(tmp_path):
     assert set(trace) == {f.name for f in fields(TrainingTrace)}
     assert trace["n_iters"] >= 1
     assert len(trace["inner_hit_step_floor"]) == trace["n_iters"]
+    term_names = ["source_loss", "target_loss", "adaptation", "reconstruction", "matching"]
+    for block in ("subspace", "classifier", "weights"):
+        recorded = trace[f"terms_after_{block}"]
+        assert len(recorded) == trace["n_iters"]
+        for terms, objective in zip(recorded, trace[f"objective_after_{block}"]):
+            assert list(terms) == sorted(term_names)  # json.dumps(sort_keys=True)
+            total = 0.0
+            for name in term_names:
+                total += terms[name]
+            assert total == objective
+    assert [t["matching"] for t in trace["terms_after_weights"]] == trace["matching_term"]
     diffs = np.diff(trace["objective_after_weights"])
     assert np.all(diffs <= 1e-6)
 
@@ -164,6 +176,26 @@ def test_train_malformed_csv_exits_2(tmp_path):
                "--target", str(data / "target.csv"),
                "--model", str(tmp_path / "m.txt")])
     assert rc == 2
+
+
+def test_train_overflowing_distances_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    paths = {}
+    for name in ("source", "target"):
+        x = rng.standard_normal((30, 3)) * 1e200
+        y = np.where(np.arange(30) % 2 == 0, 1, -1)
+        rows = [f"{label},{','.join(map(repr, row))}" for label, row in zip(y, x.tolist())]
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("label,f0,f1,f2\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--source", str(paths["source"]),
+                   "--target", str(paths["target"]),
+                   "--model", str(tmp_path / "m.txt"), "--neighbors", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "overflows float64" in err and "Traceback" not in err
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_model_file_round_trip_bytes(tmp_path):

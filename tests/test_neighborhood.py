@@ -1,10 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subadapt import neighborhood
+from subadapt.cli import make_shifted_pair
 from subadapt.data_model import ValidationError
 from subadapt.neighborhood import (
+    _KNN_BLOCK_ROWS,
     GRAM_RIDGE,
+    _knn_reference,
     build_graph,
     build_knn,
     solve_reconstruction,
@@ -246,3 +252,115 @@ def test_large_magnitude_features_give_a_feasible_graph(seed):
     graph = build_graph(points, 5)
     assert graph.coeffs.min() >= 0.0
     assert np.abs(graph.coeffs.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the screened kNN search against the per-row reference
+
+
+def knn_reference(points, k):
+    return _knn_reference(np.asarray(points, dtype=float), k, range(len(points)))
+
+
+def knn_counting_fallback(monkeypatch, points, k):
+    """build_knn's indices and the number of rows it handed to the reference."""
+    rows = []
+
+    def counted(points_arg, k_arg, fallback):
+        rows.extend(fallback)
+        return _knn_reference(points_arg, k_arg, fallback)
+
+    monkeypatch.setattr(neighborhood, "_knn_reference", counted)
+    indices = build_knn(points, k)
+    monkeypatch.undo()
+    return indices, len(rows)
+
+
+def assert_screened_matches_reference(monkeypatch, points, k, fallback=None):
+    """Identical indices; ``fallback`` is "none", "some" or "all" rows."""
+    indices, n_fallback = knn_counting_fallback(monkeypatch, points, k)
+    assert indices.dtype == np.int64
+    assert np.array_equal(indices, knn_reference(points, k))
+    expected = {"none": n_fallback == 0, "all": n_fallback == len(points),
+                "some": 0 < n_fallback < len(points), None: True}[fallback]
+    assert expected, f"{n_fallback} of {len(points)} rows took the fallback"
+
+
+@pytest.mark.parametrize("seed", [2016, 1])
+@pytest.mark.parametrize("n", [200, 800])
+@pytest.mark.parametrize("k", [1, 10, -1])
+def test_screened_knn_matches_reference_on_seeded_pairs(monkeypatch, seed, n, k):
+    k = n - 1 if k == -1 else k
+    sx, _, tx, _ = make_shifted_pair([seed, 0], n1=n, n2=n, n3=n // 10, m=20,
+                                     shift=1.5, rot_deg=30.0)
+    for points in (sx, tx):
+        assert_screened_matches_reference(monkeypatch, points, k, "none")
+
+
+@pytest.mark.parametrize("n", [_KNN_BLOCK_ROWS - 1, _KNN_BLOCK_ROWS, _KNN_BLOCK_ROWS + 1,
+                               2 * _KNN_BLOCK_ROWS, 3 * _KNN_BLOCK_ROWS + 7])
+def test_screened_knn_across_block_boundaries(monkeypatch, n):
+    points = np.random.default_rng(n).standard_normal((n, 6))
+    assert_screened_matches_reference(monkeypatch, points, 4, "none")
+
+
+@pytest.mark.parametrize("n, m, k", [(60, 2, 1), (60, 2, 7), (300, 3, 10), (300, 4, 40),
+                                     (40, 1, 39)])
+def test_screened_knn_on_tie_heavy_integer_grids(monkeypatch, n, m, k):
+    # three levels per coordinate: many duplicates and many exact distance ties
+    points = np.random.default_rng(n + m + k).integers(0, 3, (n, m)).astype(float)
+    assert_screened_matches_reference(monkeypatch, points, k)
+    if n <= 60:
+        assert np.array_equal(build_knn(points, k), knn_oracle(points, k))
+
+
+@pytest.mark.parametrize("offset", [1e6, -1e6])
+def test_screened_knn_on_offset_data(monkeypatch, offset):
+    # the Gram form cancels catastrophically; its bound must widen the screen
+    points = offset + np.random.default_rng(3).standard_normal((300, 5))
+    assert_screened_matches_reference(monkeypatch, points, 10)
+
+
+def test_far_offset_rows_take_the_reference(monkeypatch):
+    # squared norms near 1e320 overflow the Gram form but not the distances
+    points = 1e160 + 1e150 * np.random.default_rng(4).standard_normal((50, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_screened_matches_reference(monkeypatch, points, 3, "all")
+
+
+def test_candidate_cap_sends_duplicate_rows_to_the_reference(monkeypatch):
+    rng = np.random.default_rng(5)
+    duplicates = np.repeat(rng.standard_normal((1, 4)), 60, axis=0)
+    points = np.concatenate([rng.standard_normal((70, 4)), duplicates])
+    points = points[rng.permutation(len(points))]
+    # each duplicate ties with 59 others at distance 0, above the cap 4k + 32
+    assert_screened_matches_reference(monkeypatch, points, 3, "some")
+    assert_screened_matches_reference(monkeypatch, np.full((100, 2), 7.0), 1, "all")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), integer=st.booleans())
+def test_screened_knn_matches_reference_on_random_matrices(data, integer):
+    n = data.draw(st.integers(2, 40))
+    m = data.draw(st.integers(0, 5))
+    k = data.draw(st.integers(1, n - 1))
+    if integer:
+        cell = st.integers(-3, 3).map(float)
+    else:
+        cell = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    points = np.array(data.draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                                         min_size=n, max_size=n)), dtype=float).reshape(n, m)
+    indices = build_knn(points, k)
+    assert np.array_equal(indices, knn_reference(points, k))
+    if n <= 12:
+        assert np.array_equal(indices, knn_oracle(points, k))
+
+
+def test_knn_overflow_rejected_without_warning():
+    points = np.random.default_rng(0).standard_normal((30, 3)) * 1e200
+    for build in (build_knn, build_graph):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="squared distance .* overflows"):
+                build(points, 3)
