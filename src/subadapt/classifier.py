@@ -3,22 +3,36 @@ classifiers, its subgradients, a backtracked subgradient descent update,
 adaptation-vector recovery, and prediction, plus the per-fit
 ``ObjectiveContext`` that every block and the trainer's full objective read.
 
+The block is one stacked system in x = [phi; varphi]. With the block design
+matrix Z = blockdiag(source_x, labeled target_x), the row weights
+c = [pi; 1], the fixed quadratic A = c1*I + blockdiag(0, 2*c2*R'R) (R the
+target reconstruction residual R_t X_t) and the anchor term
+b = c1*[theta'w; theta'w], the objective is
+
+    q(x) = c . loss(y * Zx) + x'(A x / 2 - b) + c1*|theta'w|^2
+
+and a subgradient is Z'(slope * (-y*c)) + (A x - b), where the slope
+-d loss/d margin is read off the loss values by ``losses.margin_slope``.
+Z and A are built once per fit, c and b once per block call, so scoring a
+proposal takes one Z product, one loss pass, one A product and two dots.
+
 The descent update keeps the plain fixed-step rule as its first candidate
 and halves the step whenever the proposal fails to decrease the objective,
 so the accepted trajectory is monotone even for the nonsmooth hinge loss.
 The loss kind and the labels are checked once per fit, when the context is
-built; each proposal is scored once, and the margins of the accepted one
-are reused for the next subgradient.
+built; each proposal is scored once, exactly from Z x, and the losses and
+A x of the accepted one are reused for the next subgradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .data_model import DatasetPair, Hyperparams, NumericError, ValidationError
-from .losses import checked_labels, margin_loss, margin_subgradient
+from .losses import checked_labels, margin_loss, margin_slope
 from .neighborhood import NeighborGraph
 
 # proposals halve the step at most this many times before the update stops
@@ -27,17 +41,32 @@ MAX_STEP_HALVINGS = 20
 
 @dataclass
 class InnerTrace:
-    """Accepted objective values of one descent run; q_values[0] is the start."""
+    """Accepted objective values of one descent run; q_values[0] is the start.
+    ``proposals`` counts every scored proposal: accepted steps plus halvings."""
 
     q_values: list = field(default_factory=list)
     accepted_steps: int = 0
+    proposals: int = 0
     hit_step_floor: bool = False
+
+
+class BlockState(NamedTuple):
+    """The per-call part of the stacked system: the row weights c = [pi; 1],
+    the signed weights -y*c that scale the loss slopes, the anchor term
+    b = c1*[theta'w; theta'w], and the constant c1*|theta'w|^2."""
+
+    weights: np.ndarray
+    signed_weights: np.ndarray
+    anchor_term: np.ndarray
+    const: float
 
 
 class ObjectiveContext:
     """Per-fit constants of the training objective: the data, the source
     graph, the hyperparameters, the checked float labels [source_y; target_y],
-    the labeled target block, and the target residual R_t X_t with its Gram."""
+    the labeled target block, the target residual R_t X_t, and the
+    classifier block's stacked system: the block design matrix ``z`` and the
+    fixed quadratic ``quad`` (see the module docstring)."""
 
     def __init__(self, pair: DatasetPair, graph_s: NeighborGraph,
                  graph_t: NeighborGraph, hp: Hyperparams):
@@ -51,50 +80,47 @@ class ObjectiveContext:
         self.y = checked_labels(hp.loss, np.concatenate([pair.source_y, pair.target_y]))
         self.xt_lab = pair.target_x[:pair.n3]
         self.target_resid = graph_t.residual_vectors(pair.target_x)
-        self.resid_gram = self.target_resid.T @ self.target_resid
+        n1, m = pair.n1, pair.m
+        self.z = np.zeros((n1 + pair.n3, 2 * m))
+        self.z[:n1, :m] = pair.source_x
+        self.z[n1:, m:] = self.xt_lab
+        self.quad = hp.c1 * np.eye(2 * m)
+        self.quad[m:, m:] += 2.0 * hp.c2 * (self.target_resid.T @ self.target_resid)
 
     def block_state(self, phi_vec, varphi_vec, theta, w, pi):
-        """Check the classifier block's arguments; return phi, varphi and the
-        block's own state, the anchor theta'w and pi, as float arrays."""
+        """Check the classifier block's arguments; return the stacked point
+        x = [phi; varphi] and the block's ``BlockState``."""
         phi_vec, varphi_vec = _vectors(phi_vec, varphi_vec, self.pair.m)
-        theta = np.asarray(theta, dtype=float)
-        w = np.asarray(w, dtype=float)
+        anchor = _anchor(theta, w, self.pair.m)
         pi = np.asarray(pi, dtype=float)
-        if theta.shape[1] != self.pair.m:
-            raise ValidationError("theta columns do not match the feature dimension")
-        if w.shape != (theta.shape[0],):
-            raise ValidationError("w length does not match theta rows")
         if pi.shape != (self.pair.n1,):
             raise ValidationError("pi length does not match the source set")
-        return phi_vec, varphi_vec, theta.T @ w, pi
+        if not np.isfinite(pi).all():
+            raise ValidationError("non-finite pi in the classifier block")
+        x = np.concatenate([phi_vec, varphi_vec])
+        if not np.isfinite(x).all():
+            raise ValidationError("non-finite classifier score: phi or varphi is not finite")
+        weights = np.concatenate([pi, np.ones(self.pair.n3)])
+        c1 = self.hp.c1
+        return x, BlockState(weights, -self.y * weights,
+                             c1 * np.concatenate([anchor, anchor]),
+                             c1 * float(anchor @ anchor))
 
-    def point(self, phi_vec, varphi_vec, anchor, pi):
-        """The classifier objective at (phi, varphi) and the margins y*f of
-        its labeled points, which ``grads`` takes for the subgradient there."""
-        n1, hp = self.pair.n1, self.hp
-        scores = np.concatenate([self.pair.source_x @ phi_vec, self.xt_lab @ varphi_vec])
+    def score(self, x, block: BlockState):
+        """The objective at the stacked point x, with the losses and A x
+        that ``subgradient`` takes for the subgradient there."""
+        scores = self.z @ x
         if not np.isfinite(scores).all():
             raise ValidationError("non-finite classifier score")
-        margins = self.y * scores
-        losses = margin_loss(hp.loss, margins)
-        total = float(losses[:n1] @ pi)
-        if self.pair.n3:
-            total += float(losses[n1:].sum())
-        du = phi_vec - anchor
-        dv = varphi_vec - anchor
-        total += 0.5 * hp.c1 * (du @ du + dv @ dv)
-        total += hp.c2 * float(varphi_vec @ self.resid_gram @ varphi_vec)
-        return total, margins
+        losses = margin_loss(self.hp.loss, self.y * scores)
+        ax = self.quad @ x
+        total = float(losses @ block.weights) + float(x @ (0.5 * ax - block.anchor_term))
+        return total + block.const, losses, ax
 
-    def grads(self, phi_vec, varphi_vec, anchor, pi, margins):
-        n1, hp = self.pair.n1, self.hp
-        g_loss = margin_subgradient(hp.loss, self.y, margins)
-        g_phi = self.pair.source_x.T @ (g_loss[:n1] * pi) + hp.c1 * (phi_vec - anchor)
-        g_varphi = hp.c1 * (varphi_vec - anchor) \
-            + 2.0 * hp.c2 * (self.resid_gram @ varphi_vec)
-        if self.pair.n3:
-            g_varphi = g_varphi + self.xt_lab.T @ g_loss[n1:]
-        return g_phi, g_varphi
+    def subgradient(self, block: BlockState, losses, ax):
+        """A subgradient in x, from the losses and A x of ``score`` at x."""
+        slope = margin_slope(self.hp.loss, losses)
+        return self.z.T @ (slope * block.signed_weights) + (ax - block.anchor_term)
 
 
 def _vectors(phi_vec, varphi_vec, m):
@@ -105,16 +131,34 @@ def _vectors(phi_vec, varphi_vec, m):
     return phi_vec, varphi_vec
 
 
+def _anchor(theta, w, m):
+    """The shared classifier theta'w in feature space, from a checked, finite
+    r x m projection and length-r shared classifier."""
+    theta = np.asarray(theta, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if theta.ndim != 2:
+        raise ValidationError("theta must be a 2-d matrix")
+    if theta.shape[1] != m:
+        raise ValidationError("theta columns do not match the feature dimension")
+    if w.shape != (theta.shape[0],):
+        raise ValidationError("w length does not match theta rows")
+    if not (np.isfinite(theta).all() and np.isfinite(w).all()):
+        raise ValidationError("non-finite theta or w in the classifier block")
+    return theta.T @ w
+
+
 def q_objective(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext) -> float:
     """Weighted source losses + labeled target losses + anchor pull + target
     reconstruction smoothness, as a function of the two classifier vectors."""
-    return ctx.point(*ctx.block_state(phi_vec, varphi_vec, theta, w, pi))[0]
+    return ctx.score(*ctx.block_state(phi_vec, varphi_vec, theta, w, pi))[0]
 
 
 def q_subgradients(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext):
     """Subgradients of the classifier objective in (phi, varphi)."""
-    state = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
-    return ctx.grads(*state, ctx.point(*state)[1])
+    x, block = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
+    _, losses, ax = ctx.score(x, block)
+    g = ctx.subgradient(block, losses, ax)
+    return g[:ctx.pair.m], g[ctx.pair.m:]
 
 
 def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
@@ -132,37 +176,35 @@ def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
     if replace(hp, step=ctx.hp.step, max_inner_iters=ctx.hp.max_inner_iters) != ctx.hp:
         raise ValidationError("hyperparameters other than step and max_inner_iters "
                               "differ from the objective context's")
-    phi_vec, varphi_vec, anchor, pi = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
-    phi_cur = phi_vec.copy()
-    varphi_cur = varphi_vec.copy()
-    q_cur, margins = ctx.point(phi_cur, varphi_cur, anchor, pi)
+    x, block = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
+    q_cur, losses, ax = ctx.score(x, block)
     trace = InnerTrace(q_values=[q_cur])
     for _ in range(hp.max_inner_iters):
-        g_phi, g_varphi = ctx.grads(phi_cur, varphi_cur, anchor, pi, margins)
-        if not (np.isfinite(g_phi).all() and np.isfinite(g_varphi).all()):
+        g = ctx.subgradient(block, losses, ax)
+        if not np.isfinite(g).all():
             raise NumericError("non-finite subgradient in the classifier update")
         step = hp.step
-        accepted = False
         for _ in range(MAX_STEP_HALVINGS + 1):
-            phi_try = phi_cur - step * g_phi
-            varphi_try = varphi_cur - step * g_varphi
-            q_try, margins_try = ctx.point(phi_try, varphi_try, anchor, pi)
+            x_try = x - step * g
+            q_try, losses_try, ax_try = ctx.score(x_try, block)
+            trace.proposals += 1
             if q_try < q_cur:
-                phi_cur, varphi_cur, q_cur, margins = phi_try, varphi_try, q_try, margins_try
+                x, q_cur, losses, ax = x_try, q_try, losses_try, ax_try
                 trace.q_values.append(q_cur)
                 trace.accepted_steps += 1
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             trace.hit_step_floor = True
             break
-    return phi_cur, varphi_cur, trace
+    return x[:ctx.pair.m], x[ctx.pair.m:], trace
 
 
 def recover_u_v(theta, w, phi_vec, varphi_vec):
     """Adaptation vectors: u = phi - theta.T w and v = varphi - theta.T w."""
     theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2:
+        raise ValidationError("theta must be a 2-d matrix")
     w = np.asarray(w, dtype=float)
     phi_vec, varphi_vec = _vectors(phi_vec, varphi_vec, theta.shape[1])
     if w.shape != (theta.shape[0],):

@@ -7,7 +7,9 @@ may be scalars or arrays of matching shape.
 ``loss_value``/``loss_subgradient`` check their inputs; the margin kernels
 ``margin_loss``/``margin_subgradient`` hold the formulas and check nothing,
 for callers that have passed the kind and labels through ``checked_labels``
-once already.
+once already. ``margin_slope``, also unchecked, reads the slope
+-d(loss)/d(margin) off loss values a caller already holds, so a descent that
+has scored a point needs no second pass over its margins for the subgradient.
 """
 
 from __future__ import annotations
@@ -61,6 +63,17 @@ def margin_subgradient(kind, y, margin):
     if kind == "logistic":
         return -y * _sigmoid(-margin)
     return -y * np.exp(-margin)
+
+
+def margin_slope(kind, losses):
+    """Unchecked -d(loss)/d(margin) from the loss values ``margin_loss``
+    returned: [loss > 0] for hinge (its kink takes the slope 0), 1 - exp(-loss)
+    for logistic, and the loss itself for exponential."""
+    if kind == "hinge":
+        return np.sign(losses)  # hinge losses are >= 0, so this is [loss > 0]
+    if kind == "logistic":
+        return -np.expm1(-losses)
+    return losses
 
 
 def loss_value(kind, y, f):

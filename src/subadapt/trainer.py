@@ -31,8 +31,9 @@ class TrainingTrace:
 
     The three objective lists record the full objective after each block
     boundary of a cycle; flattened in order they form a nonincreasing
-    sequence up to small slack. ``inner_steps`` and ``inner_hit_step_floor``
-    record each cycle's accepted descent steps and whether the descent
+    sequence up to small slack. ``inner_steps``, ``inner_proposals`` and
+    ``inner_hit_step_floor`` record each cycle's accepted descent steps, its
+    scored proposals (accepted steps plus halvings), and whether the descent
     stopped because no halved step decreased the objective. The weight-step
     objective pair records the solved QP value against the value at uniform
     weights (NaN when the weight block is disabled).
@@ -50,6 +51,7 @@ class TrainingTrace:
     pi_max: list = field(default_factory=list)
     pi_mean: list = field(default_factory=list)
     inner_steps: list = field(default_factory=list)
+    inner_proposals: list = field(default_factory=list)
     inner_hit_step_floor: list = field(default_factory=list)
     pi_step_objective: list = field(default_factory=list)
     pi_step_objective_uniform: list = field(default_factory=list)
@@ -190,6 +192,7 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
         trace.terms_after_weights.append(terms[2]._asdict())
         trace.q_value.append(inner.q_values[-1])
         trace.inner_steps.append(inner.accepted_steps)
+        trace.inner_proposals.append(inner.proposals)
         trace.inner_hit_step_floor.append(inner.hit_step_floor)
         trace.pi_step_objective.append(qp_objectives[0])
         trace.pi_step_objective_uniform.append(qp_objectives[1])

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subadapt.classifier import (
     MAX_STEP_HALVINGS,
@@ -13,7 +14,8 @@ from subadapt.classifier import (
     recover_u_v,
     update_phi_varphi,
 )
-from subadapt.data_model import DatasetPair, Hyperparams, ValidationError
+from subadapt.cli import make_shifted_pair
+from subadapt.data_model import LOSS_KINDS, DatasetPair, Hyperparams, NumericError, ValidationError
 from subadapt.losses import loss_subgradient, loss_value
 from subadapt.neighborhood import build_graph
 from subadapt.trainer import fit
@@ -144,6 +146,55 @@ def test_subgradients_match_finite_differences(loss):
         assert abs(g_varphi[i] - fd_varphi) <= 1e-5 * max(1.0, abs(g_varphi[i]))
 
 
+def subgradients_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
+    """The subgradients term by term on the checked public loss functions."""
+    anchor = theta.T @ w
+    resid = graph_t.residual_vectors(pair.target_x)
+    g_src = loss_subgradient(hp.loss, pair.source_y, pair.source_x @ phi_vec)
+    g_phi = pair.source_x.T @ (g_src * pi) + hp.c1 * (phi_vec - anchor)
+    g_varphi = hp.c1 * (varphi_vec - anchor) + 2.0 * hp.c2 * (resid.T @ (resid @ varphi_vec))
+    if pair.n3:
+        xt_lab = pair.target_x[:pair.n3]
+        g_varphi += xt_lab.T @ loss_subgradient(hp.loss, pair.target_y, xt_lab @ varphi_vec)
+    return g_phi, g_varphi
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_stacked_context_matches_references(data):
+    loss = data.draw(st.sampled_from(LOSS_KINDS))
+    n3 = data.draw(st.integers(0, 7))
+    c1 = data.draw(st.sampled_from([0.0, 0.3, 2.0]))
+    c2 = data.draw(st.sampled_from([0.0, 0.5, 4.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, n3=n3, c1=c1, c2=c2, loss=loss)
+    zeros = data.draw(st.lists(st.booleans(), min_size=pair.n1, max_size=pair.n1))
+    pi[np.array(zeros)] = 0.0
+    scale = data.draw(st.sampled_from([0.1, 1.0, 3.0]))
+    phi_vec = scale * rng.standard_normal(4)
+    varphi_vec = scale * rng.standard_normal(4)
+    ctx = context(pair, graph_t, hp)
+
+    value = q_objective(phi_vec, varphi_vec, theta, w, pi, ctx)
+    reference = q_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
+    assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+    g_phi, g_varphi = q_subgradients(phi_vec, varphi_vec, theta, w, pi, ctx)
+    for g, g_ref in zip((g_phi, g_varphi), subgradients_reference(
+            phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)):
+        assert np.allclose(g, g_ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(g_ref).max()))
+    if loss == "hinge":
+        return
+    h = 1e-6
+    for i in range(8):
+        delta = np.zeros(8)
+        delta[i] = h
+        up = q_objective(phi_vec + delta[:4], varphi_vec + delta[4:], theta, w, pi, ctx)
+        down = q_objective(phi_vec - delta[:4], varphi_vec - delta[4:], theta, w, pi, ctx)
+        g = g_phi[i] if i < 4 else g_varphi[i - 4]
+        assert abs(g - (up - down) / (2 * h)) <= 1e-5 * max(1.0, abs(value), abs(g))
+
+
 def test_update_fixed_point_returns_input():
     # zero gradients: separable quadratic minimum at phi = varphi = anchor
     rng = np.random.default_rng(6)
@@ -254,15 +305,52 @@ def test_descent_matches_reference_loop(loss, n3, step, max_inner, floored):
         phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
     phi_out, varphi_out, trace = update_phi_varphi(
         phi_vec, varphi_vec, theta, w, pi, context(pair, graph_t, hp), hp)
-    assert trace.accepted_steps == len(q_ref) - 1
     assert trace.hit_step_floor == floor_ref == floored
     if floored:
         assert halvings > MAX_STEP_HALVINGS  # some proposals were halved before the floor
-    else:
-        assert trace.accepted_steps == max_inner
+        # The stacked system sums the objective in another order, which moves
+        # the ulp-sized tail of a run that descends to the step floor: one
+        # run may take a few more accepted steps, each worth an ulp or so.
+        short, long = sorted((trace.q_values, q_ref), key=len)
+        common = len(short)
+        assert np.allclose(trace.q_values[:common], q_ref[:common], rtol=1e-12, atol=0.0)
+        assert trace.q_values[-1] == pytest.approx(q_ref[-1], rel=1e-12, abs=0.0)
+        for before, after in zip(long[common - 1:], long[common:]):
+            assert 0.0 < before - after < 1e-12 * abs(before)
+        assert np.allclose(phi_out, phi_ref, rtol=1e-6, atol=1e-6)
+        assert np.allclose(varphi_out, varphi_ref, rtol=1e-6, atol=1e-6)
+        return
+    assert trace.accepted_steps == len(q_ref) - 1
+    assert trace.accepted_steps == max_inner
+    assert trace.proposals == trace.accepted_steps + halvings
     assert np.allclose(trace.q_values, q_ref, rtol=1e-12, atol=0.0)
     assert np.allclose(phi_out, phi_ref, rtol=1e-12, atol=1e-14)
     assert np.allclose(varphi_out, varphi_ref, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, loss", [(200, "logistic"), (800, "hinge")])
+def test_descent_matches_reference_loop_at_bench_scale(n, loss):
+    xs, ys, xt, yt = make_shifted_pair([2016, 0], n1=n, n2=n, n3=n // 10, m=20,
+                                       shift=1.5, rot_deg=30)
+    pair = DatasetPair(xs, ys, xt, yt[:n // 10])
+    hp = Hyperparams(loss=loss).resolved(pair.m)
+    rng = np.random.default_rng(5)
+    theta = np.linalg.qr(rng.standard_normal((pair.m, hp.r)))[0].T
+    w = 0.1 * rng.standard_normal(hp.r)
+    pi = rng.uniform(0.5, 1.5, n)
+    pi *= n / pi.sum()
+    graph_t = build_graph(xt, hp.k)
+    start = np.zeros(pair.m)
+    phi_ref, varphi_ref, q_ref, floor_ref, halvings = descent_reference(
+        start, start, theta, w, pi, pair, graph_t, hp)
+    phi_out, varphi_out, trace = update_phi_varphi(
+        start, start, theta, w, pi, context(pair, graph_t, hp), hp)
+    assert not trace.hit_step_floor and not floor_ref
+    assert trace.accepted_steps == len(q_ref) - 1 == hp.max_inner_iters
+    assert trace.proposals == trace.accepted_steps + halvings
+    assert np.allclose(trace.q_values, q_ref, rtol=1e-9, atol=0.0)
+    assert np.allclose(phi_out, phi_ref, rtol=1e-9, atol=1e-12)
+    assert np.allclose(varphi_out, varphi_ref, rtol=1e-9, atol=1e-12)
 
 
 def test_bad_label_rejected_without_pair_validation():
@@ -388,3 +476,46 @@ def test_positive_scaling_preserves_labels():
     _, labels = predict_target(vec, x)
     _, scaled = predict_target(7.5 * vec, x)
     assert np.array_equal(labels, scaled)
+
+
+@pytest.mark.parametrize("entry", ["objective", "subgradients", "update"])
+def test_one_dimensional_theta_rejected(entry):
+    rng = np.random.default_rng(27)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="logistic")
+    ctx = context(pair, graph_t, hp)
+    call = {"objective": q_objective, "subgradients": q_subgradients,
+            "update": lambda *args: update_phi_varphi(*args, hp)}[entry]
+    with pytest.raises(ValidationError, match="theta must be a 2-d matrix"):
+        call(np.zeros(4), np.zeros(4), theta[0], w[:1], pi, ctx)
+    with pytest.raises(ValidationError, match="theta must be a 2-d matrix"):
+        recover_u_v(theta[0], w[:1], np.zeros(4), np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["pi", "theta", "w", "phi", "varphi"])
+def test_non_finite_block_arguments_rejected(name, bad):
+    # n3 = 0 and c1 = 0: a NaN varphi then reaches neither a score nor the
+    # anchor pull, and a NaN theta or w only the anchor term
+    rng = np.random.default_rng(28)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, n3=0, c1=0.0, loss="hinge")
+    ctx = context(pair, graph_t, hp)
+    args = {"phi": np.zeros(4), "varphi": np.zeros(4), "theta": theta.copy(),
+            "w": w.copy(), "pi": pi.copy()}
+    args[name].flat[1] = bad
+    ordered = [args[key] for key in ("phi", "varphi", "theta", "w", "pi")]
+    for entry, extra in ((q_objective, ()), (q_subgradients, ()), (update_phi_varphi, (hp,))):
+        with pytest.raises(ValidationError, match="non-finite"):
+            entry(*ordered, ctx, *extra)
+
+
+def test_exponential_overflow_reaches_numeric_error():
+    # finite scores whose exponential loss overflows: the slope read off the
+    # loss is infinite, so the subgradient is too
+    rng = np.random.default_rng(29)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="exponential")
+    ctx = context(pair, graph_t, hp)
+    row = pair.source_x[0]
+    phi_vec = -800.0 * pair.source_y[0] * row / (row @ row)  # margin -800 on row 0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="non-finite subgradient"):
+        update_phi_varphi(phi_vec, np.zeros(4), theta, w, pi, ctx, hp)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from subadapt.data_model import ValidationError
-from subadapt.losses import _sigmoid, loss_subgradient, loss_value
+from subadapt.losses import (
+    _sigmoid,
+    loss_subgradient,
+    loss_value,
+    margin_loss,
+    margin_slope,
+    margin_subgradient,
+)
 
 
 def central_difference(kind, y, f, h=1e-6):
@@ -142,3 +149,28 @@ def test_sigmoid_bit_identical_to_masked_branches():
     edges = np.array([0.0, 1e-300, 1.0, 700.0, 1e4])
     z = np.concatenate([edges, -edges, np.random.default_rng(15).standard_normal(10_000)])
     assert _sigmoid(z).tobytes() == masked(z).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["hinge", "logistic", "exponential"])
+def test_margin_slope_matches_margin_subgradient(kind):
+    # the slope read off the loss values against the subgradient computed
+    # from the margins, over the whole range where exp(-margin) is finite
+    # or overflows, plus the hinge kink and both signed zeros
+    margins = np.concatenate([np.linspace(-745.0, 745.0, 20001),
+                              [np.nextafter(1.0, 0.0), 1.0, 0.0, -0.0]])
+    with np.errstate(over="ignore"):
+        slope = margin_slope(kind, margin_loss(kind, margins))
+        for y in (1.0, -1.0):
+            labels = np.full_like(margins, y)
+            expected = -margin_subgradient(kind, labels, margins) * y
+            assert np.array_equal(np.isfinite(slope), np.isfinite(expected))
+            finite = np.isfinite(expected)
+            if kind == "logistic":
+                gap = np.abs(slope - expected)
+                assert np.all(gap <= 1e-15 * np.abs(expected))
+            else:
+                assert np.array_equal(slope[finite], expected[finite])
+    if kind == "exponential":
+        assert not np.isfinite(slope).all()  # the overflow reaches the caller
+    else:
+        assert np.isfinite(slope).all()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subadapt.classifier import ObjectiveContext, predict_target, recover_u_v
+from subadapt.classifier import MAX_STEP_HALVINGS, ObjectiveContext, predict_target, recover_u_v
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, check_model_state
 from subadapt.losses import loss_value
@@ -269,6 +269,10 @@ def test_trace_records_each_descent_run(monkeypatch):
     _, trace = fit(synthetic_pair([3, 0]),
                    Hyperparams(k=3, step=10.0, max_outer_iters=6, tol=1e-12))
     assert trace.inner_steps == [run.accepted_steps for run in runs]
+    assert trace.inner_proposals == [run.proposals for run in runs]
+    # a floored run scores its MAX_STEP_HALVINGS + 1 failed proposals too
+    assert all(run.proposals >= run.accepted_steps + MAX_STEP_HALVINGS + 1
+               for run in runs if run.hit_step_floor)
     assert trace.inner_hit_step_floor == [run.hit_step_floor for run in runs]
     assert set(trace.inner_hit_step_floor) == {True, False}
 
