@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 user or validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import tempfile
 import types
 import typing
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -38,7 +39,8 @@ _HP_KINDS = {name: float if hint is float else int
              for name, hint in typing.get_type_hints(Hyperparams).items()
              if name != "loss"}
 
-SYNTH_DEFAULTS = dict(n1=100, n2=100, n3=20, m=5, shift=1.0, rot_deg=20.0)
+# the model file's vectors, in file order; each is the ModelState field of its name
+_MODEL_VECTORS = ("w", "phi", "varphi", "u", "v", "pi")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,11 @@ def make_shifted_pair(seed, n1=100, n2=100, n3=20, m=5, shift=1.0, rot_deg=20.0)
     target_x = target_x @ rot.T
     target_x[:, 1] += shift
     return source_x, source_y, target_x, target_y
+
+
+SYNTH_DEFAULTS = {name: p.default
+                  for name, p in inspect.signature(make_shifted_pair).parameters.items()
+                  if p.default is not p.empty}
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +271,8 @@ def save_model(path, state: ModelState, hp: Hyperparams, scaler=None):
     lines.append(f"theta {state.r} {state.m}")
     for row in state.theta:
         lines.append(" ".join(_f17(v) for v in row))
-    for name, vec in (("w", state.w), ("phi", state.phi),
-                      ("varphi", state.varphi), ("u", state.u),
-                      ("v", state.v), ("pi", state.pi)):
-        lines.extend(_vector_lines(name, vec))
+    for name in _MODEL_VECTORS:
+        lines.extend(_vector_lines(name, getattr(state, name)))
     lines.append(f"scaler {1 if scaler is not None else 0}")
     if scaler is not None:
         lines.extend(_vector_lines("mean", scaler.mean))
@@ -335,18 +340,19 @@ def load_model(path):
             raise ValidationError(f"{path}: theta row {i} has wrong length")
         rows.append([number(float, v, "theta") for v in values])
     theta = np.array(rows, dtype=float).reshape(r, m)
-    vectors = {name: take_vector(name)
-               for name in ("w", "phi", "varphi", "u", "v", "pi")}
-    for name, size in (("w", r), ("phi", m), ("varphi", m), ("u", m), ("v", m)):
-        if vectors[name].size != size:
+    vectors = {name: take_vector(name) for name in _MODEL_VECTORS}
+    for name, vec in vectors.items():
+        # w has one entry per theta row, pi one per source point, the rest one per column
+        if name != "pi" and vec.size != (r if name == "w" else m):
             raise ValidationError(f"{path}: vector {name!r} does not match theta {r} x {m}")
     if not vectors["pi"].size:
         raise ValidationError(f"{path}: vector 'pi' is empty")
-    state = ModelState(theta=theta, w=vectors["w"], phi=vectors["phi"],
-                       varphi=vectors["varphi"], u=vectors["u"],
-                       v=vectors["v"], pi=vectors["pi"], loss=loss)
+    state = ModelState(theta=theta, loss=loss, **vectors)
+    has_scaler = take_field("scaler")
+    if has_scaler not in ("0", "1"):
+        raise ValidationError(f"{path}: field 'scaler' must be 0 or 1, got {has_scaler!r}")
     scaler = None
-    if number(int, take_field("scaler"), "scaler"):
+    if has_scaler == "1":
         scaler = FeatureScaler(mean=take_vector("mean"), std=take_vector("std"))
         if scaler.mean.size != m or scaler.std.size != m:
             raise ValidationError(f"{path}: scaler vectors do not match theta {r} x {m}")
@@ -368,31 +374,25 @@ def load_model(path):
 
 _HP_FIELDS = tuple(f.name for f in fields(Hyperparams))
 
+# Each Hyperparams field as an optional override; None keeps its default.
+_HyperparamOverrides = make_dataclass(
+    "_HyperparamOverrides",
+    [(name, hint | None, field(default=None))
+     for name, hint in typing.get_type_hints(Hyperparams).items()])
+
 
 @dataclass
-class RunConfig:
-    """Flat bag of every option a command can take; JSON round-trippable."""
+class RunConfig(_HyperparamOverrides):
+    """Flat bag of every option a command can take: the Hyperparams fields,
+    then the command options. JSON round-trippable; None means unset."""
 
-    c1: float | None = None
-    c2: float | None = None
-    c3: float | None = None
-    r: int | None = None
-    k: int | None = None
-    delta: float | None = None
-    step: float | None = None
-    loss: str | None = None
-    max_outer_iters: int | None = None
-    max_inner_iters: int | None = None
-    tol: float | None = None
-    seed: int | None = None
-    folds: int | None = None
     normalize: bool | None = None
     source: str | None = None
     target: str | None = None
     model: str | None = None
-    output: str | None = None
-    report: str | None = None
     trace: str | None = None
+    folds: int | None = None
+    report: str | None = None
     param: str | None = None
     grid: list[float] | None = None
 
@@ -445,17 +445,24 @@ def _json_fits(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def _merge_config(args, option_names):
-    """Resolve a RunConfig from --config or from explicit flags, never both."""
-    explicit = {name: getattr(args, name) for name in option_names
-                if getattr(args, name, None) is not None}
+def _merge_config(args) -> RunConfig:
+    """Resolve a RunConfig from --config or from the command's flags, never
+    both, and check that it sets every option the command requires."""
+    command = _COMMANDS[args.command]
+    explicit = {name: getattr(args, name) for name in _HP_FIELDS + command.options
+                if getattr(args, name) is not None}
     if args.config is not None:
         if explicit:
             raise ValidationError(
                 "pass either --config or explicit flags, not both "
                 f"(got flags: {sorted(explicit)})")
-        return RunConfig.from_json(_read_text(args.config))
-    return RunConfig(**explicit)
+        config = RunConfig.from_json(_read_text(args.config))
+    else:
+        config = RunConfig(**explicit)
+    for name in command.required:
+        if getattr(config, name) is None:
+            raise ValidationError(f"{args.command} needs --{name}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +482,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_TRAIN_OPTIONS = _HP_FIELDS + ("normalize", "source", "target", "model", "trace")
-
-
 def cmd_train(args) -> int:
-    config = _merge_config(args, _TRAIN_OPTIONS)
-    for name in ("source", "target", "model"):
-        if getattr(config, name) is None:
-            raise ValidationError(f"train needs --{name}")
+    config = _merge_config(args)
     hp = config.hyperparams()
     source_x, source_y = read_feature_csv(config.source, require_all_labeled=True)
     target_x, target_y = read_feature_csv(config.target)
@@ -517,14 +518,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-_EVAL_OPTIONS = _HP_FIELDS + ("normalize", "source", "target", "report", "folds")
-
-
 def _read_eval_data(config):
     """Both fully labeled CSVs as (source_x, source_y, target_x, target_y)."""
-    for name in ("source", "target"):
-        if getattr(config, name) is None:
-            raise ValidationError(f"eval needs --{name}")
     source_x, source_y = read_feature_csv(config.source, require_all_labeled=True)
     target_x, target_y = read_feature_csv(config.target, require_all_labeled=True)
     return source_x, source_y, target_x, target_y
@@ -542,40 +537,36 @@ def _run_eval(config, data) -> dict:
         "std_accuracy": report.std_accuracy,
         "seed": report.seed,
         "folds": report.folds,
-        "hyperparams": {name: getattr(hp, name) for name in _HP_FIELDS},
+        "hyperparams": asdict(hp),
     }
 
 
 def cmd_eval(args) -> int:
-    config = _merge_config(args, _EVAL_OPTIONS)
-    if config.report is None:
-        raise ValidationError("eval needs --report")
+    config = _merge_config(args)
     payload = _run_eval(config, _read_eval_data(config))
     _atomic_write(config.report, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 
+# the term weights a sweep may vary; each sweep row reports all three
+_SWEEP_PARAMS = ("c1", "c2", "c3")
+
+
 def cmd_sweep(args) -> int:
-    config = _merge_config(args, _EVAL_OPTIONS + ("param", "grid"))
-    if config.report is None:
-        raise ValidationError("sweep needs --report")
-    if config.param not in ("c1", "c2", "c3"):
-        raise ValidationError("sweep --param must be one of c1, c2, c3")
+    config = _merge_config(args)
+    if config.param not in _SWEEP_PARAMS:
+        raise ValidationError(f"sweep --param must be one of {', '.join(_SWEEP_PARAMS)}")
     if not config.grid:
         raise ValidationError("sweep needs a nonempty --grid")
     data = _read_eval_data(config)  # once for the whole grid
     rows = []
     for value in config.grid:
-        point = RunConfig(**{**asdict(config), config.param: float(value),
-                             "report": None, "param": None, "grid": None})
-        result = _run_eval(point, data)
+        result = _run_eval(replace(config, **{config.param: float(value)}), data)
         rows.append({
             "value": float(value),
             "mean_accuracy": result["mean_accuracy"],
             "std_accuracy": result["std_accuracy"],
-            "c1": result["hyperparams"]["c1"],
-            "c2": result["hyperparams"]["c2"],
-            "c3": result["hyperparams"]["c3"],
+            **{name: result["hyperparams"][name] for name in _SWEEP_PARAMS},
         })
     payload = {"param": config.param,
                "grid": [float(v) for v in config.grid],
@@ -587,17 +578,35 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Command(typing.NamedTuple):
+    handler: typing.Callable[[argparse.Namespace], int]
+    help: str
+    # RunConfig fields set by flags after the hyperparameter flags, in flag
+    # order; a command with none takes no --config and defines its own flags
+    options: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+
+
+_COMMANDS = {
+    "synth": _Command(cmd_synth, "generate a synthetic domain pair"),
+    "train": _Command(cmd_train, "train a model from two CSV files",
+                      ("normalize", "source", "target", "model", "trace"),
+                      ("source", "target", "model")),
+    "predict": _Command(cmd_predict, "score rows with a trained model"),
+    "eval": _Command(cmd_eval, "cross-validate on a labeled target set",
+                     ("normalize", "source", "target", "folds", "report"),
+                     ("source", "target", "report")),
+    "sweep": _Command(cmd_sweep, "cross-validate over a weight grid",
+                      ("normalize", "source", "target", "folds", "report", "param", "grid"),
+                      ("source", "target", "report", "param", "grid")),
+}
+
 # hyperparameter flags whose name is not the field name
 _HP_FLAGS = {"r": "--subspace-dim", "k": "--neighbors", "max_outer_iters": "--max-iters"}
 
 
-def _add_hyper_flags(parser):
-    parser.add_argument("--config", help="JSON config file (exclusive with flags)")
-    for name in _HP_FIELDS:
-        parser.add_argument(_HP_FLAGS.get(name, "--" + name.replace("_", "-")), dest=name,
-                            type=_HP_KINDS.get(name), choices=LOSS_KINDS if name == "loss" else None)
-    parser.add_argument("--normalize", action="store_const", const=True,
-                        dest="normalize")
+def _float_list(text):
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,47 +614,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subadapt",
         description="Shared-subspace transfer learning with weighted source points")
     sub = parser.add_subparsers(dest="command", required=True)
+    hints = typing.get_type_hints(RunConfig)
+    for name, command in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=command.help)
+        p_command.set_defaults(func=command.handler)
+        if not command.options:
+            continue
+        p_command.add_argument("--config", help="JSON config file (exclusive with flags)")
+        # each flag parses its field's T of T | None: a bool is a switch, a
+        # float list is comma-separated
+        for option in _HP_FIELDS + command.options:
+            flag = _HP_FLAGS.get(option, "--" + option.replace("_", "-"))
+            kind = typing.get_args(hints[option])[0]
+            if kind is bool:
+                p_command.add_argument(flag, dest=option, action="store_const", const=True)
+            else:
+                p_command.add_argument(flag, dest=option,
+                                       type=_float_list if kind == list[float] else kind,
+                                       choices=LOSS_KINDS if option == "loss" else None)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic domain pair")
+    p_synth = sub.choices["synth"]
     p_synth.add_argument("--seed", type=int, default=0)
     for name, default in SYNTH_DEFAULTS.items():
-        flag = "--" + name.replace("_", "-")
-        p_synth.add_argument(flag, type=type(default), default=default, dest=name)
+        p_synth.add_argument("--" + name.replace("_", "-"), type=type(default),
+                             default=default, dest=name)
     p_synth.add_argument("--out-dir", required=True)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_train = sub.add_parser("train", help="train a model from two CSV files")
-    _add_hyper_flags(p_train)
-    p_train.add_argument("--source", dest="source")
-    p_train.add_argument("--target", dest="target")
-    p_train.add_argument("--model", dest="model")
-    p_train.add_argument("--trace", dest="trace")
-    p_train.set_defaults(func=cmd_train)
-
-    p_pred = sub.add_parser("predict", help="score rows with a trained model")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--input", required=True)
-    p_pred.add_argument("--output", required=True)
-    p_pred.set_defaults(func=cmd_predict)
-
-    p_eval = sub.add_parser("eval", help="cross-validate on a labeled target set")
-    _add_hyper_flags(p_eval)
-    p_eval.add_argument("--source", dest="source")
-    p_eval.add_argument("--target", dest="target")
-    p_eval.add_argument("--folds", type=int, dest="folds")
-    p_eval.add_argument("--report", dest="report")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", help="cross-validate over a weight grid")
-    _add_hyper_flags(p_sweep)
-    p_sweep.add_argument("--source", dest="source")
-    p_sweep.add_argument("--target", dest="target")
-    p_sweep.add_argument("--folds", type=int, dest="folds")
-    p_sweep.add_argument("--report", dest="report")
-    p_sweep.add_argument("--param", dest="param")
-    p_sweep.add_argument("--grid", dest="grid",
-                         type=lambda s: [float(v) for v in s.split(",") if v.strip()])
-    p_sweep.set_defaults(func=cmd_sweep)
+    for flag in ("--model", "--input", "--output"):
+        sub.choices["predict"].add_argument(flag, required=True)
     return parser
 
 

@@ -67,14 +67,11 @@ def build_phi(phi_vec, varphi_vec, pi, pair: DatasetPair, hp: Hyperparams) -> np
 def _canonical_rows(vals: np.ndarray, vecs: np.ndarray):
     """Sign-fix eigenvector rows and order ties by first-nonzero index."""
     rows = vecs.T.copy()
-    first_nonzero = np.empty(rows.shape[0], dtype=np.int64)
-    for i, row in enumerate(rows):
-        mags = np.abs(row)
-        nz = np.flatnonzero(mags > 1e-12 * max(mags.max(), 1e-300))
-        j = int(nz[0]) if nz.size else 0
-        first_nonzero[i] = j
-        if row[j] < 0:
-            rows[i] = -row
+    mags = np.abs(rows)
+    above = mags > 1e-12 * np.maximum(mags.max(axis=1), 1e-300)[:, None]
+    first_nonzero = above.argmax(axis=1)  # 0 for a row with no entry above
+    flip = rows[np.arange(rows.shape[0]), first_nonzero] < 0
+    rows[flip] = -rows[flip]
     tie_tol = 1e-12 * max(1.0, float(np.abs(vals).max(initial=0.0)))
     order = np.arange(rows.shape[0])
     start = 0

@@ -1,7 +1,8 @@
 import json
 import os
+import typing
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from subadapt.classifier import predict_target
 from subadapt.cli import (
     RunConfig,
     _atomic_write,
+    _merge_config,
+    build_parser,
     load_model,
     main,
     make_shifted_pair,
@@ -363,6 +366,7 @@ def test_predict_non_finite_row_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, offset, replacement", [
     ("scaler", 0, "scaler x"),
+    ("scaler", 0, "scaler 7"),
     ("c1", 0, "c1 ten"),
     ("k", 0, "k 2.5"),
     ("seed", 0, "seed abc"),
@@ -578,6 +582,83 @@ def test_config_file_and_flags_conflict(tmp_path):
     assert main(["train", "--config", str(config_path)]) == 0
     rc = main(["train", "--config", str(config_path), "--c1", "5.0"])
     assert rc == 2
+
+
+COMMAND_OPTIONS = ("normalize", "source", "target", "model", "trace", "folds",
+                   "report", "param", "grid")
+
+
+def test_run_config_fields_are_hyperparams_then_command_options():
+    hp_names = [f.name for f in fields(Hyperparams)]
+    assert [f.name for f in fields(RunConfig)] == hp_names + list(COMMAND_OPTIONS)
+    hints, hp_hints = typing.get_type_hints(RunConfig), typing.get_type_hints(Hyperparams)
+    assert all(hints[name] == hp_hints[name] | None for name in hp_names)
+    assert all(value is None for value in asdict(RunConfig()).values())
+
+
+# One value per RunConfig field, and the flags that set it.
+CONFIG_VALUES = dict(c1=0.5, c2=2.0, c3=30.0, r=2, k=3, delta=2.5, step=0.01,
+                     loss="logistic", max_outer_iters=4, max_inner_iters=6, tol=1e-6,
+                     seed=9, normalize=True, source="s.csv", target="t.csv",
+                     model="m.txt", trace="tr.json", folds=3, report="r.json",
+                     param="c2", grid=[0.5, 2.0])
+HYPER_FLAGS = ["--c1", "0.5", "--c2", "2", "--c3", "30", "--subspace-dim", "2",
+               "--neighbors", "3", "--delta", "2.5", "--step", "0.01", "--loss", "logistic",
+               "--max-iters", "4", "--max-inner-iters", "6", "--tol", "1e-6", "--seed", "9",
+               "--normalize"]
+COMMAND_FLAGS = {
+    "train": ["--source", "s.csv", "--target", "t.csv", "--model", "m.txt",
+              "--trace", "tr.json"],
+    "eval": ["--source", "s.csv", "--target", "t.csv", "--folds", "3", "--report", "r.json"],
+    "sweep": ["--source", "s.csv", "--target", "t.csv", "--folds", "3", "--report", "r.json",
+              "--param", "c2", "--grid", "0.5,2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_every_flag_gives_the_config_file_value(tmp_path, command):
+    flags = COMMAND_FLAGS[command]
+    names = [f.name for f in fields(Hyperparams)] + ["normalize"] + \
+        [flag[2:] for flag in flags if flag.startswith("--")]
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({name: CONFIG_VALUES[name] for name in names}))
+    from_flags = _merge_config(build_parser().parse_args([command, *HYPER_FLAGS, *flags]))
+    from_file = _merge_config(build_parser().parse_args([command, "--config", str(config_path)]))
+    assert from_flags == from_file
+    assert asdict(from_flags) == {name: CONFIG_VALUES[name] if name in names else None
+                                  for name in CONFIG_VALUES}
+
+
+REQUIRED_OPTIONS = [("train", name) for name in ("source", "target", "model")] + \
+    [("eval", name) for name in ("source", "target", "report")] + \
+    [("sweep", name) for name in ("source", "target", "report", "param", "grid")]
+
+
+@pytest.mark.parametrize("command, missing", REQUIRED_OPTIONS)
+def test_missing_required_option_names_the_command(tmp_path, capsys, command, missing):
+    given = dict(source=str(tmp_path / "s.csv"), target=str(tmp_path / "t.csv"),
+                 model=str(tmp_path / "m.txt"), report=str(tmp_path / "r.json"),
+                 param="c3", grid="1")
+    argv = [command]
+    for name, value in given.items():
+        if name != missing and (command, name) in REQUIRED_OPTIONS:
+            argv += [f"--{name}", value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {command} needs --{missing}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--folds", "3"], ["train", "--grid", "1"], ["eval", "--model", "m.txt"],
+    ["eval", "--param", "c1"], ["synth", "--out-dir", "d", "--c1", "1"],
+    ["predict", "--model", "m.txt", "--input", "i.csv", "--output", "o.csv",
+     "--config", "c.json"],
+])
+def test_flag_of_another_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_config_round_trip():

@@ -3,6 +3,7 @@ import pytest
 
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.subspace import (
+    _canonical_rows,
     build_phi,
     projected_means,
     raw_mean_difference,
@@ -141,6 +142,53 @@ def test_update_theta_sign_convention():
     for row in theta:
         nz = np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())
         assert row[nz[0]] > 0
+
+
+def canonical_rows_loop(vals, vecs):
+    """The per-row loop that ``_canonical_rows`` replaced, kept as its reference."""
+    rows = vecs.T.copy()
+    first_nonzero = np.empty(rows.shape[0], dtype=np.int64)
+    for i, row in enumerate(rows):
+        mags = np.abs(row)
+        nz = np.flatnonzero(mags > 1e-12 * max(mags.max(), 1e-300))
+        j = int(nz[0]) if nz.size else 0
+        first_nonzero[i] = j
+        if row[j] < 0:
+            rows[i] = -row
+    tie_tol = 1e-12 * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    order = np.arange(rows.shape[0])
+    start = 0
+    while start < len(vals):
+        stop = start + 1
+        while stop < len(vals) and abs(vals[stop] - vals[start]) <= tie_tol:
+            stop += 1
+        if stop - start > 1:
+            group = order[start:stop]
+            order[start:stop] = group[np.argsort(first_nonzero[group], kind="stable")]
+        start = stop
+    return vals[order], rows[order]
+
+
+def test_canonical_rows_match_per_row_loop_bytes():
+    rng = np.random.default_rng(12)
+    for trial in range(3000):
+        m = int(rng.integers(1, 9))
+        if trial % 3 == 0:  # a real spectrum with repeated eigenvalues
+            q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            spectrum = rng.integers(-2, 3, m).astype(float)
+            vals, vecs = np.linalg.eigh(q @ np.diag(spectrum) @ q.T)
+        else:  # ties, exact zeros, zero rows, -0.0 and entries under the relative floor
+            vals = np.sort(rng.integers(-3, 4, m) * rng.choice([1.0, 0.5, 1e-13]))
+            vecs = rng.standard_normal((m, m))
+            vecs[rng.random((m, m)) < 0.3] = 0.0
+            vecs[rng.random((m, m)) < 0.1] = -0.0
+            vecs[rng.random((m, m)) < 0.2] *= 1e-14
+            if rng.random() < 0.2:
+                vecs[:, rng.integers(m)] = 0.0
+        expected, got = canonical_rows_loop(vals, vecs), _canonical_rows(vals, vecs)
+        for want, have in zip(expected, got):
+            assert want.shape == have.shape and want.dtype == have.dtype
+            assert want.tobytes() == have.tobytes()
 
 
 def test_update_theta_degenerate_keeps_previous():
