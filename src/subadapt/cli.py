@@ -447,7 +447,8 @@ def _json_fits(value, kind) -> bool:
 
 def _merge_config(args) -> RunConfig:
     """Resolve a RunConfig from --config or from the command's flags, never
-    both, and check that it sets every option the command requires."""
+    both, and check that it sets every option the command requires and no
+    option of another command."""
     command = _COMMANDS[args.command]
     explicit = {name: getattr(args, name) for name in _HP_FIELDS + command.options
                 if getattr(args, name) is not None}
@@ -457,6 +458,10 @@ def _merge_config(args) -> RunConfig:
                 "pass either --config or explicit flags, not both "
                 f"(got flags: {sorted(explicit)})")
         config = RunConfig.from_json(_read_text(args.config))
+        foreign = [f.name for f in fields(config) if getattr(config, f.name) is not None
+                   and f.name not in _HP_FIELDS + command.options]
+        if foreign:
+            raise ValidationError(f"{args.command} does not take config fields: {foreign}")
     else:
         config = RunConfig(**explicit)
     for name in command.required:

@@ -9,14 +9,18 @@ H is either a dense symmetric PSD matrix, checked on every solve, or a
 ``GramHessian``: a sum of Gram matrices held in factored form, symmetric
 PSD by construction, whose products cost O(nk + nr) and whose dense matrix
 is formed only when a dense free-set block is needed.
-Given a ``KktBasis`` (the explicit inverse of the all-free KKT matrix of a
-nearby H0, with H - H0 in low-rank factored form) each step comes instead
+Given a ``KktBasis`` (the explicit inverse M0 of the all-free KKT matrix of
+a nearby H0, with H - H0 in low-rank factored form) each step comes instead
 from a small Schur complement against that inverse, verified against H
 itself (Gill, Murray, Saunders & Wright 1990, "A Schur-complement method
-for sparse quadratic programming"). Singular reduced Hessians (PSD but
-rank deficient, including H = 0) fall back to an eigendecomposition of the
-reduced Hessian and follow directions of linear descent until a bound
-blocks; the feasible set is compact, so a blocking bound always exists.
+for sparse quadratic programming"). The step's all-free solution M0 b is
+read off M0 [H0 x; 1'x] = [x; 0] and one product M0 [-c; eq_sum] per QP, so
+a step makes no product with M0; only a step that fails verification is
+refined once from M0 times its residual and verified again. Singular
+reduced Hessians (PSD but rank deficient, including H = 0) fall back to an
+eigendecomposition of the reduced Hessian and follow directions of linear
+descent until a bound blocks; the feasible set is compact, so a blocking
+bound always exists.
 """
 
 from __future__ import annotations
@@ -200,12 +204,10 @@ def _feasible_start(p: QpProblem, warm_start) -> np.ndarray:
 
 def _sum_nullspace_basis(n: int) -> np.ndarray:
     """Orthonormal basis (n x n-1) of the zero-sum subspace."""
-    z = np.zeros((n, n - 1))
-    for j in range(1, n):
-        z[:j, j - 1] = 1.0
-        z[j, j - 1] = -float(j)
-        z[:, j - 1] /= np.sqrt(j * (j + 1.0))
-    return z
+    j = np.arange(1, n)
+    z = np.triu(np.ones((n, n - 1)))
+    z[j, j - 1] = -j
+    return z / np.sqrt(j * (j + 1.0))
 
 
 def _reduced_step(hff: np.ndarray, gf: np.ndarray):
@@ -325,8 +327,12 @@ class _SchurSteps:
     bordered system of H = H0 + U D U', which is the all-free K0 bordered by
     V = [[U; 0], E_A] (E_A: unit columns of A) with corner
     C = blockdiag(-D^-1, 0). With S = C - V' M0 V and y0 = M0 b, the
-    solution is y0 - M0 V S^-1 (-V' y0): one O(n^2) product with M0 plus
-    work in q + |A|, where M0 U and U' M0 U are formed once per QP.
+    solution is y0 - M0 V S^-1 (-V' y0). The right-hand side is
+    b = [-(H0 x + U D U'x + c); eq_sum - 1'x] and M0 [H0 x; 1'x] = [x; 0],
+    so y0 = y_c - [x; 0] - M0 U (d * U'x) with y_c = M0 [-c; eq_sum]: no
+    product with M0 per step, only work in n (q + |A|). M0 U, U' M0 U and
+    y_c are formed once per QP. Only a step that fails its check is refined
+    once from M0 r, an O(n^2) product, and checked again.
     """
 
     def __init__(self, p: QpProblem, basis: KktBasis):
@@ -338,13 +344,22 @@ class _SchurSteps:
         self.q = basis.u.shape[1]
         self.m0 = basis.inverse
         self.u = basis.u
+        self.d = basis.d
         self.m0u = self.m0[:, :n] @ basis.u
         utm0u = basis.u.T @ self.m0u[:n]
         self.corner = -np.diag(1.0 / basis.d) - 0.5 * (utm0u + utm0u.T)
+        self.y_c = self.m0 @ np.append(-p.c, p.eq_sum)
         # H_ii is at most max_j |H_ij|, so scaling the residual by the free
         # rows' diagonal is no looser than by their row maxima, and it needs
         # no O(n^2) scan of a GramHessian
         self.h_diag = p.h.diagonal()
+
+    def all_free(self, x) -> np.ndarray:
+        """M0 b for the step from x: the all-free solution, before the
+        Schur correction."""
+        y = self.y_c - self.m0u @ (self.d * (self.u.T @ x))
+        y[:x.shape[0]] -= x
+        return y
 
     def step(self, p: QpProblem, x, free, grad):
         """(step, H_FF step) for the free coordinates, or None when the
@@ -353,48 +368,50 @@ class _SchurSteps:
         free_idx = np.flatnonzero(free)
         fixed_idx = np.flatnonzero(~free)
         cross = self.m0u[fixed_idx]
+        fixed_rows = self.m0[fixed_idx]  # M0 is symmetric: its fixed columns
         schur = np.empty((q + fixed_idx.size, q + fixed_idx.size))
         schur[:q, :q] = self.corner
         schur[q:, :q] = -cross
         schur[:q, q:] = -cross.T
-        schur[q:, q:] = -self.m0[np.ix_(fixed_idx, fixed_idx)]
-        m0v = np.concatenate([self.m0u, self.m0[:, fixed_idx]], axis=1)
+        schur[q:, q:] = -fixed_rows[:, fixed_idx]
 
-        def apply(b):
-            y = self.m0 @ b
-            vy = np.concatenate([self.u.T @ y[:n], y[fixed_idx]])
-            out = y - m0v @ np.linalg.solve(schur, -vy)
+        def correct(y):
+            z = np.linalg.solve(schur, np.concatenate([self.u.T @ y[:n], y[fixed_idx]]))
+            out = y + self.m0u @ z[:q] + fixed_rows.T @ z[q:]
             out[fixed_idx] = 0.0
             return out
 
-        b = np.empty(n + 1)
-        b[:n] = -grad
-        b[n] = p.eq_sum - x.sum()
+        rhs_sum = p.eq_sum - x.sum()
+        rhs_scale = max(1.0, np.abs(grad[free_idx]).max(), abs(rhs_sum))
+        row_scale = max(1.0, float(self.h_diag[free_idx].max()))
 
-        def residual(sol):
+        def checked(sol):
+            """(found, r): found is (step, H_FF step) when sol passes its
+            check, else None; r is sol's KKT residual (None if not finite)."""
+            if not np.all(np.isfinite(sol)):
+                return None, None
             # rows of the fixed set carry their bound multiplier: no residual
             h_dir = p.h @ sol[:n]
             r = np.zeros(n + 1)
             r[free_idx] = h_dir[free_idx] + sol[n] + grad[free_idx]
-            r[n] = sol[:n].sum() - b[n]
-            return r, h_dir
+            r[n] = sol[:n].sum() - rhs_sum
+            step = sol[free_idx]
+            scale = max(rhs_scale, row_scale * max(
+                1.0, np.abs(x[free_idx] + step).max(), abs(sol[n])))
+            if _step_verified(p, x, free_idx, grad[free_idx], step,
+                              np.abs(r).max(), scale):
+                return (step, h_dir[free_idx]), r
+            return None, r
 
         try:
-            sol = apply(b)
-            sol -= apply(residual(sol)[0])
+            sol = correct(self.all_free(x))
+            found, r = checked(sol)
+            if found is None and r is not None:
+                sol -= correct(self.m0 @ r)
+                found, _ = checked(sol)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        r, h_dir = residual(sol)
-        step = sol[free_idx]
-        row_scale = max(1.0, float(self.h_diag[free_idx].max()))
-        scale = max(1.0, np.abs(b[free_idx]).max(), abs(b[n]),
-                    row_scale * max(1.0, np.abs(x[free_idx] + step).max(), abs(sol[n])))
-        if not _step_verified(p, x, free_idx, grad[free_idx], step,
-                              np.abs(r).max(), scale):
-            return None
-        return step, h_dir[free_idx]
+        return found
 
 
 def solve(p: QpProblem, warm_start=None, basis: KktBasis | None = None) -> np.ndarray:

@@ -648,6 +648,25 @@ def test_missing_required_option_names_the_command(tmp_path, capsys, command, mi
     assert err == f"error: {command} needs --{missing}\n"
 
 
+# each command with each option that only other commands take
+FOREIGN_OPTIONS = [("train", name) for name in ("folds", "report", "param", "grid")] + \
+    [("eval", name) for name in ("model", "trace", "param", "grid")] + \
+    [("sweep", name) for name in ("model", "trace")]
+
+
+@pytest.mark.parametrize("command, name", FOREIGN_OPTIONS)
+def test_config_field_of_another_command_exits_2(tmp_path, capsys, command, name):
+    flags = COMMAND_FLAGS[command]
+    payload = {flag[2:]: CONFIG_VALUES[flag[2:]] for flag in flags if flag.startswith("--")}
+    payload.update({hp: CONFIG_VALUES[hp] for hp in ("c1", "k", "max_outer_iters")})
+    payload[name] = CONFIG_VALUES[name]
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(payload))
+    assert main([command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {command} does not take config fields: ['{name}']\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--folds", "3"], ["train", "--grid", "1"], ["eval", "--model", "m.txt"],
     ["eval", "--param", "c1"], ["synth", "--out-dir", "d", "--c1", "1"],

@@ -7,7 +7,8 @@ from subadapt import qp_solver
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
 from subadapt.neighborhood import build_graph
-from subadapt.qp_solver import GramHessian, QpProblem, _feasible_start, kkt_basis, solve
+from subadapt.qp_solver import (GramHessian, KktBasis, QpProblem, _feasible_start,
+                                kkt_basis, solve)
 from subadapt.trainer import fit
 from subadapt.weights import WeightFitState, build_weight_problem, update_pi
 
@@ -218,6 +219,24 @@ def test_exact_start_matches_bisection(n, sum_at):
         assert x[pinned] == pytest.approx(lower[pinned], abs=0.0)
 
 
+def loop_nullspace_basis(n):
+    """The column-by-column construction of the zero-sum basis."""
+    z = np.zeros((n, n - 1))
+    for j in range(1, n):
+        z[:j, j - 1] = 1.0
+        z[j, j - 1] = -float(j)
+        z[:, j - 1] /= np.sqrt(j * (j + 1.0))
+    return z
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 777])
+def test_sum_nullspace_basis_matches_loop_bytes(n):
+    z = qp_solver._sum_nullspace_basis(n)
+    expected = loop_nullspace_basis(n)
+    assert z.shape == expected.shape and z.dtype == expected.dtype
+    assert z.tobytes() == expected.tobytes()
+
+
 def dense_qp(problem):
     """The weight step's QP with the dense H of ``qp_matrices``."""
     n = problem.n1
@@ -253,11 +272,37 @@ def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
         yield qp, pi, state.basis(problem, qp.h)
 
 
+WEIGHT_QP_VARIANTS = [
+    {}, {"c3": 0.0}, {"delta": 1.05}, {"loss": "logistic", "c2": 0.3, "c3": 20.0},
+]
+
+
+class CountingInverse:
+    """A _SchurSteps' M0 that counts its products; any other use of the
+    whole matrix fails with an AttributeError."""
+
+    def __init__(self, m0, counts):
+        self.m0, self.counts = m0, counts
+
+    def __getitem__(self, key):
+        return self.m0[key]
+
+    def __matmul__(self, other):
+        self.counts["refined"] += 1
+        return self.m0 @ other
+
+
 def count_steps(monkeypatch):
-    """Count Schur steps taken and dense free-set steps solved."""
+    """Count Schur steps taken, rejected and refined (the steps' only
+    products with M0), and dense free-set steps solved."""
     counts = Counter()
+    schur_init = qp_solver._SchurSteps.__init__
     schur_step = qp_solver._SchurSteps.step
     dense_step = qp_solver._free_subproblem
+
+    def init(self, *args):
+        schur_init(self, *args)
+        self.m0 = CountingInverse(self.m0, counts)
 
     def schur(self, *args):
         found = schur_step(self, *args)
@@ -268,14 +313,13 @@ def count_steps(monkeypatch):
         counts["dense"] += 1
         return dense_step(*args)
 
+    monkeypatch.setattr(qp_solver._SchurSteps, "__init__", init)
     monkeypatch.setattr(qp_solver._SchurSteps, "step", schur)
     monkeypatch.setattr(qp_solver, "_free_subproblem", dense)
     return counts
 
 
-@pytest.mark.parametrize("hp_kwargs", [
-    {}, {"c3": 0.0}, {"delta": 1.05}, {"loss": "logistic", "c2": 0.3, "c3": 20.0},
-])
+@pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
 def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
     counts = count_steps(monkeypatch)
     fast = Counter()
@@ -292,6 +336,7 @@ def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
             assert kkt_residual(qp, x) <= 1e-8
     assert fast["schur"] > 0
     assert fast["rejected"] == 0
+    assert fast["refined"] == 0
     if hp_kwargs.get("delta") == 1.05:
         # most weights end at a bound: once 2r + |fixed| >= |free| the dense
         # free-set system is solved instead
@@ -308,6 +353,40 @@ def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
         x = solve(qp, warm_start=warm, basis=wrong)
         assert np.abs(x - reference).max() <= 1e-9
         assert counts["rejected"] > 0 and counts["dense"] > 0
+
+
+@pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
+def test_all_free_solution_matches_basis_inverse(hp_kwargs):
+    # M0 b read off M0 [H0 x; 1'x] = [x; 0], against the product with M0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for qp, warm, basis in weight_qp_sequence(seed, **hp_kwargs):
+            steps = qp_solver._SchurSteps(qp, basis)
+            for x in [warm, _feasible_start(qp, rng.uniform(qp.lower, qp.upper))]:
+                b = np.append(-(qp.h @ x + qp.c), qp.eq_sum - x.sum())
+                expected = basis.inverse @ b
+                assert np.abs(steps.all_free(x) - expected).max() <= \
+                    1e-12 * np.abs(expected).max()
+
+
+def test_perturbed_basis_steps_are_refined(monkeypatch):
+    counts = count_steps(monkeypatch)
+    fast = Counter()
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for qp, warm, basis in weight_qp_sequence(seed):
+            noise = rng.standard_normal(basis.inverse.shape)
+            noise *= 1e-9 * np.abs(basis.inverse).max()
+            perturbed = KktBasis(basis.inverse + 0.5 * (noise + noise.T), basis.u, basis.d)
+            reference = solve(qp, warm_start=warm)
+            counts.clear()
+            x = solve(qp, warm_start=warm, basis=perturbed)
+            fast.update(counts)
+            assert np.abs(x - reference).max() <= 1e-9
+            assert kkt_residual(qp, x) <= 1e-8
+    assert fast["refined"] > 0
+    assert fast["refined"] <= fast["schur"]
+    assert fast["rejected"] == 0
 
 
 def test_basis_of_wrong_size_rejected():
@@ -397,9 +476,7 @@ def test_gram_hessian_rejects_bad_parts(field, value, message):
         GramHessian(**parts)
 
 
-@pytest.mark.parametrize("hp_kwargs", [
-    {}, {"c3": 0.0}, {"delta": 1.05}, {"loss": "logistic", "c2": 0.3, "c3": 20.0},
-])
+@pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
 def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
     counts = count_steps(monkeypatch)
     formed = Counter()
@@ -427,6 +504,7 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
             assert formed["dense"] == int(cycle == 0 or counts["dense"] > 0)
     assert fast["schur"] > 0
     assert fast["rejected"] == 0
+    assert fast["refined"] == 0
 
 
 def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
