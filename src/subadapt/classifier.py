@@ -216,6 +216,8 @@ def recover_u_v(theta, w, phi_vec, varphi_vec):
 def _predict(vector, x):
     vector = np.asarray(vector, dtype=float)
     x = np.asarray(x, dtype=float)
+    if not (np.isfinite(vector).all() and np.isfinite(x).all()):
+        raise ValidationError("non-finite classifier or input value")
     if x.ndim == 1:
         if x.shape != vector.shape:
             raise ValidationError("input dimension does not match the classifier")

@@ -268,14 +268,20 @@ def build_graph(points: np.ndarray, k: int) -> NeighborGraph:
 
     All points' simplex problems are solved in one batch; a point the batch
     leaves unsolved (an exactly singular KKT system, or a failed final
-    check) is handed to ``solve_reconstruction``.
+    check) is handed to ``solve_reconstruction``. Raises ``ValidationError``
+    when a point's neighbor Gram overflows float64.
     """
     points = np.asarray(points, dtype=float)
     indices = build_knn(points, k)
     neighbors = points[indices]
-    gram = np.einsum("iam,ibm->iab", neighbors, neighbors)
-    h = 2.0 * (gram + GRAM_RIDGE * np.eye(k))
-    c = -2.0 * np.einsum("iam,im->ia", neighbors, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.einsum("iam,ibm->iab", neighbors, neighbors)
+        h = 2.0 * (gram + GRAM_RIDGE * np.eye(k))
+        c = -2.0 * np.einsum("iam,im->ia", neighbors, points)
+    overflow = ~(np.isfinite(h).all(axis=(1, 2)) & np.isfinite(c).all(axis=1))
+    if overflow.any():
+        raise ValidationError(f"neighbor Gram of point {np.flatnonzero(overflow)[0]} "
+                              "overflows float64; rescale the features")
     coeffs, solved = _simplex_active_set(h, c)
     for i in np.flatnonzero(~solved):
         coeffs[i] = solve_reconstruction(points[i], neighbors[i])

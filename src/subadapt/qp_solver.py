@@ -9,14 +9,16 @@ H is either a dense symmetric PSD matrix, checked on every solve, or a
 ``GramHessian``: a sum of Gram matrices held in factored form, symmetric
 PSD by construction, whose products cost O(nk + nr) and whose dense matrix
 is formed only when a dense free-set block is needed.
-Given a ``KktBasis`` (the explicit inverse M0 of the all-free KKT matrix of
-a nearby H0, with H - H0 in low-rank factored form) each step comes instead
-from a small Schur complement against that inverse, verified against H
-itself (Gill, Murray, Saunders & Wright 1990, "A Schur-complement method
-for sparse quadratic programming"). The step's all-free solution M0 b is
-read off M0 [H0 x; 1'x] = [x; 0] and one product M0 [-c; eq_sum] per QP, so
-a step makes no product with M0; only a step that fails verification is
-refined once from M0 times its residual and verified again. Singular
+Given a KKT basis (the explicit inverse M0 of the all-free bordered KKT
+matrix K0 of a GramHessian's fixed part H0 = a R'R; the weight step builds
+it once per fit, from a = 2 c2) each step comes instead from a small Schur
+complement against that inverse, bordered by the rank-r term b G'G (q = r
+columns) and the fixed set, and verified against H itself (Gill, Murray,
+Saunders & Wright 1990, "A Schur-complement method for sparse quadratic
+programming"). The step's all-free solution M0 b is read off
+M0 [H0 x; 1'x] = [x; 0] and one product M0 [-c; eq_sum] per QP, so a step
+makes no product with M0; only a step that fails verification is refined
+once from M0 times its residual and verified again. Singular
 reduced Hessians (PSD but rank deficient, including H = 0) fall back to an
 eigendecomposition of the reduced Hessian and follow directions of linear
 descent until a bound blocks; the feasible set is compact, so a blocking
@@ -36,7 +38,7 @@ from .data_model import NumericError, ValidationError
 # sums of outer products, and that noise grows with the entries of H.
 PSD_EIG_TOL = 1e-8
 
-# A KktBasis is built only when the infinity-norm condition number of its
+# A KKT basis is built only when the infinity-norm condition number of its
 # bordered matrix stays below this bound.
 BASIS_COND_LIMIT = 1e8
 
@@ -285,24 +287,9 @@ def _step_verified(p: QpProblem, x, free_idx, gf, step, resid, scale) -> bool:
     return descent <= 1e-10 * max(1.0, np.abs(gf).max()) * max(1.0, np.abs(step).max())
 
 
-@dataclass(frozen=True)
-class KktBasis:
-    """Explicit inverse of the all-free bordered KKT matrix
-    K0 = [[H0, 1], [1', 0]], and factors with H = H0 + u diag(d) u' for the
-    problem at hand (u is n x q, d has no zero entry)."""
-
-    inverse: np.ndarray
-    u: np.ndarray
-    d: np.ndarray
-
-    def updated(self, u, d) -> "KktBasis":
-        """The same inverse, for a problem whose H = H0 + u diag(d) u'."""
-        return KktBasis(self.inverse, np.asarray(u, dtype=float),
-                        np.asarray(d, dtype=float))
-
-
-def kkt_basis(h0) -> KktBasis | None:
-    """Basis of H0 with empty factors, or None when K0 is singular or its
+def kkt_basis(h0) -> np.ndarray | None:
+    """The inverse M0 of the all-free bordered KKT matrix
+    K0 = [[H0, 1], [1', 0]], or None when K0 is singular or its
     infinity-norm condition number exceeds BASIS_COND_LIMIT."""
     h0 = np.asarray(h0, dtype=float)
     n = h0.shape[0]
@@ -317,37 +304,38 @@ def kkt_basis(h0) -> KktBasis | None:
     if not cond <= BASIS_COND_LIMIT:
         return None
     # symmetric to the last bit, so that the Schur complement is too
-    return KktBasis(0.5 * (inverse + inverse.T), np.zeros((n, 0)), np.zeros(0))
+    return 0.5 * (inverse + inverse.T)
 
 
 class _SchurSteps:
-    """Free-set steps of one QP from a KktBasis.
+    """Free-set steps of one QP from the KKT basis M0 of its GramHessian's
+    fixed part H0 = a R'R.
 
     The step (dx, nu) with dx fixed at zero on the fixed set A solves the
-    bordered system of H = H0 + U D U', which is the all-free K0 bordered by
+    bordered system of H = H0 + d U U' (U = G', d = b; q = r columns, or
+    none when d = 0), which is the all-free K0 bordered by
     V = [[U; 0], E_A] (E_A: unit columns of A) with corner
-    C = blockdiag(-D^-1, 0). With S = C - V' M0 V and y0 = M0 b, the
+    C = blockdiag(-I/d, 0). With S = C - V' M0 V and y0 = M0 b, the
     solution is y0 - M0 V S^-1 (-V' y0). The right-hand side is
-    b = [-(H0 x + U D U'x + c); eq_sum - 1'x] and M0 [H0 x; 1'x] = [x; 0],
-    so y0 = y_c - [x; 0] - M0 U (d * U'x) with y_c = M0 [-c; eq_sum]: no
+    b = [-(H0 x + d U U'x + c); eq_sum - 1'x] and M0 [H0 x; 1'x] = [x; 0],
+    so y0 = y_c - [x; 0] - M0 U (d U'x) with y_c = M0 [-c; eq_sum]: no
     product with M0 per step, only work in n (q + |A|). M0 U, U' M0 U and
     y_c are formed once per QP. Only a step that fails its check is refined
     once from M0 r, an O(n^2) product, and checked again.
     """
 
-    def __init__(self, p: QpProblem, basis: KktBasis):
+    def __init__(self, p: QpProblem, basis: np.ndarray):
         n = p.n
-        if basis.inverse.shape != (n + 1, n + 1) or basis.u.ndim != 2 \
-                or basis.u.shape[0] != n or basis.d.shape != basis.u.shape[1:] \
-                or not np.all(np.isfinite(basis.d)) or np.any(basis.d == 0.0):
+        if not isinstance(p.h, GramHessian) or np.shape(basis) != (n + 1, n + 1):
             raise ValidationError("KKT basis does not match the QP")
-        self.q = basis.u.shape[1]
-        self.m0 = basis.inverse
-        self.u = basis.u
-        self.d = basis.d
-        self.m0u = self.m0[:, :n] @ basis.u
-        utm0u = basis.u.T @ self.m0u[:n]
-        self.corner = -np.diag(1.0 / basis.d) - 0.5 * (utm0u + utm0u.T)
+        self.m0 = basis
+        self.d = p.h.b
+        self.u = p.h.gamma.T if self.d else np.zeros((n, 0))
+        self.q = self.u.shape[1]
+        self.m0u = self.m0[:, :n] @ self.u
+        utm0u = self.u.T @ self.m0u[:n]
+        # with d = 0 the corner is empty and nothing is divided
+        self.corner = -np.eye(self.q) / self.d - 0.5 * (utm0u + utm0u.T)
         self.y_c = self.m0 @ np.append(-p.c, p.eq_sum)
         # H_ii is at most max_j |H_ij|, so scaling the residual by the free
         # rows' diagonal is no looser than by their row maxima, and it needs
@@ -414,17 +402,17 @@ class _SchurSteps:
         return found
 
 
-def solve(p: QpProblem, warm_start=None, basis: KktBasis | None = None) -> np.ndarray:
+def solve(p: QpProblem, warm_start=None, basis: np.ndarray | None = None) -> np.ndarray:
     """Minimize the QP; deterministic for fixed input.
 
     The result is feasible to 1e-8 on bounds and sum and satisfies the KKT
     stationarity conditions to well below 1e-6 in max norm.
 
-    With a ``basis`` whose factors match p.h, each step comes from a Schur
-    complement while q + |fixed| < |free|; otherwise, and whenever that step
-    fails verification against p.h, from the dense free-set system. A dense
-    p.h is checked for symmetry and PSD first; a GramHessian is both by
-    construction.
+    With a ``basis``, the ``kkt_basis`` of a GramHessian p.h's fixed part
+    a R'R, each step comes from a Schur complement while q + |fixed| < |free|;
+    otherwise, and whenever that step fails verification against p.h, from
+    the dense free-set system. A dense p.h is checked for symmetry and PSD
+    first; a GramHessian is both by construction.
     """
     _validate(p)
     if not isinstance(p.h, GramHessian):

@@ -132,9 +132,7 @@ def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
 
     qp_objectives = (math.nan, math.nan)
     if update_weights:
-        problem = build_weight_problem(
-            phi_vec, theta, pair, ctx.graph_s, hp,
-            recon_quad=None if weight_state is None else weight_state.recon_quad)
+        problem = build_weight_problem(phi_vec, theta, pair, ctx.graph_s, hp)
         new_pi = update_pi(problem, warm_start=pi, fit_state=weight_state)
         qp_objectives = (problem.objective(new_pi),
                          problem.objective(np.ones(pair.n1)))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -467,6 +468,20 @@ def test_predict_source_matches_target_form():
     s1, l1 = predict_source(vec, x)
     s2, l2 = predict_target(vec, x)
     assert np.array_equal(s1, s2) and np.array_equal(l1, l2)
+
+
+@pytest.mark.parametrize("predict", [predict_source, predict_target])
+@pytest.mark.parametrize("vector, x", [
+    (np.ones(3), np.array([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]])),
+    (np.ones(3), np.array([np.inf, -np.inf, 0.0])),
+    (np.array([np.inf, 0.0, 0.0]), np.ones((2, 3))),
+    (np.array([1.0, np.nan, 0.0]), np.ones(3)),
+])
+def test_predict_rejects_non_finite_values(predict, vector, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict(vector, x)
 
 
 def test_positive_scaling_preserves_labels():

@@ -201,6 +201,27 @@ def test_train_overflowing_distances_exit_2(tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_train_overflowing_neighbor_gram_exit_2(tmp_path, capsys):
+    # finite distances, overflowing neighbor Gram: the cause is named
+    rng = np.random.default_rng(0)
+    paths = {}
+    for name in ("source", "target"):
+        x = 1e160 + 1e150 * rng.standard_normal((30, 3))
+        y = np.where(np.arange(30) % 2 == 0, 1, -1)
+        rows = [f"{label},{','.join(map(repr, row))}" for label, row in zip(y, x.tolist())]
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("label,f0,f1,f2\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--source", str(paths["source"]),
+                   "--target", str(paths["target"]),
+                   "--model", str(tmp_path / "m.txt"), "--neighbors", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "neighbor Gram" in err and "overflows float64" in err
+    assert "Traceback" not in err and not (tmp_path / "m.txt").exists()
+
+
 def test_model_file_round_trip_bytes(tmp_path):
     data = synth(tmp_path, "d4")
     model_path = tmp_path / "model.txt"

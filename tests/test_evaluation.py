@@ -179,6 +179,16 @@ def test_one_vs_all_three_blobs_beats_chance():
     assert accuracy(predicted, ty) >= 1.0 / 3.0
 
 
+def test_one_vs_all_predict_rejects_non_finite_rows():
+    rng = np.random.default_rng(10)
+    sx, sy = three_blob_data(rng, 8)
+    tx, ty = three_blob_data(rng, 8)
+    model = one_vs_all(sx, sy, tx, ty, [0, 1, 2], Hyperparams(k=2, max_outer_iters=3))
+    tx[3, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        model.predict(tx)
+
+
 def test_one_vs_all_degenerate_class_rejected():
     rng = np.random.default_rng(11)
     sx, sy = three_blob_data(rng, 8)

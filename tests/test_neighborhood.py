@@ -364,3 +364,12 @@ def test_knn_overflow_rejected_without_warning():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="squared distance .* overflows"):
                 build(points, 3)
+
+
+def test_neighbor_gram_overflow_rejected_without_warning():
+    # every squared distance is finite, but the neighbor Gram near 1e320 is not
+    points = 1e160 + 1e150 * np.random.default_rng(4).standard_normal((30, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="neighbor Gram of point 0 overflows"):
+            build_graph(points, 3)

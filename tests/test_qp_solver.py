@@ -7,10 +7,11 @@ from subadapt import qp_solver
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
 from subadapt.neighborhood import build_graph
-from subadapt.qp_solver import (GramHessian, KktBasis, QpProblem, _feasible_start,
-                                kkt_basis, solve)
+from subadapt.qp_solver import GramHessian, QpProblem, _feasible_start, kkt_basis, solve
 from subadapt.trainer import fit
-from subadapt.weights import WeightFitState, build_weight_problem, update_pi
+from subadapt import weights
+from subadapt.weights import (WeightFitState, build_weight_problem,
+                              reconstruction_quadratic, update_pi)
 
 
 def kkt_residual(p, x, activity_atol=1e-7):
@@ -259,17 +260,19 @@ def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
     for _ in range(cycles):
         theta = np.linalg.qr(start + 0.2 * rng.standard_normal(start.shape))[0].T
         phi_vec = 0.1 * rng.standard_normal(pair.m)
-        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
-                                       recon_quad=state.recon_quad)
+        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
         yield problem, pi, state
         pi = solve(dense_qp(problem), warm_start=pi)
 
 
 def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
-    """(dense QP, warm start, basis) of ``weight_problem_sequence``."""
+    """(QP on the fit state's factored Hessian, warm start, the fit's KKT
+    basis) of ``weight_problem_sequence``."""
     for problem, pi, state in weight_problem_sequence(seed, cycles, n, **hp_kwargs):
-        qp = dense_qp(problem)
-        yield qp, pi, state.basis(problem, qp.h)
+        size = problem.n1
+        qp = QpProblem(state.hessian(problem), problem.linear_term(), np.zeros(size),
+                       np.full(size, problem.delta), float(size))
+        yield qp, pi, state.basis
 
 
 WEIGHT_QP_VARIANTS = [
@@ -319,40 +322,54 @@ def count_steps(monkeypatch):
     return counts
 
 
+def dense_copy(qp):
+    """``qp`` with its GramHessian's dense matrix: the reference path."""
+    return QpProblem(qp.h.dense(), qp.c, qp.lower, qp.upper, qp.eq_sum)
+
+
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
 def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
     counts = count_steps(monkeypatch)
     fast = Counter()
+    first = Counter()
     for seed in range(3):
         for cycle, (qp, warm, basis) in enumerate(weight_qp_sequence(seed, **hp_kwargs)):
             assert basis is not None
-            q = 0 if cycle == 0 or hp_kwargs.get("c3") == 0.0 else 2 * 5
-            assert basis.u.shape == (qp.n, q)
-            reference = solve(qp, warm_start=warm)
+            # the Schur columns are the r = 5 rows of gamma, none without matching
+            q = 0 if hp_kwargs.get("c3") == 0.0 else 5
+            assert qp_solver._SchurSteps(qp, basis).u.shape == (qp.n, q)
+            reference = solve(dense_copy(qp), warm_start=warm)
             counts.clear()
             x = solve(qp, warm_start=warm, basis=basis)
             fast.update(counts)
+            if cycle == 0:
+                first.update(counts)
             assert np.abs(x - reference).max() <= 1e-9
             assert kkt_residual(qp, x) <= 1e-8
     assert fast["schur"] > 0
+    assert first["schur"] > 0
     assert fast["rejected"] == 0
     assert fast["refined"] == 0
     if hp_kwargs.get("delta") == 1.05:
-        # most weights end at a bound: once 2r + |fixed| >= |free| the dense
+        # most weights end at a bound: once r + |fixed| >= |free| the dense
         # free-set system is solved instead
         assert fast["dense"] > 0
 
 
 def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
+    # the basis of another c2, and of another source graph of the same size
     counts = count_steps(monkeypatch)
-    rng = np.random.default_rng(3)
-    for qp, warm, basis in weight_qp_sequence(4, cycles=2):
-        wrong = basis.updated(rng.standard_normal((qp.n, 3)), np.array([1e3, -2.0, 5.0]))
-        reference = solve(qp, warm_start=warm)
-        counts.clear()
-        x = solve(qp, warm_start=warm, basis=wrong)
-        assert np.abs(x - reference).max() <= 1e-9
-        assert counts["rejected"] > 0 and counts["dense"] > 0
+    other = build_graph(make_shifted_pair([9, 0], n1=80, n2=80, n3=10, m=6,
+                                          shift=1.5, rot_deg=30.0)[0], 5)
+    for qp, warm, _ in weight_qp_sequence(4, cycles=2):
+        wrong_c2 = kkt_basis(3.0 * qp.h.a * qp.h.recon_quad)
+        wrong_graph = kkt_basis(qp.h.a * reconstruction_quadratic(other, 1.0))
+        reference = solve(dense_copy(qp), warm_start=warm)
+        for wrong in (wrong_c2, wrong_graph):
+            counts.clear()
+            x = solve(qp, warm_start=warm, basis=wrong)
+            assert np.abs(x - reference).max() <= 1e-9
+            assert counts["rejected"] > 0 and counts["dense"] > 0
 
 
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
@@ -364,7 +381,7 @@ def test_all_free_solution_matches_basis_inverse(hp_kwargs):
             steps = qp_solver._SchurSteps(qp, basis)
             for x in [warm, _feasible_start(qp, rng.uniform(qp.lower, qp.upper))]:
                 b = np.append(-(qp.h @ x + qp.c), qp.eq_sum - x.sum())
-                expected = basis.inverse @ b
+                expected = basis @ b
                 assert np.abs(steps.all_free(x) - expected).max() <= \
                     1e-12 * np.abs(expected).max()
 
@@ -375,10 +392,10 @@ def test_perturbed_basis_steps_are_refined(monkeypatch):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for qp, warm, basis in weight_qp_sequence(seed):
-            noise = rng.standard_normal(basis.inverse.shape)
-            noise *= 1e-9 * np.abs(basis.inverse).max()
-            perturbed = KktBasis(basis.inverse + 0.5 * (noise + noise.T), basis.u, basis.d)
-            reference = solve(qp, warm_start=warm)
+            noise = rng.standard_normal(basis.shape)
+            noise *= 1e-9 * np.abs(basis).max()
+            perturbed = basis + 0.5 * (noise + noise.T)
+            reference = solve(dense_copy(qp), warm_start=warm)
             counts.clear()
             x = solve(qp, warm_start=warm, basis=perturbed)
             fast.update(counts)
@@ -390,11 +407,14 @@ def test_perturbed_basis_steps_are_refined(monkeypatch):
 
 
 def test_basis_of_wrong_size_rejected():
-    p = QpProblem(np.eye(3), np.zeros(3), np.zeros(3), np.ones(3), 1.5)
+    # a basis needs a GramHessian whose all-free KKT matrix has its size
+    dense = QpProblem(np.eye(3), np.zeros(3), np.zeros(3), np.ones(3), 1.5)
     with pytest.raises(ValidationError, match="basis"):
-        solve(p, basis=kkt_basis(np.eye(4)))
+        solve(dense, basis=kkt_basis(np.eye(3)))
+    gram = QpProblem(GramHessian(**gram_parts()), np.zeros(6), np.zeros(6), np.ones(6), 3.0)
     with pytest.raises(ValidationError, match="basis"):
-        solve(p, basis=kkt_basis(np.eye(3)).updated(np.ones((3, 1)), np.zeros(1)))
+        solve(gram, basis=kkt_basis(np.eye(4)))
+    assert solve(gram, basis=kkt_basis(2.0 * gram.h.recon_quad)).sum() == pytest.approx(3.0)
 
 
 def test_singular_kkt_matrix_has_no_basis():
@@ -410,8 +430,9 @@ def seeded_weight_problem(seed, n=30, **hp_kwargs):
     hp = Hyperparams(**hp_kwargs).resolved(pair.m)
     rng = np.random.default_rng(seed)
     theta = np.linalg.qr(rng.standard_normal((pair.m, hp.r)))[0].T
-    return build_weight_problem(rng.standard_normal(pair.m), theta, pair,
-                                build_graph(pair.source_x, hp.k), hp)
+    graph_s = build_graph(pair.source_x, hp.k)
+    return (build_weight_problem(rng.standard_normal(pair.m), theta, pair, graph_s, hp),
+            WeightFitState(graph_s, hp))
 
 
 @pytest.mark.parametrize("hp_kwargs", [
@@ -419,8 +440,8 @@ def seeded_weight_problem(seed, n=30, **hp_kwargs):
 ])
 def test_gram_hessian_matches_dense_formula(hp_kwargs):
     for seed in range(3):
-        problem = seeded_weight_problem(seed, **hp_kwargs)
-        h = problem.gram_hessian()
+        problem, state = seeded_weight_problem(seed, **hp_kwargs)
+        h = state.hessian(problem)
         reference = problem.qp_matrices()[0]
         assert h.shape == reference.shape
         rng = np.random.default_rng(seed)
@@ -489,8 +510,7 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
     monkeypatch.setattr(GramHessian, "dense", dense)
     fast = Counter()
     for seed in range(3):
-        for cycle, (problem, warm, state) in enumerate(
-                weight_problem_sequence(seed, **hp_kwargs)):
+        for problem, warm, state in weight_problem_sequence(seed, **hp_kwargs):
             qp = dense_qp(problem)
             reference = solve(qp, warm_start=warm)
             counts.clear()
@@ -499,9 +519,9 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
             fast.update(counts)
             assert np.abs(x - reference).max() <= 1e-9
             assert kkt_residual(qp, x) <= 1e-8
-            # H is formed densely for the fit's first basis and for dense
-            # free-set fallbacks, at most once per QP
-            assert formed["dense"] == int(cycle == 0 or counts["dense"] > 0)
+            # H is formed densely only for dense free-set fallbacks, at most
+            # once per QP
+            assert formed["dense"] == int(counts["dense"] > 0)
     assert fast["schur"] > 0
     assert fast["rejected"] == 0
     assert fast["refined"] == 0
@@ -518,3 +538,19 @@ def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
                        Hyperparams(tol=1e-12, max_outer_iters=4))
     assert trace.n_iters == 4
     assert abs(state.pi.sum() - 60.0) <= 1e-8 * 60.0
+
+
+def test_fit_builds_one_kkt_basis(monkeypatch):
+    built = Counter()
+
+    def counting(h0):
+        built["basis"] += 1
+        return qp_solver.kkt_basis(h0)
+
+    monkeypatch.setattr(weights, "kkt_basis", counting)
+    sx, sy, tx, ty = make_shifted_pair([5, 0], n1=60, n2=60, n3=10, m=5,
+                                       shift=1.5, rot_deg=30.0)
+    _, trace = fit(DatasetPair(sx, sy, tx, ty[:10]),
+                   Hyperparams(tol=1e-12, max_outer_iters=4))
+    assert trace.n_iters == 4
+    assert built["basis"] == 1

@@ -1,16 +1,14 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from subadapt.classifier import ObjectiveContext
-from subadapt.data_model import DatasetPair, Hyperparams, ValidationError
+from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.losses import loss_value
 from subadapt.neighborhood import build_graph
 from subadapt.subspace import projected_means
 from subadapt.trainer import full_objective
 from subadapt.weights import WeightFitState, WeightStepProblem, build_weight_problem, \
-    update_pi
+    reconstruction_quadratic, update_pi
 
 
 def make_instance(rng, n1=6, n2=5, m=3, **hp_kwargs):
@@ -44,7 +42,9 @@ def test_recon_quad_zero_without_c2():
     rng = np.random.default_rng(1)
     pair, hp, graph_s, theta, phi_vec = make_instance(rng, c2=0.0)
     problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
-    assert np.abs(problem.recon_quad).max() == 0.0
+    assert np.abs(WeightFitState(graph_s, hp).recon_quad).max() == 0.0
+    assert np.array_equal(problem.qp_matrices()[0],
+                          hp.c3 * (problem.gamma.T @ problem.gamma))
 
 
 def test_gamma_and_vartheta_definitions():
@@ -91,25 +91,12 @@ def test_objective_from_sparse_residual_matches_dense_formula(hp_kwargs):
         pair, hp, graph_s, theta, phi_vec = make_instance(rng, n1=12, **hp_kwargs)
         problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
         assert problem.graph is graph_s and problem.c2 == hp.c2
+        recon_quad = reconstruction_quadratic(graph_s, hp.c2)
         for pi in (np.ones(pair.n1), random_feasible_pi(rng, pair.n1, hp.delta)):
             gap = problem.gamma @ pi - problem.vartheta
-            dense = float(problem.tau @ pi + pi @ problem.recon_quad @ pi
+            dense = float(problem.tau @ pi + pi @ recon_quad @ pi
                           + 0.5 * problem.c3 * (gap @ gap))
             assert abs(problem.objective(pi) - dense) <= 1e-12 * max(1.0, abs(dense))
-
-
-def test_sparse_terms_need_the_graph_and_c2():
-    rng = np.random.default_rng(13)
-    pair, hp, graph_s, theta, phi_vec = make_instance(rng)
-    problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
-    for field in ("graph", "c2"):
-        with pytest.raises(ValidationError, match="given together"):
-            dataclasses.replace(problem, **{field: None})
-    graphless = dataclasses.replace(problem, graph=None, c2=None)
-    with pytest.raises(ValidationError, match="needs the source graph"):
-        graphless.objective(np.ones(pair.n1))
-    with pytest.raises(ValidationError, match="needs the source graph"):
-        graphless.gram_hessian()
 
 
 def test_uniform_weights_optimal_without_matching():
@@ -127,10 +114,10 @@ def test_uniform_weights_optimal_without_matching():
 def test_two_point_linear_corner():
     problem = WeightStepProblem(
         tau=np.array([0.0, 10.0]),
-        recon_quad=np.zeros((2, 2)),
         gamma=np.zeros((1, 2)),
         vartheta=np.zeros(1),
-        c3=0.0, delta=2.0, n1=2)
+        c3=0.0, delta=2.0, n1=2,
+        graph=build_graph(np.array([[0.0], [1.0]]), 1), c2=0.0)
     assert update_pi(problem) == pytest.approx([2.0, 0.0], abs=1e-10)
 
 
@@ -194,20 +181,9 @@ def test_matching_improvement_over_uniform():
         assert problem.objective(pi) <= problem.objective(np.ones(pair.n1)) + 1e-8
 
 
-def test_fit_state_recon_quad_matches_standalone_build():
-    rng = np.random.default_rng(9)
-    pair, hp, graph_s, theta, phi_vec = make_instance(rng, n1=12, c2=0.7)
-    state = WeightFitState(graph_s, hp)
-    standalone = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
-    reused = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
-                                  recon_quad=state.recon_quad)
-    assert np.array_equal(reused.recon_quad, standalone.recon_quad)
-
-
 @pytest.mark.parametrize("hp_kwargs", [{}, {"c3": 0.0}, {"delta": 1.05}])
 def test_update_pi_with_fit_state_matches_standalone(hp_kwargs):
-    # consecutive cycles of one fit: the first builds the basis, the rest
-    # reuse it through low-rank factors
+    # consecutive cycles of one fit share the fit's one KKT basis
     rng = np.random.default_rng(10)
     pair, hp, graph_s, theta, phi_vec = make_instance(
         rng, n1=40, n2=30, m=5, k=4, **hp_kwargs)
@@ -216,25 +192,19 @@ def test_update_pi_with_fit_state_matches_standalone(hp_kwargs):
     for _ in range(4):
         theta = np.linalg.qr(theta.T + 0.1 * rng.standard_normal(theta.T.shape))[0].T
         phi_vec = phi_vec + 0.1 * rng.standard_normal(phi_vec.shape)
-        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
-                                       recon_quad=state.recon_quad)
+        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
         fast = update_pi(problem, warm_start=pi, fit_state=state)
         reference = update_pi(problem, warm_start=pi)
         assert np.abs(fast - reference).max() <= 1e-9
         pi = reference
-    assert state.basis(problem, problem.qp_matrices()[0]) is not None
+    assert state.basis is not None
 
 
 @pytest.mark.parametrize("hp_kwargs", [{"c2": 0.0}, {"k": 1}])
 def test_fit_state_has_no_basis_for_singular_kkt(hp_kwargs):
-    # c2 = 0 leaves H of rank r; k = 1 gives (I - W) one null vector per
-    # connected component of the nearest-neighbor graph
+    # c2 = 0 leaves the fixed part zero; k = 1 gives (I - W) one null vector
+    # per connected component of the nearest-neighbor graph
     rng = np.random.default_rng(11)
-    pair, hp, graph_s, theta, phi_vec = make_instance(
+    _, hp, graph_s, _, _ = make_instance(
         rng, n1=40, n2=30, m=5, **hp_kwargs)
-    state = WeightFitState(graph_s, hp)
-    problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp,
-                                   recon_quad=state.recon_quad)
-    assert state.basis(problem, problem.qp_matrices()[0]) is None
-    # and the later cycles of the fit keep the dense path
-    assert state.basis(problem, problem.qp_matrices()[0]) is None
+    assert WeightFitState(graph_s, hp).basis is None
