@@ -143,7 +143,7 @@ def _anchor(theta, w, m):
     if w.shape != (theta.shape[0],):
         raise ValidationError("w length does not match theta rows")
     if not (np.isfinite(theta).all() and np.isfinite(w).all()):
-        raise ValidationError("non-finite theta or w in the classifier block")
+        raise ValidationError("non-finite theta or w")
     return theta.T @ w
 
 
@@ -202,14 +202,8 @@ def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
 
 def recover_u_v(theta, w, phi_vec, varphi_vec):
     """Adaptation vectors: u = phi - theta.T w and v = varphi - theta.T w."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2:
-        raise ValidationError("theta must be a 2-d matrix")
-    w = np.asarray(w, dtype=float)
-    phi_vec, varphi_vec = _vectors(phi_vec, varphi_vec, theta.shape[1])
-    if w.shape != (theta.shape[0],):
-        raise ValidationError("w length does not match theta rows")
-    anchor = theta.T @ w
+    phi_vec, varphi_vec = _vectors(phi_vec, varphi_vec, np.size(phi_vec))
+    anchor = _anchor(theta, w, phi_vec.shape[0])
     return phi_vec - anchor, varphi_vec - anchor
 
 

@@ -384,7 +384,8 @@ _HyperparamOverrides = make_dataclass(
 @dataclass
 class RunConfig(_HyperparamOverrides):
     """Flat bag of every option a command can take: the Hyperparams fields,
-    then the command options. JSON round-trippable; None means unset."""
+    then the command options, read from a JSON object by ``from_json``; None
+    means unset."""
 
     normalize: bool | None = None
     source: str | None = None
@@ -395,10 +396,6 @@ class RunConfig(_HyperparamOverrides):
     report: str | None = None
     param: str | None = None
     grid: list[float] | None = None
-
-    def to_json(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":

@@ -9,20 +9,19 @@ H is either a dense symmetric PSD matrix, checked on every solve, or a
 ``GramHessian``: a sum of Gram matrices held in factored form, symmetric
 PSD by construction, whose products cost O(nk + nr) and whose dense matrix
 is formed only when a dense free-set block is needed.
-Given a KKT basis (the explicit inverse M0 of the all-free bordered KKT
-matrix K0 of a GramHessian's fixed part H0 = a R'R; the weight step builds
-it once per fit, from a = 2 c2) each step comes instead from a small Schur
-complement against that inverse, bordered by the rank-r term b G'G (q = r
-columns) and the fixed set, and verified against H itself (Gill, Murray,
-Saunders & Wright 1990, "A Schur-complement method for sparse quadratic
-programming"). The step's all-free solution M0 b is read off
+A GramHessian may carry a KKT basis: the explicit inverse M0 of the
+all-free bordered KKT matrix K0 of its fixed part H0 (the weight step builds
+it once per fit, from H0 = 2 c2 R'R). Each step then comes from a small
+Schur complement against that inverse, bordered by the rank-r term b G'G
+(q = r columns) and the fixed set, and verified against H itself (Gill,
+Murray, Saunders & Wright 1990, "A Schur-complement method for sparse
+quadratic programming"). The step's all-free solution M0 b is read off
 M0 [H0 x; 1'x] = [x; 0] and one product M0 [-c; eq_sum] per QP, so a step
-makes no product with M0; only a step that fails verification is refined
-once from M0 times its residual and verified again. Singular
-reduced Hessians (PSD but rank deficient, including H = 0) fall back to an
-eigendecomposition of the reduced Hessian and follow directions of linear
-descent until a bound blocks; the feasible set is compact, so a blocking
-bound always exists.
+makes no product with M0; a step that fails verification is solved from
+the dense free-set system instead. Singular reduced Hessians (PSD but rank
+deficient, including H = 0) fall back to an eigendecomposition of the
+reduced Hessian and follow directions of linear descent until a bound
+blocks; the feasible set is compact, so a blocking bound always exists.
 """
 
 from __future__ import annotations
@@ -46,25 +45,28 @@ _MAX_ITERS_PER_VAR = 100
 
 
 class GramHessian:
-    """H = a R'R + b G'G in factored form, with R = I - W.
+    """H = H0 + b G'G in factored form, with H0 = a R'R and R = I - W.
 
     Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
-    n x k), G is r x n, and a, b >= 0. ``recon_quad`` is the dense (a/2) R'R,
-    passed in so that the QPs of one fit share one matrix; it is trusted to
-    match the factors, and ``diagonal`` and ``dense`` read it. The
+    n x k), G is r x n, and a, b >= 0. ``h0`` is the dense H0, passed in so
+    that the QPs of one fit share one matrix; it is trusted to match the
+    factors, and ``diagonal`` and ``dense`` read it. ``basis`` is None or
+    the ``kkt_basis`` of h0, with which ``solve`` takes Schur steps. The
     constructor checks everything H's symmetry and PSD rest on, so ``solve``
     runs no symmetry scan or PSD check on a GramHessian.
     """
 
-    def __init__(self, indices, coeffs, a, gamma, b, recon_quad):
+    def __init__(self, indices, coeffs, a, gamma, b, h0, basis=None):
         indices = np.asarray(indices)
         coeffs = np.asarray(coeffs, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
-        recon_quad = np.asarray(recon_quad, dtype=float)
+        h0 = np.asarray(h0, dtype=float)
         n = indices.shape[0] if indices.ndim == 2 else -1
         if n < 0 or coeffs.shape != indices.shape or gamma.ndim != 2 \
-                or gamma.shape[1] != n or recon_quad.shape != (n, n):
+                or gamma.shape[1] != n or h0.shape != (n, n):
             raise ValidationError("Gram Hessian factors have mismatched shapes")
+        if basis is not None and np.shape(basis) != (n + 1, n + 1):
+            raise ValidationError("KKT basis does not match the Gram Hessian")
         if not np.issubdtype(indices.dtype, np.integer) or \
                 (indices.size and not 0 <= indices.min() <= indices.max() < n):
             raise ValidationError("Gram Hessian column index out of range")
@@ -79,7 +81,8 @@ class GramHessian:
         self.a = a
         self.gamma = gamma
         self.b = b
-        self.recon_quad = recon_quad
+        self.h0 = h0
+        self.basis = basis
         self._flat_indices = indices.ravel()
         self._dense = None
 
@@ -93,12 +96,12 @@ class GramHessian:
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of H, in O(n + nr); named as ndarray's."""
-        return 2.0 * np.diag(self.recon_quad) + self.b * (self.gamma ** 2).sum(axis=0)
+        return np.diag(self.h0) + self.b * (self.gamma ** 2).sum(axis=0)
 
     def dense(self) -> np.ndarray:
         """H as a dense matrix, formed on the first call and cached."""
         if self._dense is None:
-            self._dense = 2.0 * self.recon_quad + self.b * (self.gamma.T @ self.gamma)
+            self._dense = self.h0 + self.b * (self.gamma.T @ self.gamma)
         return self._dense
 
 
@@ -308,8 +311,8 @@ def kkt_basis(h0) -> np.ndarray | None:
 
 
 class _SchurSteps:
-    """Free-set steps of one QP from the KKT basis M0 of its GramHessian's
-    fixed part H0 = a R'R.
+    """Free-set steps of one QP from the KKT basis M0 that its GramHessian
+    carries for its fixed part H0.
 
     The step (dx, nu) with dx fixed at zero on the fixed set A solves the
     bordered system of H = H0 + d U U' (U = G', d = b; q = r columns, or
@@ -320,15 +323,12 @@ class _SchurSteps:
     b = [-(H0 x + d U U'x + c); eq_sum - 1'x] and M0 [H0 x; 1'x] = [x; 0],
     so y0 = y_c - [x; 0] - M0 U (d U'x) with y_c = M0 [-c; eq_sum]: no
     product with M0 per step, only work in n (q + |A|). M0 U, U' M0 U and
-    y_c are formed once per QP. Only a step that fails its check is refined
-    once from M0 r, an O(n^2) product, and checked again.
+    y_c are formed once per QP.
     """
 
-    def __init__(self, p: QpProblem, basis: np.ndarray):
+    def __init__(self, p: QpProblem):
         n = p.n
-        if not isinstance(p.h, GramHessian) or np.shape(basis) != (n + 1, n + 1):
-            raise ValidationError("KKT basis does not match the QP")
-        self.m0 = basis
+        self.m0 = p.h.basis
         self.d = p.h.b
         self.u = p.h.gamma.T if self.d else np.zeros((n, 0))
         self.q = self.u.shape[1]
@@ -374,10 +374,9 @@ class _SchurSteps:
         row_scale = max(1.0, float(self.h_diag[free_idx].max()))
 
         def checked(sol):
-            """(found, r): found is (step, H_FF step) when sol passes its
-            check, else None; r is sol's KKT residual (None if not finite)."""
+            """(step, H_FF step) when sol passes its check, else None."""
             if not np.all(np.isfinite(sol)):
-                return None, None
+                return None
             # rows of the fixed set carry their bound multiplier: no residual
             h_dir = p.h @ sol[:n]
             r = np.zeros(n + 1)
@@ -388,37 +387,33 @@ class _SchurSteps:
                 1.0, np.abs(x[free_idx] + step).max(), abs(sol[n])))
             if _step_verified(p, x, free_idx, grad[free_idx], step,
                               np.abs(r).max(), scale):
-                return (step, h_dir[free_idx]), r
-            return None, r
+                return step, h_dir[free_idx]
+            return None
 
         try:
-            sol = correct(self.all_free(x))
-            found, r = checked(sol)
-            if found is None and r is not None:
-                sol -= correct(self.m0 @ r)
-                found, _ = checked(sol)
+            return checked(correct(self.all_free(x)))
         except np.linalg.LinAlgError:
             return None
-        return found
 
 
-def solve(p: QpProblem, warm_start=None, basis: np.ndarray | None = None) -> np.ndarray:
+def solve(p: QpProblem, warm_start=None) -> np.ndarray:
     """Minimize the QP; deterministic for fixed input.
 
     The result is feasible to 1e-8 on bounds and sum and satisfies the KKT
     stationarity conditions to well below 1e-6 in max norm.
 
-    With a ``basis``, the ``kkt_basis`` of a GramHessian p.h's fixed part
-    a R'R, each step comes from a Schur complement while q + |fixed| < |free|;
+    When p.h is a GramHessian that carries the ``kkt_basis`` of its fixed
+    part, each step comes from a Schur complement while q + |fixed| < |free|;
     otherwise, and whenever that step fails verification against p.h, from
     the dense free-set system. A dense p.h is checked for symmetry and PSD
     first; a GramHessian is both by construction.
     """
     _validate(p)
-    if not isinstance(p.h, GramHessian):
+    gram = isinstance(p.h, GramHessian)
+    if not gram:
         _require_psd(p.h)
     n = p.n
-    schur = None if basis is None else _SchurSteps(p, basis)
+    schur = _SchurSteps(p) if gram and p.h.basis is not None else None
     lo, up = p.lower, p.upper
     x = _feasible_start(p, warm_start)
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import ObjectiveContext, recover_u_v, update_phi_varphi
-from .data_model import DatasetPair, Hyperparams, ModelState, validate
+from .data_model import DatasetPair, Hyperparams, ModelState, ValidationError, validate
 from .losses import loss_value
 from .neighborhood import build_graph
 from .subspace import build_phi, projected_means, update_theta, update_w
@@ -91,6 +91,8 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi,
                    ctx: ObjectiveContext) -> ObjectiveTerms:
     """The five named terms of the training objective at the given parameters."""
     pi = np.asarray(pi, dtype=float)
+    if not np.isfinite(pi).all():
+        raise ValidationError("non-finite pi in the objective")
     pair, hp = ctx.pair, ctx.hp
 
     source = float(loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec) @ pi)
@@ -112,12 +114,12 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi,
 
 
 def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
-                update_subspace=True, update_weights=True,
-                weight_state: WeightFitState | None = None):
+                weights: WeightFitState | None, update_subspace=True):
     """Run one full block cycle. Returns the new (theta, w, phi, varphi, pi),
     the objective terms after each of the three blocks, the descent's
-    InnerTrace, and the weight QP's (solved, uniform) objectives, NaN with the
-    weight block off. ``weight_state`` carries the weight step's per-fit data."""
+    InnerTrace, and the weight QP's (solved, uniform) objectives. ``weights``
+    is the weight step's per-fit state; None turns the weight block off, and
+    its objectives are then NaN."""
     pair, hp = ctx.pair, ctx.hp
     if update_subspace:
         phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
@@ -131,9 +133,9 @@ def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
     after_classifier = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
 
     qp_objectives = (math.nan, math.nan)
-    if update_weights:
-        problem = build_weight_problem(phi_vec, theta, pair, ctx.graph_s, hp)
-        new_pi = update_pi(problem, warm_start=pi, fit_state=weight_state)
+    if weights is not None:
+        problem = build_weight_problem(phi_vec, theta, pair, weights, hp)
+        new_pi = update_pi(problem, warm_start=pi)
         qp_objectives = (problem.objective(new_pi),
                          problem.objective(np.ones(pair.n1)))
         pi = new_pi
@@ -178,9 +180,8 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
 
     for iteration in range(hp.max_outer_iters):
         (theta, w, phi_vec, varphi_vec, pi), terms, inner, qp_objectives = block_cycle(
-            theta, w, phi_vec, varphi_vec, pi, ctx,
-            update_subspace=update_subspace, update_weights=update_weights,
-            weight_state=weight_state)
+            theta, w, phi_vec, varphi_vec, pi, ctx, weight_state,
+            update_subspace=update_subspace)
 
         trace.objective_after_subspace.append(terms[0].total)
         trace.objective_after_classifier.append(terms[1].total)

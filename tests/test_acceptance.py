@@ -19,7 +19,7 @@ from subadapt.evaluation import run_cv
 from subadapt.neighborhood import build_graph, solve_reconstruction
 from subadapt.subspace import update_theta
 from subadapt.trainer import fit
-from subadapt.weights import build_weight_problem, update_pi
+from subadapt.weights import WeightFitState, build_weight_problem, update_pi
 
 
 def report(number, name, elapsed, budget):
@@ -154,10 +154,10 @@ def test_criterion_3_qp_oracle_equivalence():
                          c3=float(rng.uniform(0, 6.0)),
                          delta=delta, r=2, k=2,
                          loss=("hinge", "logistic")[int(rng.integers(0, 2))])
-        graph_s = build_graph(xs, hp.k)
+        state = WeightFitState(build_graph(xs, hp.k), hp)
         theta = np.linalg.qr(rng.standard_normal((m, 2)))[0].T
         phi_vec = rng.standard_normal(m)
-        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
+        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
         pi = update_pi(problem)
         assert problem.objective(pi) <= _pi_grid_best(problem, delta) + 1e-4
 

@@ -438,6 +438,17 @@ def test_recover_u_v_zero_shared():
     assert np.array_equal(v, varphi_vec)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["theta", "w"])
+def test_recover_u_v_rejects_non_finite_anchor(name, bad):
+    rng = np.random.default_rng(12)
+    args = {"theta": np.linalg.qr(rng.standard_normal((5, 2)))[0].T,
+            "w": rng.standard_normal(2)}
+    args[name].flat[1] = bad
+    with pytest.raises(ValidationError, match="non-finite theta or w"):
+        recover_u_v(args["theta"], args["w"], np.zeros(5), np.zeros(5))
+
+
 def test_reparametrization_identity():
     rng = np.random.default_rng(11)
     theta = np.linalg.qr(rng.standard_normal((6, 3)))[0].T

@@ -595,11 +595,10 @@ def test_sweep_empty_grid_exits_2(tmp_path):
 def test_config_file_and_flags_conflict(tmp_path):
     data = synth(tmp_path, "d10")
     config_path = tmp_path / "cfg.json"
-    config = RunConfig(source=str(data / "source.csv"),
-                       target=str(data / "target.csv"),
-                       model=str(tmp_path / "m.txt"),
-                       k=3, max_outer_iters=5)
-    config_path.write_text(config.to_json())
+    config_path.write_text(json.dumps({"source": str(data / "source.csv"),
+                                       "target": str(data / "target.csv"),
+                                       "model": str(tmp_path / "m.txt"),
+                                       "k": 3, "max_outer_iters": 5}))
     assert main(["train", "--config", str(config_path)]) == 0
     rc = main(["train", "--config", str(config_path), "--c1", "5.0"])
     assert rc == 2
@@ -702,12 +701,9 @@ def test_flag_of_another_command_exits_2(capsys, argv):
 
 
 def test_run_config_round_trip():
-    config = RunConfig(c1=0.5, c3=20.0, r=3, loss="logistic", seed=11,
-                       folds=5, normalize=True, source="s.csv",
-                       grid=[0.1, 1.0])
-    text = config.to_json()
-    assert RunConfig.from_json(text) == config
-    assert RunConfig.from_json(RunConfig.from_json(text).to_json()) == config
+    fields = dict(c1=0.5, c3=20.0, r=3, loss="logistic", seed=11,
+                  folds=5, normalize=True, source="s.csv", grid=[0.1, 1.0])
+    assert RunConfig.from_json(json.dumps(fields)) == RunConfig(**fields)
 
 
 def test_run_config_rejects_unknown_fields():

@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from subadapt import qp_solver
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
-from subadapt.neighborhood import build_graph
+from subadapt.neighborhood import NeighborGraph, build_graph
 from subadapt.qp_solver import GramHessian, QpProblem, _feasible_start, kkt_basis, solve
 from subadapt.trainer import fit
 from subadapt import weights
@@ -245,34 +246,40 @@ def dense_qp(problem):
 
 
 def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
-    """(problem, warm start, fit state) of consecutive weight steps of one
-    fit's graph, with the projection and classifier drifting from cycle to
-    cycle; each warm start is the dense solution of the previous step."""
+    """(problem, warm start) of consecutive weight steps of one fit, with
+    the projection and classifier drifting from cycle to cycle; each warm
+    start is the dense solution of the previous step."""
     sx, sy, tx, ty = make_shifted_pair([seed, 0], n1=n, n2=n, n3=10, m=6,
                                        shift=1.5, rot_deg=30.0)
     pair = DatasetPair(sx, sy, tx, ty[:10])
     hp = Hyperparams(**hp_kwargs).resolved(pair.m)
-    graph_s = build_graph(pair.source_x, hp.k)
-    state = WeightFitState(graph_s, hp)
+    state = WeightFitState(build_graph(pair.source_x, hp.k), hp)
     rng = np.random.default_rng(seed)
     pi = np.ones(n)
     start = rng.standard_normal((pair.m, hp.r))
     for _ in range(cycles):
         theta = np.linalg.qr(start + 0.2 * rng.standard_normal(start.shape))[0].T
         phi_vec = 0.1 * rng.standard_normal(pair.m)
-        problem = build_weight_problem(phi_vec, theta, pair, graph_s, hp)
-        yield problem, pi, state
+        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+        yield problem, pi
         pi = solve(dense_qp(problem), warm_start=pi)
 
 
+def weight_qp(problem, basis=None):
+    """The weight step's QP on the problem's factored Hessian, or on a copy
+    of it that carries ``basis`` instead of the fit's."""
+    h = problem.hessian()
+    if basis is not None:
+        h = GramHessian(h.indices, h.coeffs, h.a, h.gamma, h.b, h.h0, basis)
+    n = problem.n1
+    return QpProblem(h, problem.linear_term(), np.zeros(n), np.full(n, problem.delta), float(n))
+
+
 def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
-    """(QP on the fit state's factored Hessian, warm start, the fit's KKT
-    basis) of ``weight_problem_sequence``."""
-    for problem, pi, state in weight_problem_sequence(seed, cycles, n, **hp_kwargs):
-        size = problem.n1
-        qp = QpProblem(state.hessian(problem), problem.linear_term(), np.zeros(size),
-                       np.full(size, problem.delta), float(size))
-        yield qp, pi, state.basis
+    """(QP on the factored Hessian with the fit's KKT basis, warm start) of
+    ``weight_problem_sequence``."""
+    for problem, pi in weight_problem_sequence(seed, cycles, n, **hp_kwargs):
+        yield weight_qp(problem), pi
 
 
 WEIGHT_QP_VARIANTS = [
@@ -291,13 +298,13 @@ class CountingInverse:
         return self.m0[key]
 
     def __matmul__(self, other):
-        self.counts["refined"] += 1
+        self.counts["m0_products"] += 1
         return self.m0 @ other
 
 
 def count_steps(monkeypatch):
-    """Count Schur steps taken, rejected and refined (the steps' only
-    products with M0), and dense free-set steps solved."""
+    """Count Schur steps taken and rejected, the steps' products with M0,
+    and dense free-set steps solved."""
     counts = Counter()
     schur_init = qp_solver._SchurSteps.__init__
     schur_step = qp_solver._SchurSteps.step
@@ -333,14 +340,14 @@ def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
     fast = Counter()
     first = Counter()
     for seed in range(3):
-        for cycle, (qp, warm, basis) in enumerate(weight_qp_sequence(seed, **hp_kwargs)):
-            assert basis is not None
+        for cycle, (qp, warm) in enumerate(weight_qp_sequence(seed, **hp_kwargs)):
+            assert qp.h.basis is not None
             # the Schur columns are the r = 5 rows of gamma, none without matching
             q = 0 if hp_kwargs.get("c3") == 0.0 else 5
-            assert qp_solver._SchurSteps(qp, basis).u.shape == (qp.n, q)
+            assert qp_solver._SchurSteps(qp).u.shape == (qp.n, q)
             reference = solve(dense_copy(qp), warm_start=warm)
             counts.clear()
-            x = solve(qp, warm_start=warm, basis=basis)
+            x = solve(qp, warm_start=warm)
             fast.update(counts)
             if cycle == 0:
                 first.update(counts)
@@ -349,7 +356,7 @@ def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
     assert fast["schur"] > 0
     assert first["schur"] > 0
     assert fast["rejected"] == 0
-    assert fast["refined"] == 0
+    assert fast["m0_products"] == 0
     if hp_kwargs.get("delta") == 1.05:
         # most weights end at a bound: once r + |fixed| >= |free| the dense
         # free-set system is solved instead
@@ -357,18 +364,27 @@ def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
 
 
 def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
-    # the basis of another c2, and of another source graph of the same size
+    # the basis of another c2, of another source graph of the same size, and
+    # the fit's own basis perturbed by 1e-9 of its size: steps from each fail
+    # their check against H and the dense free-set system is solved instead
     counts = count_steps(monkeypatch)
     other = build_graph(make_shifted_pair([9, 0], n1=80, n2=80, n3=10, m=6,
                                           shift=1.5, rot_deg=30.0)[0], 5)
-    for qp, warm, _ in weight_qp_sequence(4, cycles=2):
-        wrong_c2 = kkt_basis(3.0 * qp.h.a * qp.h.recon_quad)
-        wrong_graph = kkt_basis(qp.h.a * reconstruction_quadratic(other, 1.0))
-        reference = solve(dense_copy(qp), warm_start=warm)
-        for wrong in (wrong_c2, wrong_graph):
+    rng = np.random.default_rng(4)
+    for problem, warm in weight_problem_sequence(4, cycles=2):
+        basis = problem.fit.basis
+        noise = rng.standard_normal(basis.shape)
+        noise *= 1e-9 * np.abs(basis).max()
+        wrong_c2 = kkt_basis(3.0 * problem.fit.h0)
+        wrong_graph = kkt_basis(2.0 * reconstruction_quadratic(other, 1.0))
+        perturbed = basis + 0.5 * (noise + noise.T)
+        reference = solve(dense_qp(problem), warm_start=warm)
+        for wrong in (wrong_c2, wrong_graph, perturbed):
+            qp = weight_qp(problem, wrong)
             counts.clear()
-            x = solve(qp, warm_start=warm, basis=wrong)
+            x = solve(qp, warm_start=warm)
             assert np.abs(x - reference).max() <= 1e-9
+            assert kkt_residual(qp, x) <= 1e-8
             assert counts["rejected"] > 0 and counts["dense"] > 0
 
 
@@ -377,44 +393,24 @@ def test_all_free_solution_matches_basis_inverse(hp_kwargs):
     # M0 b read off M0 [H0 x; 1'x] = [x; 0], against the product with M0
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        for qp, warm, basis in weight_qp_sequence(seed, **hp_kwargs):
-            steps = qp_solver._SchurSteps(qp, basis)
+        for qp, warm in weight_qp_sequence(seed, **hp_kwargs):
+            steps = qp_solver._SchurSteps(qp)
             for x in [warm, _feasible_start(qp, rng.uniform(qp.lower, qp.upper))]:
                 b = np.append(-(qp.h @ x + qp.c), qp.eq_sum - x.sum())
-                expected = basis @ b
+                expected = qp.h.basis @ b
                 assert np.abs(steps.all_free(x) - expected).max() <= \
                     1e-12 * np.abs(expected).max()
 
 
-def test_perturbed_basis_steps_are_refined(monkeypatch):
-    counts = count_steps(monkeypatch)
-    fast = Counter()
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        for qp, warm, basis in weight_qp_sequence(seed):
-            noise = rng.standard_normal(basis.shape)
-            noise *= 1e-9 * np.abs(basis).max()
-            perturbed = basis + 0.5 * (noise + noise.T)
-            reference = solve(dense_copy(qp), warm_start=warm)
-            counts.clear()
-            x = solve(qp, warm_start=warm, basis=perturbed)
-            fast.update(counts)
-            assert np.abs(x - reference).max() <= 1e-9
-            assert kkt_residual(qp, x) <= 1e-8
-    assert fast["refined"] > 0
-    assert fast["refined"] <= fast["schur"]
-    assert fast["rejected"] == 0
-
-
 def test_basis_of_wrong_size_rejected():
-    # a basis needs a GramHessian whose all-free KKT matrix has its size
-    dense = QpProblem(np.eye(3), np.zeros(3), np.zeros(3), np.ones(3), 1.5)
-    with pytest.raises(ValidationError, match="basis"):
-        solve(dense, basis=kkt_basis(np.eye(3)))
-    gram = QpProblem(GramHessian(**gram_parts()), np.zeros(6), np.zeros(6), np.ones(6), 3.0)
-    with pytest.raises(ValidationError, match="basis"):
-        solve(gram, basis=kkt_basis(np.eye(4)))
-    assert solve(gram, basis=kkt_basis(2.0 * gram.h.recon_quad)).sum() == pytest.approx(3.0)
+    # a Gram Hessian carries only the basis of an all-free KKT matrix of its size
+    parts = gram_parts()
+    for wrong in (kkt_basis(np.eye(4)), kkt_basis(np.eye(7)), np.zeros(7)):
+        with pytest.raises(ValidationError, match="basis"):
+            GramHessian(**parts, basis=wrong)
+    gram = QpProblem(GramHessian(**parts, basis=kkt_basis(parts["h0"])),
+                     np.zeros(6), np.zeros(6), np.ones(6), 3.0)
+    assert solve(gram).sum() == pytest.approx(3.0)
 
 
 def test_singular_kkt_matrix_has_no_basis():
@@ -430,9 +426,8 @@ def seeded_weight_problem(seed, n=30, **hp_kwargs):
     hp = Hyperparams(**hp_kwargs).resolved(pair.m)
     rng = np.random.default_rng(seed)
     theta = np.linalg.qr(rng.standard_normal((pair.m, hp.r)))[0].T
-    graph_s = build_graph(pair.source_x, hp.k)
-    return (build_weight_problem(rng.standard_normal(pair.m), theta, pair, graph_s, hp),
-            WeightFitState(graph_s, hp))
+    state = WeightFitState(build_graph(pair.source_x, hp.k), hp)
+    return build_weight_problem(rng.standard_normal(pair.m), theta, pair, state, hp)
 
 
 @pytest.mark.parametrize("hp_kwargs", [
@@ -440,8 +435,8 @@ def seeded_weight_problem(seed, n=30, **hp_kwargs):
 ])
 def test_gram_hessian_matches_dense_formula(hp_kwargs):
     for seed in range(3):
-        problem, state = seeded_weight_problem(seed, **hp_kwargs)
-        h = state.hessian(problem)
+        problem = seeded_weight_problem(seed, **hp_kwargs)
+        h = problem.hessian()
         reference = problem.qp_matrices()[0]
         assert h.shape == reference.shape
         rng = np.random.default_rng(seed)
@@ -462,16 +457,17 @@ def gram_parts(n=6, k=2, r=2):
     r_mat = np.eye(n)
     r_mat[np.repeat(np.arange(n), k), indices.ravel()] -= coeffs.ravel()
     return dict(indices=indices, coeffs=coeffs, a=2.0, gamma=rng.standard_normal((r, n)),
-                b=3.0, recon_quad=r_mat.T @ r_mat)
+                b=3.0, h0=2.0 * (r_mat.T @ r_mat))
 
 
 def test_gram_hessian_parts_accepted():
     parts = gram_parts()
     h = GramHessian(**parts)
-    expected = 2.0 * parts["recon_quad"] + 3.0 * parts["gamma"].T @ parts["gamma"]
+    expected = parts["h0"] + 3.0 * parts["gamma"].T @ parts["gamma"]
     v = np.arange(6.0)
     assert np.abs(h @ v - expected @ v).max() <= 1e-12 * np.abs(expected).max() * 15
     assert np.abs(h.diagonal() - np.diag(expected)).max() <= 1e-12 * np.abs(expected).max()
+    assert h.basis is None
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -488,7 +484,7 @@ def test_gram_hessian_parts_accepted():
     ("indices", np.arange(6), "shapes"),
     ("gamma", np.zeros((2, 5)), "shapes"),
     ("gamma", np.zeros(6), "shapes"),
-    ("recon_quad", np.zeros((5, 5)), "shapes"),
+    ("h0", np.zeros((5, 5)), "shapes"),
 ])
 def test_gram_hessian_rejects_bad_parts(field, value, message):
     parts = gram_parts()
@@ -499,6 +495,8 @@ def test_gram_hessian_rejects_bad_parts(field, value, message):
 
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
 def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
+    # update_pi(problem) takes Schur steps on the fit's basis, which rides on
+    # the problem, and makes no product with M0
     counts = count_steps(monkeypatch)
     formed = Counter()
     form_dense = GramHessian.dense
@@ -510,12 +508,12 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
     monkeypatch.setattr(GramHessian, "dense", dense)
     fast = Counter()
     for seed in range(3):
-        for problem, warm, state in weight_problem_sequence(seed, **hp_kwargs):
+        for problem, warm in weight_problem_sequence(seed, **hp_kwargs):
             qp = dense_qp(problem)
             reference = solve(qp, warm_start=warm)
             counts.clear()
             formed.clear()
-            x = update_pi(problem, warm_start=warm, fit_state=state)
+            x = update_pi(problem, warm_start=warm)
             fast.update(counts)
             assert np.abs(x - reference).max() <= 1e-9
             assert kkt_residual(qp, x) <= 1e-8
@@ -524,7 +522,7 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
             assert formed["dense"] == int(counts["dense"] > 0)
     assert fast["schur"] > 0
     assert fast["rejected"] == 0
-    assert fast["refined"] == 0
+    assert fast["m0_products"] == 0
 
 
 def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
@@ -554,3 +552,25 @@ def test_fit_builds_one_kkt_basis(monkeypatch):
                    Hyperparams(tol=1e-12, max_outer_iters=4))
     assert trace.n_iters == 4
     assert built["basis"] == 1
+
+
+K1_PANEL_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "k1_panel_seed{}.npz")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_k1_panel_fixture_rebuilds_without_basis(seed):
+    # the weight QP on which a k = 1 panel fit stops with "QP did not
+    # converge", written by tests/data/capture_k1_panel.py
+    with np.load(K1_PANEL_FIXTURE.format(seed)) as data:
+        qp_data = dict(data)
+    graph = NeighborGraph(qp_data["indices"], qp_data["coeffs"])
+    state = WeightFitState(graph, Hyperparams(k=1, c2=float(qp_data["a"]) / 2.0))
+    # a k = 1 graph leaves I - W more than one null vector: the dense path
+    assert graph.k == 1 and state.basis is None
+    h = GramHessian(graph.indices, graph.coeffs, qp_data["a"], qp_data["gamma"],
+                    qp_data["b"], state.h0, state.basis)
+    qp = QpProblem(h, qp_data["c"], qp_data["lower"], qp_data["upper"], qp_data["eq_sum"])
+    qp_solver._validate(qp)
+    warm = qp_data["warm_start"]
+    assert qp.n == 200 and warm.shape == (qp.n,)
+    assert np.abs(_feasible_start(qp, warm) - warm).max() <= 1e-12

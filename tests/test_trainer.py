@@ -3,12 +3,13 @@ import pytest
 
 from subadapt.classifier import MAX_STEP_HALVINGS, ObjectiveContext, predict_target, recover_u_v
 from subadapt.cli import make_shifted_pair
-from subadapt.data_model import DatasetPair, Hyperparams, check_model_state
+from subadapt.data_model import DatasetPair, Hyperparams, ValidationError, check_model_state
 from subadapt.losses import loss_value
 from subadapt.neighborhood import NeighborGraph, build_graph
 from subadapt.subspace import projected_means
 from subadapt import trainer
 from subadapt.trainer import ObjectiveTerms, block_cycle, fit, full_objective
+from subadapt.weights import WeightFitState
 
 
 def separable_identical_pair(rng, n=20, m=3, margin=1.5):
@@ -102,6 +103,24 @@ def test_full_objective_losses_only():
     expected += float(loss_value("logistic", pair.target_y,
                                  pair.target_x[:3] @ varphi_vec).sum())
     assert value == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name, message", [
+    ("theta", "non-finite theta or w"), ("w", "non-finite theta or w"),
+    ("pi", "non-finite pi"),
+])
+def test_full_objective_rejects_non_finite_values(name, message, bad):
+    rng = np.random.default_rng(3)
+    pair = synthetic_pair(4, n1=9, n2=8, n3=4)
+    hp = Hyperparams(k=2, r=2)
+    ctx = ObjectiveContext(pair, build_graph(pair.source_x, 2),
+                           build_graph(pair.target_x, 2), hp)
+    args = {"theta": np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
+            "w": rng.standard_normal(2), "pi": np.ones(pair.n1)}
+    args[name].flat[1] = bad
+    with pytest.raises(ValidationError, match=message):
+        full_objective(args["theta"], args["w"], np.zeros(4), np.zeros(4), args["pi"], ctx)
 
 
 @pytest.mark.parametrize("loss", ["hinge", "logistic", "exponential"])
@@ -212,7 +231,7 @@ def test_fit_converged_state_is_fixed_point():
     before = full_objective(state.theta, state.w, state.phi, state.varphi,
                             state.pi, ctx).total
     params, terms, _, _ = block_cycle(state.theta, state.w, state.phi, state.varphi,
-                                      state.pi, ctx)
+                                      state.pi, ctx, WeightFitState(graph_s, ctx.hp))
     after = full_objective(*params, ctx).total
     assert after == terms[-1].total
     assert abs(after - before) <= hp.tol * max(1.0, abs(before))
