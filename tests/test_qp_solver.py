@@ -364,22 +364,17 @@ def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
 
 
 def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
-    # the basis of another c2, of another source graph of the same size, and
-    # the fit's own basis perturbed by 1e-9 of its size: steps from each fail
-    # their check against H and the dense free-set system is solved instead
+    # the basis of another c2 and of another source graph of the same size:
+    # steps from each fail their check against H and the dense free-set
+    # system is solved instead
     counts = count_steps(monkeypatch)
     other = build_graph(make_shifted_pair([9, 0], n1=80, n2=80, n3=10, m=6,
                                           shift=1.5, rot_deg=30.0)[0], 5)
-    rng = np.random.default_rng(4)
     for problem, warm in weight_problem_sequence(4, cycles=2):
-        basis = problem.fit.basis
-        noise = rng.standard_normal(basis.shape)
-        noise *= 1e-9 * np.abs(basis).max()
         wrong_c2 = kkt_basis(3.0 * problem.fit.h0)
         wrong_graph = kkt_basis(2.0 * reconstruction_quadratic(other, 1.0))
-        perturbed = basis + 0.5 * (noise + noise.T)
         reference = solve(dense_qp(problem), warm_start=warm)
-        for wrong in (wrong_c2, wrong_graph, perturbed):
+        for wrong in (wrong_c2, wrong_graph):
             qp = weight_qp(problem, wrong)
             counts.clear()
             x = solve(qp, warm_start=warm)
@@ -387,6 +382,28 @@ def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
             assert kkt_residual(qp, x) <= 1e-8
             assert counts["rejected"] > 0 and counts["dense"] > 0
 
+
+def test_perturbed_basis_steps_are_refined(monkeypatch):
+    # the fit's own basis perturbed by 1e-9 of its size: a Schur step that
+    # fails its check against H is not refined on the basis but solved again
+    # on the dense free-set path, to the dense reference's solution
+    counts = count_steps(monkeypatch)
+    fast = Counter()
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for problem, warm in weight_problem_sequence(seed):
+            basis = problem.fit.basis
+            noise = rng.standard_normal(basis.shape)
+            noise *= 1e-9 * np.abs(basis).max()
+            qp = weight_qp(problem, basis + 0.5 * (noise + noise.T))
+            reference = solve(dense_qp(problem), warm_start=warm)
+            counts.clear()
+            x = solve(qp, warm_start=warm)
+            fast.update(counts)
+            assert np.abs(x - reference).max() <= 1e-9
+            assert kkt_residual(qp, x) <= 1e-8
+    assert fast["rejected"] > 0
+    assert fast["dense"] >= fast["rejected"]
 
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
 def test_all_free_solution_matches_basis_inverse(hp_kwargs):
