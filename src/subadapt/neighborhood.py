@@ -50,13 +50,6 @@ class NeighborGraph:
     def k(self) -> int:
         return self.indices.shape[1]
 
-    def dense_coefficients(self) -> np.ndarray:
-        """The n x n matrix W with W[i, j] = coefficient of neighbor j for point i."""
-        w = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), self.k)
-        w[rows, self.indices.ravel()] = self.coeffs.ravel()
-        return w
-
     def residual_vectors(self, points: np.ndarray) -> np.ndarray:
         """points[i] minus its coefficient-weighted neighbor combination."""
         points = np.asarray(points, dtype=float)

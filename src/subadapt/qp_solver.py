@@ -6,22 +6,23 @@
 A primal active-set method fixes variables at their bounds and solves the
 remaining equality-constrained subproblem through a bordered KKT system.
 H is either a dense symmetric PSD matrix, checked on every solve, or a
-``GramHessian``: a sum of Gram matrices held in factored form, symmetric
-PSD by construction, whose products cost O(nk + nr) and whose dense matrix
-is formed only when a dense free-set block is needed.
-A GramHessian may carry a KKT basis: the explicit inverse M0 of the
-all-free bordered KKT matrix K0 of its fixed part H0 (the weight step builds
-it once per fit, from H0 = 2 c2 R'R). Each step then comes from a small
-Schur complement against that inverse, bordered by the rank-r term b G'G
-(q = r columns) and the fixed set, and verified against H itself (Gill,
-Murray, Saunders & Wright 1990, "A Schur-complement method for sparse
-quadratic programming"). The step's all-free solution M0 b is read off
-M0 [H0 x; 1'x] = [x; 0] and one product M0 [-c; eq_sum] per QP, so a step
-makes no product with M0; a step that fails verification is solved from
-the dense free-set system instead. Singular reduced Hessians (PSD but rank
-deficient, including H = 0) fall back to an eigendecomposition of the
-reduced Hessian and follow directions of linear descent until a bound
-blocks; the feasible set is compact, so a blocking bound always exists.
+``GramHessian`` H0 + b G'G: a ``ReconstructionHessian`` H0 = a R'R
+(R = I - W, with k entries per row of W) plus a rank-r Gram term, both
+held in factored form, symmetric PSD by construction, whose products cost
+O(nk + nr). H0 is the part of the weight step's Hessian fixed for a whole
+fit, so it is checked once and carries its dense matrix and its KKT basis:
+the explicit inverse M0 of the all-free bordered KKT matrix K0 of H0. Each
+step then comes from a small Schur complement against that inverse,
+bordered by the rank-r term b G'G (q = r columns) and the fixed set, and
+verified against H itself (Gill, Murray, Saunders & Wright 1990, "A
+Schur-complement method for sparse quadratic programming"). The step's
+all-free solution M0 b is read off M0 [H0 x; 1'x] = [x; 0] and one product
+M0 [-c; eq_sum] per QP, so a step makes no product with M0; a step that
+fails verification is solved from the dense free-set system instead.
+Singular reduced Hessians (PSD but rank deficient, including H = 0) fall
+back to an eigendecomposition of the reduced Hessian and follow directions
+of linear descent until a bound blocks; the feasible set is compact, so a
+blocking bound always exists.
 """
 
 from __future__ import annotations
@@ -44,64 +45,98 @@ BASIS_COND_LIMIT = 1e8
 _MAX_ITERS_PER_VAR = 100
 
 
-class GramHessian:
-    """H = H0 + b G'G in factored form, with H0 = a R'R and R = I - W.
+class ReconstructionHessian:
+    """H0 = a R'R with R = I - W: the fixed part of every weight QP of a fit.
 
     Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
-    n x k), G is r x n, and a, b >= 0. ``h0`` is the dense H0, passed in so
-    that the QPs of one fit share one matrix; it is trusted to match the
-    factors, and ``diagonal`` and ``dense`` read it. ``basis`` is None or
-    the ``kkt_basis`` of h0, with which ``solve`` takes Schur steps. The
-    constructor checks everything H's symmetry and PSD rest on, so ``solve``
-    runs no symmetry scan or PSD check on a GramHessian.
+    n x k), and a >= 0. The constructor checks these factors, forms the
+    dense ``h0`` and its ``kkt_basis`` (None when K0 is singular or
+    ill-conditioned), once per fit; ``@`` applies H0 in O(nk).
     """
 
-    def __init__(self, indices, coeffs, a, gamma, b, h0, basis=None):
+    def __init__(self, indices, coeffs, a):
         indices = np.asarray(indices)
         coeffs = np.asarray(coeffs, dtype=float)
-        gamma = np.asarray(gamma, dtype=float)
-        h0 = np.asarray(h0, dtype=float)
         n = indices.shape[0] if indices.ndim == 2 else -1
-        if n < 0 or coeffs.shape != indices.shape or gamma.ndim != 2 \
-                or gamma.shape[1] != n or h0.shape != (n, n):
+        if n < 0 or coeffs.shape != indices.shape:
             raise ValidationError("Gram Hessian factors have mismatched shapes")
-        if basis is not None and np.shape(basis) != (n + 1, n + 1):
-            raise ValidationError("KKT basis does not match the Gram Hessian")
         if not np.issubdtype(indices.dtype, np.integer) or \
                 (indices.size and not 0 <= indices.min() <= indices.max() < n):
             raise ValidationError("Gram Hessian column index out of range")
-        if not (np.isfinite(coeffs).all() and np.isfinite(gamma).all()):
+        if not np.isfinite(coeffs).all():
             raise ValidationError("Gram Hessian factors contain non-finite entries")
-        a, b = float(a), float(b)
-        if not (0.0 <= a < np.inf and 0.0 <= b < np.inf):
+        a = float(a)
+        if not 0.0 <= a < np.inf:
             raise ValidationError("Gram Hessian scales must be finite and nonnegative")
+        self.n = n
         self.shape = (n, n)
         self.indices = indices
         self.coeffs = coeffs
         self.a = a
+        self._flat_indices = indices.ravel()
+        self.h0 = a * _reconstruction_gram(indices, coeffs)
+        self.basis = kkt_basis(self.h0)
+
+    def residual(self, v) -> np.ndarray:
+        """R v, in O(nk)."""
+        v = np.asarray(v, dtype=float)
+        return v - np.einsum("ik,ik->i", self.coeffs, v[self.indices])
+
+    def __matmul__(self, v) -> np.ndarray:
+        """H0 v, in O(nk)."""
+        rv = self.residual(v)
+        rtrv = rv - np.bincount(self._flat_indices, (self.coeffs * rv[:, None]).ravel(),
+                                minlength=self.n)
+        return self.a * rtrv
+
+
+def _reconstruction_gram(indices, coeffs) -> np.ndarray:
+    """(I - W)'(I - W), dense; W and I - W are freed on return."""
+    n, k = indices.shape
+    w = np.zeros((n, n))
+    w[np.repeat(np.arange(n), k), indices.ravel()] = coeffs.ravel()
+    eye_minus_w = np.eye(n) - w
+    return eye_minus_w.T @ eye_minus_w
+
+
+class GramHessian:
+    """H = H0 + b G'G: a fit's ``ReconstructionHessian`` H0 plus a rank-r
+    Gram term, with G r x n and b >= 0.
+
+    ``diagonal`` and ``dense`` read H0's dense ``h0``, and ``basis`` is
+    H0's KKT basis, with which ``solve`` takes Schur steps. H0 checked its
+    own factors and the constructor checks G and b, so H is symmetric PSD
+    by construction and ``solve`` runs no symmetry scan or PSD check on it.
+    """
+
+    def __init__(self, fixed: ReconstructionHessian, gamma, b):
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.ndim != 2 or gamma.shape[1] != fixed.n:
+            raise ValidationError("Gram Hessian factors have mismatched shapes")
+        if not np.isfinite(gamma).all():
+            raise ValidationError("Gram Hessian factors contain non-finite entries")
+        b = float(b)
+        if not 0.0 <= b < np.inf:
+            raise ValidationError("Gram Hessian scales must be finite and nonnegative")
+        self.shape = fixed.shape
+        self.fixed = fixed
         self.gamma = gamma
         self.b = b
-        self.h0 = h0
-        self.basis = basis
-        self._flat_indices = indices.ravel()
+        self.basis = fixed.basis
         self._dense = None
 
     def __matmul__(self, v) -> np.ndarray:
         """H v for a vector v, in O(nk + nr)."""
-        v = np.asarray(v, dtype=float)
-        rv = v - np.einsum("ik,ik->i", self.coeffs, v[self.indices])
-        rtrv = rv - np.bincount(self._flat_indices, (self.coeffs * rv[:, None]).ravel(),
-                                minlength=self.shape[0])
-        return self.a * rtrv + self.b * (self.gamma.T @ (self.gamma @ v))
+        return self.fixed @ v + self.b * (self.gamma.T @ (self.gamma @ v))
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of H, in O(n + nr); named as ndarray's."""
-        return np.diag(self.h0) + self.b * (self.gamma ** 2).sum(axis=0)
+        return np.diag(self.fixed.h0) + self.b * (self.gamma ** 2).sum(axis=0)
 
     def dense(self) -> np.ndarray:
         """H as a dense matrix, formed on the first call and cached."""
         if self._dense is None:
-            self._dense = self.h0 + self.b * (self.gamma.T @ self.gamma)
+            self._dense = self.fixed.h0 + self.b * (self.gamma.T @ self.gamma)
         return self._dense
 
 
@@ -311,8 +346,8 @@ def kkt_basis(h0) -> np.ndarray | None:
 
 
 class _SchurSteps:
-    """Free-set steps of one QP from the KKT basis M0 that its GramHessian
-    carries for its fixed part H0.
+    """Free-set steps of one QP from the KKT basis M0 of its GramHessian's
+    ``ReconstructionHessian`` H0.
 
     The step (dx, nu) with dx fixed at zero on the fixed set A solves the
     bordered system of H = H0 + d U U' (U = G', d = b; q = r columns, or
@@ -402,8 +437,8 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
     The result is feasible to 1e-8 on bounds and sum and satisfies the KKT
     stationarity conditions to well below 1e-6 in max norm.
 
-    When p.h is a GramHessian that carries the ``kkt_basis`` of its fixed
-    part, each step comes from a Schur complement while q + |fixed| < |free|;
+    When p.h is a GramHessian whose ``ReconstructionHessian`` has a KKT
+    basis, each step comes from a Schur complement while q + |fixed| < |free|;
     otherwise, and whenever that step fails verification against p.h, from
     the dense free-set system. A dense p.h is checked for symmetry and PSD
     first; a GramHessian is both by construction.
@@ -417,10 +452,13 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
     lo, up = p.lower, p.upper
     x = _feasible_start(p, warm_start)
 
-    bound_atol = 1e-11 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(up)))
-    pinned = up - lo <= bound_atol          # effectively fixed variables
-    active_lo = x <= lo + bound_atol
-    active_up = (x >= up - bound_atol) & ~active_lo
+    # each bound's test is scaled by that bound alone: a huge upper bound
+    # must not mark small values as sitting at the lower one
+    lo_atol = 1e-11 * np.maximum(1.0, np.abs(lo))
+    up_atol = 1e-11 * np.maximum(1.0, np.abs(up))
+    pinned = up - lo <= np.maximum(lo_atol, up_atol)  # effectively fixed variables
+    active_lo = x <= lo + lo_atol
+    active_up = (x >= up - up_atol) & ~active_lo
     x[active_lo] = lo[active_lo]
     x[active_up] = up[active_up]
 

@@ -11,7 +11,6 @@ nonincreasing across every block boundary up to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,8 +20,9 @@ from .classifier import ObjectiveContext, recover_u_v, update_phi_varphi
 from .data_model import DatasetPair, Hyperparams, ModelState, ValidationError, validate
 from .losses import loss_value
 from .neighborhood import build_graph
+from .qp_solver import ReconstructionHessian
 from .subspace import build_phi, projected_means, update_theta, update_w
-from .weights import WeightFitState, build_weight_problem, update_pi
+from .weights import build_weight_problem, update_pi
 
 
 @dataclass
@@ -36,7 +36,7 @@ class TrainingTrace:
     scored proposals (accepted steps plus halvings), and whether the descent
     stopped because no halved step decreased the objective. The weight-step
     objective pair records the solved QP value against the value at uniform
-    weights (NaN when the weight block is disabled).
+    weights; the two are equal when delta = 1.
     """
 
     objective_after_subspace: list = field(default_factory=list)
@@ -45,7 +45,6 @@ class TrainingTrace:
     terms_after_subspace: list = field(default_factory=list)
     terms_after_classifier: list = field(default_factory=list)
     terms_after_weights: list = field(default_factory=list)
-    matching_term: list = field(default_factory=list)
     q_value: list = field(default_factory=list)
     pi_min: list = field(default_factory=list)
     pi_max: list = field(default_factory=list)
@@ -114,12 +113,11 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi,
 
 
 def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
-                weights: WeightFitState | None, update_subspace=True):
+                weights: ReconstructionHessian, update_subspace=True):
     """Run one full block cycle. Returns the new (theta, w, phi, varphi, pi),
     the objective terms after each of the three blocks, the descent's
     InnerTrace, and the weight QP's (solved, uniform) objectives. ``weights``
-    is the weight step's per-fit state; None turns the weight block off, and
-    its objectives are then NaN."""
+    is the fit's fixed H0 of the weight QP."""
     pair, hp = ctx.pair, ctx.hp
     if update_subspace:
         phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
@@ -132,20 +130,16 @@ def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
         phi_vec, varphi_vec, theta, w, pi, ctx, hp=hp)
     after_classifier = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
 
-    qp_objectives = (math.nan, math.nan)
-    if weights is not None:
-        problem = build_weight_problem(phi_vec, theta, pair, weights, hp)
-        new_pi = update_pi(problem, warm_start=pi)
-        qp_objectives = (problem.objective(new_pi),
-                         problem.objective(np.ones(pair.n1)))
-        pi = new_pi
+    problem = build_weight_problem(phi_vec, theta, pair, weights, hp)
+    pi = update_pi(problem, warm_start=pi)
+    qp_objectives = (problem.objective(pi), problem.objective(np.ones(pair.n1)))
     after_weights = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
     return ((theta, w, phi_vec, varphi_vec, pi),
             (after_subspace, after_classifier, after_weights), inner, qp_objectives)
 
 
 def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
-        update_weights=True, iteration_callback=None):
+        iteration_callback=None):
     """Train the model by block-coordinate descent.
 
     Neighbor graphs are built once from the raw features. Classifier
@@ -154,9 +148,10 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
     objective change falls below ``hp.tol`` or after ``hp.max_outer_iters``
     cycles; hitting the cap is recorded, not raised.
 
-    The ablation switches skip the projection block (keeping an identity
-    prefix projection with a zero shared classifier) or the weight block
-    (keeping uniform weights).
+    ``update_subspace=False`` skips the projection block, keeping an
+    identity prefix projection with a zero shared classifier. The weight
+    block always runs; ``hp.delta = 1`` makes its box hold only pi = 1, so
+    that setting is the no-weighting ablation.
 
     Returns (ModelState, TrainingTrace).
     """
@@ -172,7 +167,7 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
     w = np.zeros(r)
     pi = np.ones(pair.n1)
     theta = None if update_subspace else np.eye(r, m)
-    weight_state = WeightFitState(graph_s, hp) if update_weights else None
+    weights = ReconstructionHessian(graph_s.indices, graph_s.coeffs, 2.0 * hp.c2)
 
     trace = TrainingTrace()
     prev_objective = None
@@ -180,7 +175,7 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
 
     for iteration in range(hp.max_outer_iters):
         (theta, w, phi_vec, varphi_vec, pi), terms, inner, qp_objectives = block_cycle(
-            theta, w, phi_vec, varphi_vec, pi, ctx, weight_state,
+            theta, w, phi_vec, varphi_vec, pi, ctx, weights,
             update_subspace=update_subspace)
 
         trace.objective_after_subspace.append(terms[0].total)
@@ -195,7 +190,6 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
         trace.inner_hit_step_floor.append(inner.hit_step_floor)
         trace.pi_step_objective.append(qp_objectives[0])
         trace.pi_step_objective_uniform.append(qp_objectives[1])
-        trace.matching_term.append(terms[2].matching)
         trace.pi_min.append(float(pi.min()))
         trace.pi_max.append(float(pi.max()))
         trace.pi_mean.append(float(pi.mean()))

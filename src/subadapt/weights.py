@@ -8,12 +8,14 @@ source mean to the target mean in the subspace (the Gram term
 intersected with the plane sum(pi) = n1.
 
 The QP's Hessian is H0 + c3 gamma'gamma with H0 = 2 c2 (I - W)'(I - W)
-fixed for the fit. A ``WeightFitState`` holds the source graph, c2, the
-dense H0 and the inverse of H0's bordered KKT matrix K0, built once per
-fit. Every ``WeightStepProblem`` carries its fit's state, so ``update_pi``
-solves the Hessian in factored form (``GramHessian``) with that basis, and
-each step is a rank-r update of K0 (q = r Schur columns). ``qp_matrices``
-gives the same H densely: the reference that the tests solve.
+fixed for the fit. ``fit`` builds H0 once as a ``ReconstructionHessian``,
+which holds its dense matrix and the inverse of its bordered KKT matrix K0.
+Every ``WeightStepProblem`` carries it, so ``update_pi`` solves the Hessian
+in factored form (``GramHessian``) with that basis, and each step is a
+rank-r update of K0 (q = r Schur columns). ``qp_matrices`` gives the same H
+densely: the reference that the tests solve. With delta = 1 the feasible
+set is the single point pi = 1, so the weight step leaves uniform weights:
+the no-weighting ablation.
 """
 
 from __future__ import annotations
@@ -24,32 +26,7 @@ import numpy as np
 
 from .data_model import DatasetPair, Hyperparams, ValidationError
 from .losses import loss_value
-from .neighborhood import NeighborGraph
-from .qp_solver import GramHessian, QpProblem, kkt_basis, solve
-
-
-def reconstruction_quadratic(graph_s: NeighborGraph, c2: float) -> np.ndarray:
-    """c2 (I - W)'(I - W) for the source graph's coefficient matrix W."""
-    eye_minus_w = np.eye(graph_s.n) - graph_s.dense_coefficients()
-    return c2 * (eye_minus_w.T @ eye_minus_w)
-
-
-class WeightFitState:
-    """The weight step's part fixed for one fit: the source graph, c2, the
-    dense H0 = 2 c2 (I - W)'(I - W) and the KKT basis of H0.
-
-    Every weight QP of the fit is H0 plus c3 gamma'gamma, a rank-r term, so
-    the inverse of H0's bordered KKT matrix K0, built here once, serves all
-    of them. ``basis`` is None when K0 is singular or ill-conditioned
-    (c2 = 0, or a graph whose (I - W) has more than one null vector); every
-    QP of the fit then takes the dense path.
-    """
-
-    def __init__(self, graph_s: NeighborGraph, hp: Hyperparams):
-        self.graph = graph_s
-        self.c2 = hp.c2
-        self.h0 = 2.0 * reconstruction_quadratic(graph_s, hp.c2)
-        self.basis = kkt_basis(self.h0)
+from .qp_solver import GramHessian, QpProblem, ReconstructionHessian, solve
 
 
 @dataclass(frozen=True)
@@ -58,8 +35,9 @@ class WeightStepProblem:
 
     ``gamma`` has column i equal to theta @ source_x[i] / n1 and
     ``vartheta`` is the projected target mean, so the matching penalty is
-    0.5*c3*||gamma pi - vartheta||^2. ``fit`` holds the source graph and c2;
-    the reconstruction penalty c2 ||(I - W) pi||^2 is applied through it.
+    0.5*c3*||gamma pi - vartheta||^2. ``fit`` is the fit's H0 = a R'R with
+    a = 2 c2, through which the reconstruction penalty c2 ||R pi||^2 is
+    applied.
     """
 
     tau: np.ndarray
@@ -68,14 +46,14 @@ class WeightStepProblem:
     c3: float
     delta: float
     n1: int
-    fit: WeightFitState
+    fit: ReconstructionHessian
 
     def objective(self, pi) -> float:
         """Value of the weight subproblem at pi, constant term included."""
         pi = np.asarray(pi, dtype=float)
         gap = self.gamma @ pi - self.vartheta
-        resid = self.fit.graph.residual_vectors(pi[:, None])[:, 0]
-        return float(self.tau @ pi + self.fit.c2 * (resid @ resid)
+        resid = self.fit.residual(pi)
+        return float(self.tau @ pi + 0.5 * self.fit.a * (resid @ resid)
                      + 0.5 * self.c3 * (gap @ gap))
 
     def linear_term(self) -> np.ndarray:
@@ -85,26 +63,23 @@ class WeightStepProblem:
     def qp_matrices(self):
         """(H, c) such that 0.5 pi'H pi + c'pi matches the objective up to
         the constant 0.5*c3*||vartheta||^2; H dense."""
-        return self.fit.h0 + self.c3 * (self.gamma.T @ self.gamma), self.linear_term()
+        return self.hessian().dense(), self.linear_term()
 
     def hessian(self) -> GramHessian:
-        """The H of ``qp_matrices`` in factored form, with the fit's KKT
-        basis; its ``dense()`` has the same bits."""
-        graph = self.fit.graph
-        return GramHessian(graph.indices, graph.coeffs, 2.0 * self.fit.c2, self.gamma,
-                           self.c3, self.fit.h0, self.fit.basis)
+        """H in factored form, with the fit's KKT basis."""
+        return GramHessian(self.fit, self.gamma, self.c3)
 
 
 def build_weight_problem(phi_vec, theta, pair: DatasetPair,
-                         fit: WeightFitState, hp: Hyperparams) -> WeightStepProblem:
-    """Per-point losses and matching pieces, over the fit's source graph."""
+                         fit: ReconstructionHessian, hp: Hyperparams) -> WeightStepProblem:
+    """Per-point losses and matching pieces, over the fit's fixed H0."""
     phi_vec = np.asarray(phi_vec, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if phi_vec.shape != (pair.m,):
         raise ValidationError("phi length does not match the feature dimension")
     if theta.ndim != 2 or theta.shape[1] != pair.m:
         raise ValidationError("theta columns do not match the feature dimension")
-    if fit.graph.n != pair.n1:
+    if fit.n != pair.n1:
         raise ValidationError("source graph size does not match the source set")
     tau = np.asarray(loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec),
                      dtype=float)
@@ -116,8 +91,9 @@ def build_weight_problem(phi_vec, theta, pair: DatasetPair,
 
 def update_pi(problem: WeightStepProblem, warm_start=None) -> np.ndarray:
     """Solve the weight subproblem; feasible to QP tolerances. The factored
-    Hessian carries the fit's KKT basis, so steps come from Schur
-    complements whenever the fit has one."""
+    Hessian carries the KKT basis of the fit's H0, so steps come from Schur
+    complements whenever H0 has one. With delta = 1 the solution is exactly
+    pi = 1."""
     qp = QpProblem(h=problem.hessian(), c=problem.linear_term(),
                    lower=np.zeros(problem.n1),
                    upper=np.full(problem.n1, problem.delta),

@@ -54,8 +54,8 @@ def capture(seed, out_dir):
         except NumericError as error:
             if "did not converge" in str(error):
                 path = os.path.join(out_dir, f"k1_panel_seed{seed}.npz")
-                h = qp.h
-                write_npz(path, dict(indices=h.indices, coeffs=h.coeffs, a=h.a,
+                h, fixed = qp.h, qp.h.fixed
+                write_npz(path, dict(indices=fixed.indices, coeffs=fixed.coeffs, a=fixed.a,
                                      gamma=h.gamma, b=h.b, c=qp.c, lower=qp.lower,
                                      upper=qp.upper, eq_sum=qp.eq_sum,
                                      warm_start=warm_start))

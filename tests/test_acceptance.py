@@ -17,9 +17,10 @@ from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.evaluation import run_cv
 from subadapt.neighborhood import build_graph, solve_reconstruction
+from subadapt.qp_solver import ReconstructionHessian
 from subadapt.subspace import update_theta
 from subadapt.trainer import fit
-from subadapt.weights import WeightFitState, build_weight_problem, update_pi
+from subadapt.weights import build_weight_problem, update_pi
 
 
 def report(number, name, elapsed, budget):
@@ -154,7 +155,8 @@ def test_criterion_3_qp_oracle_equivalence():
                          c3=float(rng.uniform(0, 6.0)),
                          delta=delta, r=2, k=2,
                          loss=("hinge", "logistic")[int(rng.integers(0, 2))])
-        state = WeightFitState(build_graph(xs, hp.k), hp)
+        graph = build_graph(xs, hp.k)
+        state = ReconstructionHessian(graph.indices, graph.coeffs, 2.0 * hp.c2)
         theta = np.linalg.qr(rng.standard_normal((m, 2)))[0].T
         phi_vec = rng.standard_normal(m)
         problem = build_weight_problem(phi_vec, theta, pair, state, hp)
@@ -272,7 +274,8 @@ def test_criterion_9_reparametrization_identity(shared_runs):
 def test_criterion_7_transfer_benefit():
     started = time.perf_counter()
     hp_full = Hyperparams(loss="logistic", max_outer_iters=30, tol=1e-4)
-    hp_ablation = Hyperparams(loss="logistic", c3=0.0, max_outer_iters=30,
+    # delta = 1 holds every source weight at one: no weighting
+    hp_ablation = Hyperparams(loss="logistic", c3=0.0, delta=1.0, max_outer_iters=30,
                               tol=1e-4)
     gaps = []
     for seed in range(20):
@@ -280,7 +283,7 @@ def test_criterion_7_transfer_benefit():
                                            shift=1.5, rot_deg=30.0)
         full = run_cv(sx, sy, tx, ty, hp_full, folds=10, seed=seed)
         ablation = run_cv(sx, sy, tx, ty, hp_ablation, folds=10, seed=seed,
-                          update_subspace=False, update_weights=False)
+                          update_subspace=False)
         gaps.append(full.mean_accuracy - ablation.mean_accuracy)
     mean_gap = float(np.mean(gaps))
     elapsed = time.perf_counter() - started

@@ -158,7 +158,6 @@ def test_train_model_reload_and_revalidate(tmp_path):
             for name in term_names:
                 total += terms[name]
             assert total == objective
-    assert [t["matching"] for t in trace["terms_after_weights"]] == trace["matching_term"]
     diffs = np.diff(trace["objective_after_weights"])
     assert np.all(diffs <= 1e-6)
 
@@ -343,6 +342,24 @@ def test_predict_matches_in_process(tmp_path):
         file_score, file_label = line.split(",")
         assert float(file_score) == pytest.approx(score, abs=0.0)
         assert int(file_label) == label
+
+
+def test_train_with_huge_delta_then_predict(tmp_path):
+    # a model trained with delta = 1e12 passes predict's model checks: the
+    # weight QP's lower-bound test is not scaled by delta
+    data = tmp_path / "d"
+    assert main(["synth", "--seed", "3", "--n1", "40", "--n2", "40", "--n3", "10",
+                 "--m", "4", "--out-dir", str(data)]) == 0
+    model_path = tmp_path / "model.txt"
+    assert main(["train", "--source", str(data / "source.csv"),
+                 "--target", str(data / "target.csv"), "--model", str(model_path),
+                 "--neighbors", "3", "--max-iters", "5", "--delta", "1e12"]) == 0
+    assert main(["predict", "--model", str(model_path),
+                 "--input", str(data / "target.csv"),
+                 "--output", str(tmp_path / "pred.csv")]) == 0
+    state, hp, _ = load_model(model_path)
+    assert hp.delta == 1e12
+    check_model_state(state, hp.delta)
 
 
 def test_predict_output_bytes_match_17_digit_format(tmp_path):

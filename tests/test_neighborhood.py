@@ -152,15 +152,6 @@ def test_graph_simplex_invariants():
         assert np.all(graph.indices[i] >= 0) and np.all(graph.indices[i] < 25)
 
 
-def test_dense_coefficients_scatter():
-    points = np.array([[0.0], [1.0], [2.0]])
-    graph = build_graph(points, 2)
-    w = graph.dense_coefficients()
-    assert w.shape == (3, 3)
-    assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-8
-    assert np.all(np.diag(w) == 0.0)
-
-
 def test_residual_vectors_match_definition():
     rng = np.random.default_rng(6)
     points = rng.standard_normal((10, 3))

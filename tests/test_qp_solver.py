@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import os
 from collections import Counter
 
@@ -7,12 +9,11 @@ import pytest
 from subadapt import qp_solver
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
-from subadapt.neighborhood import NeighborGraph, build_graph
-from subadapt.qp_solver import GramHessian, QpProblem, _feasible_start, kkt_basis, solve
+from subadapt.neighborhood import build_graph
+from subadapt.qp_solver import GramHessian, QpProblem, ReconstructionHessian, \
+    _feasible_start, kkt_basis, solve
 from subadapt.trainer import fit
-from subadapt import weights
-from subadapt.weights import (WeightFitState, build_weight_problem,
-                              reconstruction_quadratic, update_pi)
+from subadapt.weights import build_weight_problem, update_pi
 
 
 def kkt_residual(p, x, activity_atol=1e-7):
@@ -182,6 +183,19 @@ def test_pinned_variable():
     assert x[2] == pytest.approx(0.4, abs=1e-8)
 
 
+@pytest.mark.parametrize("upper", [1e12, 1e300])
+def test_large_upper_bounds_keep_the_solution_feasible(upper):
+    # each bound's activity test is scaled by that bound alone: scaled by
+    # the upper bound too, the lower test took every x below 1e-11 * upper
+    # as sitting at 0, and the solve returned all zeros
+    p = QpProblem(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, upper), 5.0)
+    x = solve(p)
+    assert abs(x.sum() - 5.0) <= 1e-8 * 5.0
+    assert x.min() >= 0.0 and x.max() <= upper
+    assert kkt_residual(p, x) <= 1e-8
+    assert x == pytest.approx([8 / 3, 5 / 3, 2 / 3, 0.0, 0.0], abs=1e-12)
+
+
 def bisection_start(p, warm_start):
     """Shift-then-clip projection onto the box/sum set by 200-step bisection."""
     x0 = np.full(p.n, p.eq_sum / p.n) if warm_start is None else warm_start.copy()
@@ -253,7 +267,8 @@ def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
                                        shift=1.5, rot_deg=30.0)
     pair = DatasetPair(sx, sy, tx, ty[:10])
     hp = Hyperparams(**hp_kwargs).resolved(pair.m)
-    state = WeightFitState(build_graph(pair.source_x, hp.k), hp)
+    graph = build_graph(pair.source_x, hp.k)
+    state = ReconstructionHessian(graph.indices, graph.coeffs, 2.0 * hp.c2)
     rng = np.random.default_rng(seed)
     pi = np.ones(n)
     start = rng.standard_normal((pair.m, hp.r))
@@ -266,13 +281,15 @@ def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
 
 
 def weight_qp(problem, basis=None):
-    """The weight step's QP on the problem's factored Hessian, or on a copy
-    of it that carries ``basis`` instead of the fit's."""
-    h = problem.hessian()
+    """The weight step's QP on the problem's factored Hessian, or on one
+    whose fixed part is a copy of the fit's that carries ``basis`` instead."""
     if basis is not None:
-        h = GramHessian(h.indices, h.coeffs, h.a, h.gamma, h.b, h.h0, basis)
+        fixed = copy.copy(problem.fit)
+        fixed.basis = basis
+        problem = dataclasses.replace(problem, fit=fixed)
     n = problem.n1
-    return QpProblem(h, problem.linear_term(), np.zeros(n), np.full(n, problem.delta), float(n))
+    return QpProblem(problem.hessian(), problem.linear_term(), np.zeros(n),
+                     np.full(n, problem.delta), float(n))
 
 
 def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
@@ -372,7 +389,7 @@ def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
                                           shift=1.5, rot_deg=30.0)[0], 5)
     for problem, warm in weight_problem_sequence(4, cycles=2):
         wrong_c2 = kkt_basis(3.0 * problem.fit.h0)
-        wrong_graph = kkt_basis(2.0 * reconstruction_quadratic(other, 1.0))
+        wrong_graph = ReconstructionHessian(other.indices, other.coeffs, 2.0).basis
         reference = solve(dense_qp(problem), warm_start=warm)
         for wrong in (wrong_c2, wrong_graph):
             qp = weight_qp(problem, wrong)
@@ -419,17 +436,6 @@ def test_all_free_solution_matches_basis_inverse(hp_kwargs):
                     1e-12 * np.abs(expected).max()
 
 
-def test_basis_of_wrong_size_rejected():
-    # a Gram Hessian carries only the basis of an all-free KKT matrix of its size
-    parts = gram_parts()
-    for wrong in (kkt_basis(np.eye(4)), kkt_basis(np.eye(7)), np.zeros(7)):
-        with pytest.raises(ValidationError, match="basis"):
-            GramHessian(**parts, basis=wrong)
-    gram = QpProblem(GramHessian(**parts, basis=kkt_basis(parts["h0"])),
-                     np.zeros(6), np.zeros(6), np.ones(6), 3.0)
-    assert solve(gram).sum() == pytest.approx(3.0)
-
-
 def test_singular_kkt_matrix_has_no_basis():
     assert kkt_basis(np.zeros((4, 4))) is None
     assert kkt_basis(np.diag([1.0, 1e-12, 1e-12])) is None
@@ -443,7 +449,8 @@ def seeded_weight_problem(seed, n=30, **hp_kwargs):
     hp = Hyperparams(**hp_kwargs).resolved(pair.m)
     rng = np.random.default_rng(seed)
     theta = np.linalg.qr(rng.standard_normal((pair.m, hp.r)))[0].T
-    state = WeightFitState(build_graph(pair.source_x, hp.k), hp)
+    graph = build_graph(pair.source_x, hp.k)
+    state = ReconstructionHessian(graph.indices, graph.coeffs, 2.0 * hp.c2)
     return build_weight_problem(rng.standard_normal(pair.m), theta, pair, state, hp)
 
 
@@ -468,23 +475,56 @@ def test_gram_hessian_matches_dense_formula(hp_kwargs):
 
 
 def gram_parts(n=6, k=2, r=2):
+    """A ring graph's factors (indices, coeffs, a) and a rank-r term (gamma, b)."""
     rng = np.random.default_rng(0)
     indices = np.array([[(i + 1 + j) % n for j in range(k)] for i in range(n)])
     coeffs = np.full((n, k), 1.0 / k)
-    r_mat = np.eye(n)
-    r_mat[np.repeat(np.arange(n), k), indices.ravel()] -= coeffs.ravel()
     return dict(indices=indices, coeffs=coeffs, a=2.0, gamma=rng.standard_normal((r, n)),
-                b=3.0, h0=2.0 * (r_mat.T @ r_mat))
+                b=3.0)
+
+
+def loop_coefficients(indices, coeffs):
+    """W with W[i, j] the coefficient of neighbor j of point i, row by row."""
+    n = indices.shape[0]
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j, coeff in zip(indices[i], coeffs[i]):
+            w[i, j] += coeff
+    return w
 
 
 def test_gram_hessian_parts_accepted():
     parts = gram_parts()
-    h = GramHessian(**parts)
-    expected = parts["h0"] + 3.0 * parts["gamma"].T @ parts["gamma"]
+    fixed = ReconstructionHessian(parts["indices"], parts["coeffs"], parts["a"])
+    h = GramHessian(fixed, parts["gamma"], parts["b"])
+    r_mat = np.eye(6) - loop_coefficients(parts["indices"], parts["coeffs"])
+    h0 = 2.0 * (r_mat.T @ r_mat)
+    expected = h0 + 3.0 * parts["gamma"].T @ parts["gamma"]
     v = np.arange(6.0)
+    assert np.abs(fixed @ v - h0 @ v).max() <= 1e-12 * np.abs(h0).max() * 15
     assert np.abs(h @ v - expected @ v).max() <= 1e-12 * np.abs(expected).max() * 15
     assert np.abs(h.diagonal() - np.diag(expected)).max() <= 1e-12 * np.abs(expected).max()
-    assert h.basis is None
+    assert np.abs(fixed.residual(v) - r_mat @ v).max() <= 1e-12 * np.abs(v).max()
+    assert h.fixed is fixed and h.basis is fixed.basis
+
+
+@pytest.mark.parametrize("k, a", [(2, 2.0), (3, 0.6), (6, 1.0), (1, 2.0)])
+def test_reconstruction_hessian_matches_loop(k, a):
+    # h0 against a (I - W)'(I - W) with W scattered by a loop over the graph
+    points = np.random.default_rng(k).standard_normal((12, 3))
+    graph = build_graph(points, k)
+    w = loop_coefficients(graph.indices, graph.coeffs)
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-8
+    assert np.all(np.diag(w) == 0.0)
+    fixed = ReconstructionHessian(graph.indices, graph.coeffs, a)
+    r_mat = np.eye(12) - w
+    expected = a * (r_mat.T @ r_mat)
+    assert fixed.h0.shape == (12, 12) and fixed.n == 12
+    assert np.abs(fixed.h0 - expected).max() <= 1e-14 * np.abs(expected).max()
+    if fixed.basis is not None:
+        assert np.array_equal(fixed.basis, kkt_basis(fixed.h0))
+    # the ring of a k = 1 graph leaves I - W a null vector per component
+    assert (fixed.basis is None) == (k == 1)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -501,13 +541,26 @@ def test_gram_hessian_parts_accepted():
     ("indices", np.arange(6), "shapes"),
     ("gamma", np.zeros((2, 5)), "shapes"),
     ("gamma", np.zeros(6), "shapes"),
-    ("h0", np.zeros((5, 5)), "shapes"),
 ])
 def test_gram_hessian_rejects_bad_parts(field, value, message):
+    # the graph factors and a are ReconstructionHessian's to check, gamma
+    # and b GramHessian's
     parts = gram_parts()
     parts[field] = value
-    with pytest.raises(ValidationError, match=message):
-        GramHessian(**parts)
+    recon = {name: parts.pop(name) for name in ("indices", "coeffs", "a")}
+    if field in recon:
+        with pytest.raises(ValidationError, match=message):
+            ReconstructionHessian(**recon)
+    else:
+        fixed = ReconstructionHessian(**recon)
+        with pytest.raises(ValidationError, match=message):
+            GramHessian(fixed, **parts)
+
+
+def test_reconstruction_hessian_rejects_flat_factors():
+    # indices and coeffs of one shape, but not n x k
+    with pytest.raises(ValidationError, match="shapes"):
+        ReconstructionHessian(np.arange(6), np.full(6, 0.5), 2.0)
 
 
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
@@ -558,11 +611,13 @@ def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
 def test_fit_builds_one_kkt_basis(monkeypatch):
     built = Counter()
 
+    build = qp_solver.kkt_basis
+
     def counting(h0):
         built["basis"] += 1
-        return qp_solver.kkt_basis(h0)
+        return build(h0)
 
-    monkeypatch.setattr(weights, "kkt_basis", counting)
+    monkeypatch.setattr(qp_solver, "kkt_basis", counting)
     sx, sy, tx, ty = make_shifted_pair([5, 0], n1=60, n2=60, n3=10, m=5,
                                        shift=1.5, rot_deg=30.0)
     _, trace = fit(DatasetPair(sx, sy, tx, ty[:10]),
@@ -580,12 +635,11 @@ def test_k1_panel_fixture_rebuilds_without_basis(seed):
     # converge", written by tests/data/capture_k1_panel.py
     with np.load(K1_PANEL_FIXTURE.format(seed)) as data:
         qp_data = dict(data)
-    graph = NeighborGraph(qp_data["indices"], qp_data["coeffs"])
-    state = WeightFitState(graph, Hyperparams(k=1, c2=float(qp_data["a"]) / 2.0))
+    fixed = ReconstructionHessian(qp_data["indices"], qp_data["coeffs"], qp_data["a"])
     # a k = 1 graph leaves I - W more than one null vector: the dense path
-    assert graph.k == 1 and state.basis is None
-    h = GramHessian(graph.indices, graph.coeffs, qp_data["a"], qp_data["gamma"],
-                    qp_data["b"], state.h0, state.basis)
+    assert fixed.indices.shape[1] == 1 and fixed.basis is None
+    h = GramHessian(fixed, qp_data["gamma"], qp_data["b"])
+    assert h.basis is None
     qp = QpProblem(h, qp_data["c"], qp_data["lower"], qp_data["upper"], qp_data["eq_sum"])
     qp_solver._validate(qp)
     warm = qp_data["warm_start"]

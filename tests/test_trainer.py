@@ -6,10 +6,10 @@ from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, ValidationError, check_model_state
 from subadapt.losses import loss_value
 from subadapt.neighborhood import NeighborGraph, build_graph
+from subadapt.qp_solver import ReconstructionHessian
 from subadapt.subspace import projected_means
 from subadapt import trainer
 from subadapt.trainer import ObjectiveTerms, block_cycle, fit, full_objective
-from subadapt.weights import WeightFitState
 
 
 def separable_identical_pair(rng, n=20, m=3, margin=1.5):
@@ -231,7 +231,8 @@ def test_fit_converged_state_is_fixed_point():
     before = full_objective(state.theta, state.w, state.phi, state.varphi,
                             state.pi, ctx).total
     params, terms, _, _ = block_cycle(state.theta, state.w, state.phi, state.varphi,
-                                      state.pi, ctx, WeightFitState(graph_s, ctx.hp))
+                                      state.pi, ctx, ReconstructionHessian(
+                                          graph_s.indices, graph_s.coeffs, 2.0 * ctx.hp.c2))
     after = full_objective(*params, ctx).total
     assert after == terms[-1].total
     assert abs(after - before) <= hp.tol * max(1.0, abs(before))
@@ -255,16 +256,28 @@ def test_fit_records_weight_step_objectives():
 
 
 def test_fit_ablation_flags():
+    # delta = 1 leaves the weight box the single point pi = 1: no weighting
     pair = synthetic_pair(29)
-    hp = Hyperparams(c3=0.0, k=3, max_outer_iters=10, loss="logistic")
-    state, trace = fit(pair, hp, update_subspace=False, update_weights=False)
+    hp = Hyperparams(c3=0.0, k=3, max_outer_iters=10, loss="logistic", delta=1.0)
+    state, trace = fit(pair, hp, update_subspace=False)
     assert np.array_equal(state.w, np.zeros(state.r))
     assert np.array_equal(state.pi, np.ones(pair.n1))
     assert np.array_equal(state.u, state.phi)
     assert np.array_equal(state.v, state.varphi)
-    assert np.all(np.isnan(trace.pi_step_objective))
+    assert trace.pi_step_objective == trace.pi_step_objective_uniform
     seq = flattened_objective_trace(trace)
     assert np.all(np.diff(seq) <= 1e-6)
+
+
+def test_fit_with_huge_delta_keeps_pi_feasible():
+    # the weight QP's lower-bound test is not scaled by delta: at
+    # delta >= 2e11 it once marked every pi_i near 1 as sitting at 0
+    sx, sy, tx, ty = make_shifted_pair(3, n1=40, n2=40, n3=10, m=4)
+    for delta in (3e11, 1e12, 1e300):
+        state, _ = fit(DatasetPair(sx, sy, tx, ty[:10]),
+                       Hyperparams(k=3, max_outer_iters=3, delta=delta))
+        check_model_state(state, delta)
+        assert abs(state.pi.sum() - 40.0) <= 1e-8 * 40.0
 
 
 def test_fit_validates_inputs():
@@ -318,8 +331,10 @@ def test_block_terms_feed_the_trace(monkeypatch):
     assert trace.objective_after_subspace == [t.total for t in seen[0::3]]
     assert trace.objective_after_classifier == [t.total for t in seen[1::3]]
     assert trace.objective_after_weights == [t.total for t in seen[2::3]]
-    assert trace.matching_term == [t.matching for t in seen[2::3]]
-    for snap, matching in zip(snapshots, trace.matching_term):
+    assert [t["matching"] for t in trace.terms_after_weights] == \
+        [t.matching for t in seen[2::3]]
+    for snap, terms in zip(snapshots, trace.terms_after_weights):
+        matching = terms["matching"]
         means = projected_means(snap.theta, pair, snap.pi)
         gap = means.mu_s_pi - means.mu_t
         assert matching == 0.5 * hp.c3 * float(gap @ gap)

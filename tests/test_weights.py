@@ -4,12 +4,11 @@ import pytest
 from subadapt.classifier import ObjectiveContext
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.losses import loss_value
-from subadapt.neighborhood import build_graph
-from subadapt.qp_solver import QpProblem, solve
+from subadapt.neighborhood import NeighborGraph, build_graph
+from subadapt.qp_solver import QpProblem, ReconstructionHessian, solve
 from subadapt.subspace import projected_means
 from subadapt.trainer import full_objective
-from subadapt.weights import WeightFitState, WeightStepProblem, build_weight_problem, \
-    reconstruction_quadratic, update_pi
+from subadapt.weights import WeightStepProblem, build_weight_problem, update_pi
 
 
 def make_instance(rng, n1=6, n2=5, m=3, **hp_kwargs):
@@ -20,7 +19,8 @@ def make_instance(rng, n1=6, n2=5, m=3, **hp_kwargs):
     pair = DatasetPair(xs, ys, xt, yt)
     hp_kwargs.setdefault("k", 2)
     hp = Hyperparams(**hp_kwargs).resolved(m)
-    state = WeightFitState(build_graph(xs, hp.k), hp)
+    graph = build_graph(xs, hp.k)
+    state = ReconstructionHessian(graph.indices, graph.coeffs, 2.0 * hp.c2)
     theta = np.linalg.qr(rng.standard_normal((m, hp.r)))[0].T
     phi_vec = rng.standard_normal(m)
     return pair, hp, state, theta, phi_vec
@@ -74,8 +74,8 @@ def test_qp_matrices_consistent_with_objective_terms():
 
         losses = loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec)
         direct = float(losses @ pi)
-        w_s = state.graph.dense_coefficients()
-        resid = pi - w_s @ pi
+        resid = pi - np.array([state.coeffs[i] @ pi[state.indices[i]]
+                               for i in range(pair.n1)])
         direct += hp.c2 * float(resid @ resid)
         means = projected_means(theta, pair, pi)
         gap = means.mu_s_pi - means.mu_t
@@ -91,11 +91,10 @@ def test_objective_from_sparse_residual_matches_dense_formula(hp_kwargs):
     for _ in range(3):
         pair, hp, state, theta, phi_vec = make_instance(rng, n1=12, **hp_kwargs)
         problem = build_weight_problem(phi_vec, theta, pair, state, hp)
-        assert problem.fit is state and state.c2 == hp.c2
-        recon_quad = reconstruction_quadratic(state.graph, hp.c2)
+        assert problem.fit is state and state.a == 2.0 * hp.c2
         for pi in (np.ones(pair.n1), random_feasible_pi(rng, pair.n1, hp.delta)):
             gap = problem.gamma @ pi - problem.vartheta
-            dense = float(problem.tau @ pi + pi @ recon_quad @ pi
+            dense = float(problem.tau @ pi + 0.5 * (pi @ state.h0 @ pi)
                           + 0.5 * problem.c3 * (gap @ gap))
             assert abs(problem.objective(pi) - dense) <= 1e-12 * max(1.0, abs(dense))
 
@@ -118,8 +117,7 @@ def test_two_point_linear_corner():
         gamma=np.zeros((1, 2)),
         vartheta=np.zeros(1),
         c3=0.0, delta=2.0, n1=2,
-        fit=WeightFitState(build_graph(np.array([[0.0], [1.0]]), 1),
-                           Hyperparams(k=1, c2=0.0)))
+        fit=ReconstructionHessian(np.array([[1], [0]]), np.ones((2, 1)), 0.0))
     assert update_pi(problem) == pytest.approx([2.0, 0.0], abs=1e-10)
 
 
@@ -168,7 +166,7 @@ def test_update_pi_never_increases_full_objective():
         pi0 = random_feasible_pi(rng, pair.n1, hp.delta)
         problem = build_weight_problem(phi_vec, theta, pair, state, hp)
         pi1 = update_pi(problem, warm_start=pi0)
-        ctx = ObjectiveContext(pair, state.graph, graph_t, hp)
+        ctx = ObjectiveContext(pair, NeighborGraph(state.indices, state.coeffs), graph_t, hp)
         before = full_objective(theta, w, phi_vec, varphi_vec, pi0, ctx).total
         after = full_objective(theta, w, phi_vec, varphi_vec, pi1, ctx).total
         assert after <= before + 1e-8
@@ -203,7 +201,7 @@ def test_update_pi_with_fit_state_matches_standalone(hp_kwargs):
         phi_vec = phi_vec + 0.1 * rng.standard_normal(phi_vec.shape)
         problem = build_weight_problem(phi_vec, theta, pair, state, hp)
         hessian = problem.hessian()
-        assert hessian.h0 is state.h0 and hessian.basis is state.basis
+        assert hessian.fixed is state and hessian.basis is state.basis
         fast = update_pi(problem, warm_start=pi)
         reference = dense_reference(problem, pi)
         assert np.abs(fast - reference).max() <= 1e-9
