@@ -34,6 +34,7 @@ import numpy as np
 from .data_model import DatasetPair, Hyperparams, NumericError, ValidationError
 from .losses import checked_labels, margin_loss, margin_slope
 from .neighborhood import NeighborGraph
+from .qp_solver import ReconstructionHessian
 
 # proposals halve the step at most this many times before the update stops
 MAX_STEP_HALVINGS = 20
@@ -62,11 +63,13 @@ class BlockState(NamedTuple):
 
 
 class ObjectiveContext:
-    """Per-fit constants of the training objective: the data, the source
-    graph, the hyperparameters, the checked float labels [source_y; target_y],
-    the labeled target block, the target residual R_t X_t, and the
-    classifier block's stacked system: the block design matrix ``z`` and the
-    fixed quadratic ``quad`` (see the module docstring)."""
+    """Per-fit constants of the training objective: the data, the
+    hyperparameters, the checked float labels [source_y; target_y], the
+    labeled target block, the two reconstruction operators (``fixed``, the
+    source side's 2 c2 R_s'R_s with R_s = I - W_s, the fixed part of every
+    weight QP; and the target residual R_t X_t), and the classifier block's
+    stacked system: the block design matrix ``z`` and the fixed quadratic
+    ``quad`` (see the module docstring)."""
 
     def __init__(self, pair: DatasetPair, graph_s: NeighborGraph,
                  graph_t: NeighborGraph, hp: Hyperparams):
@@ -75,8 +78,8 @@ class ObjectiveContext:
         if graph_t.n != pair.n2:
             raise ValidationError("target graph size does not match the target set")
         self.pair = pair
-        self.graph_s = graph_s
         self.hp = hp
+        self.fixed = ReconstructionHessian(graph_s.indices, graph_s.coeffs, 2.0 * hp.c2)
         self.y = checked_labels(hp.loss, np.concatenate([pair.source_y, pair.target_y]))
         self.xt_lab = pair.target_x[:pair.n3]
         self.target_resid = graph_t.residual_vectors(pair.target_x)

@@ -94,7 +94,7 @@ def _binary_labels(labels, positive):
 
 
 def one_vs_all(source_x, source_y, target_x, target_y_labeled, classes,
-               hp: Hyperparams, *, update_subspace=True) -> OneVsAllModel:
+               hp: Hyperparams) -> OneVsAllModel:
     """Train one full binary model per class (that class +1, the rest -1)."""
     classes = list(classes)
     if len(classes) < 2:
@@ -111,7 +111,7 @@ def one_vs_all(source_x, source_y, target_x, target_y_labeled, classes,
             raise ValidationError(f"degenerate one-vs-all class: {cls!r}")
         pair = DatasetPair(source_x, _binary_labels(source_y, cls),
                            target_x, _binary_labels(target_y_labeled, cls))
-        state, _ = fit(pair, hp, update_subspace=update_subspace)
+        state, _ = fit(pair, hp)
         models.append(state)
     return OneVsAllModel(classes=tuple(classes), models=tuple(models))
 
@@ -124,8 +124,7 @@ def _fold_training_order(train_idx, labeled_idx):
 
 
 def run_cv(source_x, source_y, target_x, target_y, hp: Hyperparams,
-           folds: int = 10, seed: int = 0, *, normalize=False,
-           update_subspace=True) -> CvReport:
+           folds: int = 10, seed: int = 0, *, normalize=False) -> CvReport:
     """Fold-wise train/score over a fully labeled target set.
 
     ``target_y`` must label every target row (it is the ground truth for
@@ -164,11 +163,10 @@ def run_cv(source_x, source_y, target_x, target_y, hp: Hyperparams,
         labeled_y = target_y[ordered[:n_labeled]]
         if binary:
             pair = DatasetPair(sx, source_y, tx_train, labeled_y)
-            state, _ = fit(pair, hp, update_subspace=update_subspace)
+            state, _ = fit(pair, hp)
             _, predicted = predict_target(state.varphi, tx_test)
         else:
-            model = one_vs_all(sx, source_y, tx_train, labeled_y, classes, hp,
-                               update_subspace=update_subspace)
+            model = one_vs_all(sx, source_y, tx_train, labeled_y, classes, hp)
             predicted = model.predict(tx_test)
         fold_accuracies.append(accuracy(predicted, target_y[test_idx]))
         fold_seconds.append(time.perf_counter() - started)

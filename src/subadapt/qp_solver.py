@@ -11,8 +11,9 @@ H is either a dense symmetric PSD matrix, checked on every solve, or a
 held in factored form, symmetric PSD by construction, whose products cost
 O(nk + nr). H0 is the part of the weight step's Hessian fixed for a whole
 fit, so it is checked once and carries its dense matrix and its KKT basis:
-the explicit inverse M0 of the all-free bordered KKT matrix K0 of H0. Each
-step then comes from a small Schur complement against that inverse,
+the explicit inverse M0 of the all-free bordered KKT matrix K0 of H0, both
+formed at the fit's first Schur step and kept. Each step then comes from a
+small Schur complement against that inverse,
 bordered by the rank-r term b G'G (q = r columns) and the fixed set, and
 verified against H itself (Gill, Murray, Saunders & Wright 1990, "A
 Schur-complement method for sparse quadratic programming"). The step's
@@ -28,6 +29,7 @@ blocking bound always exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,9 +51,10 @@ class ReconstructionHessian:
     """H0 = a R'R with R = I - W: the fixed part of every weight QP of a fit.
 
     Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
-    n x k), and a >= 0. The constructor checks these factors, forms the
-    dense ``h0`` and its ``kkt_basis`` (None when K0 is singular or
-    ill-conditioned), once per fit; ``@`` applies H0 in O(nk).
+    n x k), and a >= 0. The constructor checks these factors; the dense
+    ``h0`` and its ``kkt_basis`` (None when K0 is singular or
+    ill-conditioned) are formed on first use and kept, so a fit whose QPs
+    take no free-set step never forms them. ``@`` applies H0 in O(nk).
     """
 
     def __init__(self, indices, coeffs, a):
@@ -74,8 +77,14 @@ class ReconstructionHessian:
         self.coeffs = coeffs
         self.a = a
         self._flat_indices = indices.ravel()
-        self.h0 = a * _reconstruction_gram(indices, coeffs)
-        self.basis = kkt_basis(self.h0)
+
+    @cached_property
+    def h0(self) -> np.ndarray:
+        return self.a * _reconstruction_gram(self.indices, self.coeffs)
+
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        return kkt_basis(self.h0)
 
     def residual(self, v) -> np.ndarray:
         """R v, in O(nk)."""
@@ -122,8 +131,11 @@ class GramHessian:
         self.fixed = fixed
         self.gamma = gamma
         self.b = b
-        self.basis = fixed.basis
         self._dense = None
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        return self.fixed.basis
 
     def __matmul__(self, v) -> np.ndarray:
         """H v for a vector v, in O(nk + nr)."""
@@ -440,15 +452,18 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
     When p.h is a GramHessian whose ``ReconstructionHessian`` has a KKT
     basis, each step comes from a Schur complement while q + |fixed| < |free|;
     otherwise, and whenever that step fails verification against p.h, from
-    the dense free-set system. A dense p.h is checked for symmetry and PSD
-    first; a GramHessian is both by construction.
+    the dense free-set system. The Schur set-up is built at the first step
+    that qualifies, so a QP with no such step never asks for the basis. A
+    dense p.h is checked for symmetry and PSD first; a GramHessian is both
+    by construction.
     """
     _validate(p)
     gram = isinstance(p.h, GramHessian)
     if not gram:
         _require_psd(p.h)
     n = p.n
-    schur = _SchurSteps(p) if gram and p.h.basis is not None else None
+    schur = None
+    q = p.h.gamma.shape[0] if gram and p.h.b else 0
     lo, up = p.lower, p.upper
     x = _feasible_start(p, warm_start)
 
@@ -470,7 +485,9 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
         step = None
         if free_idx.size:
             found = None
-            if schur is not None and schur.q + (n - free_idx.size) < free_idx.size:
+            if gram and q + n - free_idx.size < free_idx.size and p.h.basis is not None:
+                if schur is None:
+                    schur = _SchurSteps(p)
                 found = schur.step(p, x, free, grad)
             if found is not None:
                 (step, hd), is_ray = found, False

@@ -20,7 +20,6 @@ from .classifier import ObjectiveContext, recover_u_v, update_phi_varphi
 from .data_model import DatasetPair, Hyperparams, ModelState, ValidationError, validate
 from .losses import loss_value
 from .neighborhood import build_graph
-from .qp_solver import ReconstructionHessian
 from .subspace import build_phi, projected_means, update_theta, update_w
 from .weights import build_weight_problem, update_pi
 
@@ -58,18 +57,6 @@ class TrainingTrace:
     stop_reason: str = ""
 
 
-@dataclass(frozen=True)
-class IterationSnapshot:
-    """Copies of the raw parameters after one full block cycle."""
-
-    iteration: int
-    theta: np.ndarray
-    w: np.ndarray
-    phi: np.ndarray
-    varphi: np.ndarray
-    pi: np.ndarray
-
-
 class ObjectiveTerms(NamedTuple):
     """The five terms of the training objective at one point."""
 
@@ -102,7 +89,7 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi,
     u, v = recover_u_v(theta, w, phi_vec, varphi_vec)
     adaptation = 0.5 * hp.c1 * (float(u @ u) + float(v @ v))
 
-    pi_resid = ctx.graph_s.residual_vectors(pi[:, None])[:, 0]
+    pi_resid = ctx.fixed.residual(pi)
     h_resid = ctx.target_resid @ varphi_vec
     reconstruction = hp.c2 * (float(pi_resid @ pi_resid) + float(h_resid @ h_resid))
 
@@ -112,17 +99,14 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi,
                           0.5 * hp.c3 * float(gap @ gap))
 
 
-def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
-                weights: ReconstructionHessian, update_subspace=True):
+def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext):
     """Run one full block cycle. Returns the new (theta, w, phi, varphi, pi),
     the objective terms after each of the three blocks, the descent's
-    InnerTrace, and the weight QP's (solved, uniform) objectives. ``weights``
-    is the fit's fixed H0 of the weight QP."""
+    InnerTrace, and the weight QP's (solved, uniform) objectives."""
     pair, hp = ctx.pair, ctx.hp
-    if update_subspace:
-        phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
-        theta = update_theta(phi_mat, hp.r, prev_theta=theta)
-        w = update_w(theta, phi_vec, varphi_vec)
+    phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
+    theta = update_theta(phi_mat, hp.r, prev_theta=theta)
+    w = update_w(theta, phi_vec, varphi_vec)
     after_subspace = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
 
     # hp goes by keyword: the benchmark's descent counter reads it there
@@ -130,7 +114,7 @@ def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
         phi_vec, varphi_vec, theta, w, pi, ctx, hp=hp)
     after_classifier = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
 
-    problem = build_weight_problem(phi_vec, theta, pair, weights, hp)
+    problem = build_weight_problem(phi_vec, theta, ctx)
     pi = update_pi(problem, warm_start=pi)
     qp_objectives = (problem.objective(pi), problem.objective(np.ones(pair.n1)))
     after_weights = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
@@ -138,36 +122,29 @@ def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
             (after_subspace, after_classifier, after_weights), inner, qp_objectives)
 
 
-def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
-        iteration_callback=None):
+def fit(pair: DatasetPair, hp: Hyperparams):
     """Train the model by block-coordinate descent.
 
     Neighbor graphs are built once from the raw features. Classifier
-    vectors and the shared classifier start at zero, weights at one, and
-    the projection takes its first-update value. Stops when the relative
+    vectors start at zero and weights at one; the projection and the shared
+    classifier take their first-update values. Stops when the relative
     objective change falls below ``hp.tol`` or after ``hp.max_outer_iters``
     cycles; hitting the cap is recorded, not raised.
 
-    ``update_subspace=False`` skips the projection block, keeping an
-    identity prefix projection with a zero shared classifier. The weight
-    block always runs; ``hp.delta = 1`` makes its box hold only pi = 1, so
-    that setting is the no-weighting ablation.
+    ``hp.delta = 1`` makes the weight box hold only pi = 1, so that
+    setting is the no-weighting ablation.
 
     Returns (ModelState, TrainingTrace).
     """
     validate(pair, hp)
     hp = hp.resolved(pair.m)
-    graph_s = build_graph(pair.source_x, hp.k)
-    graph_t = build_graph(pair.target_x, hp.k)
-    ctx = ObjectiveContext(pair, graph_s, graph_t, hp)
+    ctx = ObjectiveContext(pair, build_graph(pair.source_x, hp.k),
+                           build_graph(pair.target_x, hp.k), hp)
 
-    m, r = pair.m, hp.r
-    phi_vec = np.zeros(m)
-    varphi_vec = np.zeros(m)
-    w = np.zeros(r)
+    theta = w = None
+    phi_vec = np.zeros(pair.m)
+    varphi_vec = np.zeros(pair.m)
     pi = np.ones(pair.n1)
-    theta = None if update_subspace else np.eye(r, m)
-    weights = ReconstructionHessian(graph_s.indices, graph_s.coeffs, 2.0 * hp.c2)
 
     trace = TrainingTrace()
     prev_objective = None
@@ -175,8 +152,7 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
 
     for iteration in range(hp.max_outer_iters):
         (theta, w, phi_vec, varphi_vec, pi), terms, inner, qp_objectives = block_cycle(
-            theta, w, phi_vec, varphi_vec, pi, ctx, weights,
-            update_subspace=update_subspace)
+            theta, w, phi_vec, varphi_vec, pi, ctx)
 
         trace.objective_after_subspace.append(terms[0].total)
         trace.objective_after_classifier.append(terms[1].total)
@@ -194,11 +170,6 @@ def fit(pair: DatasetPair, hp: Hyperparams, *, update_subspace=True,
         trace.pi_max.append(float(pi.max()))
         trace.pi_mean.append(float(pi.mean()))
         trace.n_iters = iteration + 1
-
-        if iteration_callback is not None:
-            iteration_callback(IterationSnapshot(
-                iteration=iteration, theta=theta.copy(), w=w.copy(),
-                phi=phi_vec.copy(), varphi=varphi_vec.copy(), pi=pi.copy()))
 
         objective = trace.objective_after_weights[-1]
         if prev_objective is not None and \

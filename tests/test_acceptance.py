@@ -17,7 +17,6 @@ from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.evaluation import run_cv
 from subadapt.neighborhood import build_graph, solve_reconstruction
-from subadapt.qp_solver import ReconstructionHessian
 from subadapt.subspace import update_theta
 from subadapt.trainer import fit
 from subadapt.weights import build_weight_problem, update_pi
@@ -155,11 +154,10 @@ def test_criterion_3_qp_oracle_equivalence():
                          c3=float(rng.uniform(0, 6.0)),
                          delta=delta, r=2, k=2,
                          loss=("hinge", "logistic")[int(rng.integers(0, 2))])
-        graph = build_graph(xs, hp.k)
-        state = ReconstructionHessian(graph.indices, graph.coeffs, 2.0 * hp.c2)
+        ctx = ObjectiveContext(pair, build_graph(xs, hp.k), build_graph(xt, hp.k), hp)
         theta = np.linalg.qr(rng.standard_normal((m, 2)))[0].T
         phi_vec = rng.standard_normal(m)
-        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+        problem = build_weight_problem(phi_vec, theta, ctx)
         pi = update_pi(problem)
         assert problem.objective(pi) <= _pi_grid_best(problem, delta) + 1e-4
 
@@ -193,15 +191,15 @@ class SharedRun:
 
 
 @pytest.fixture(scope="module")
-def shared_runs():
+def shared_runs(recorded_cycles):
     runs = []
     started = time.perf_counter()
     for seed in range(N_SHARED_RUNS):
         sx, sy, tx, ty = make_shifted_pair(seed)
         pair = DatasetPair(sx, sy, tx, ty[:20])
         hp = Hyperparams(max_outer_iters=50, tol=1e-12)
-        snapshots = []
-        state, trace = fit(pair, hp, iteration_callback=snapshots.append)
+        with recorded_cycles() as snapshots:
+            state, trace = fit(pair, hp)
         runs.append(SharedRun(pair=pair, hp=hp.resolved(pair.m), trace=trace,
                               state=state, snapshots=snapshots))
     return runs, time.perf_counter() - started
@@ -271,10 +269,11 @@ def test_criterion_9_reparametrization_identity(shared_runs):
 # ---------------------------------------------------------------------------
 # criterion 7: transfer benefit over the target-only baseline
 
-def test_criterion_7_transfer_benefit():
+def test_criterion_7_transfer_benefit(no_subspace):
     started = time.perf_counter()
     hp_full = Hyperparams(loss="logistic", max_outer_iters=30, tol=1e-4)
-    # delta = 1 holds every source weight at one: no weighting
+    # delta = 1 holds every source weight at one: no weighting; the
+    # ablation also keeps the projection fixed, with no shared classifier
     hp_ablation = Hyperparams(loss="logistic", c3=0.0, delta=1.0, max_outer_iters=30,
                               tol=1e-4)
     gaps = []
@@ -282,8 +281,8 @@ def test_criterion_7_transfer_benefit():
         sx, sy, tx, ty = make_shifted_pair(seed, n1=200, n2=200, n3=20, m=5,
                                            shift=1.5, rot_deg=30.0)
         full = run_cv(sx, sy, tx, ty, hp_full, folds=10, seed=seed)
-        ablation = run_cv(sx, sy, tx, ty, hp_ablation, folds=10, seed=seed,
-                          update_subspace=False)
+        with no_subspace():
+            ablation = run_cv(sx, sy, tx, ty, hp_ablation, folds=10, seed=seed)
         gaps.append(full.mean_accuracy - ablation.mean_accuracy)
     mean_gap = float(np.mean(gaps))
     elapsed = time.perf_counter() - started

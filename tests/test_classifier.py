@@ -18,7 +18,7 @@ from subadapt.classifier import (
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import LOSS_KINDS, DatasetPair, Hyperparams, NumericError, ValidationError
 from subadapt.losses import loss_subgradient, loss_value
-from subadapt.neighborhood import build_graph
+from subadapt.neighborhood import NeighborGraph, build_graph
 from subadapt.trainer import fit
 
 
@@ -373,6 +373,23 @@ def test_unknown_loss_rejected():
     pair, hp, graph_t, _, _, _ = make_instance(rng, loss="squared")
     with pytest.raises(ValidationError, match="unknown loss kind: 'squared'"):
         context(pair, graph_t, hp)
+
+
+def test_context_rejects_graphs_that_do_not_fit_the_pair():
+    rng = np.random.default_rng(30)
+    pair, hp, graph_t, _, _, _ = make_instance(rng)
+    graph_s = build_graph(pair.source_x, hp.k)
+    with pytest.raises(ValidationError, match="source graph size does not match the source set"):
+        ObjectiveContext(pair, build_graph(pair.source_x[:-1], hp.k), graph_t, hp)
+    with pytest.raises(ValidationError, match="target graph size does not match the target set"):
+        ObjectiveContext(pair, graph_s, build_graph(pair.target_x[:-1], hp.k), hp)
+    # the source graph becomes the weight QP's fixed part when the context
+    # is built, so an index past the source set fails there, not in the
+    # first objective evaluation
+    indices = graph_s.indices.copy()
+    indices[2, 0] = pair.n1
+    with pytest.raises(ValidationError, match="column index out of range"):
+        ObjectiveContext(pair, NeighborGraph(indices, graph_s.coeffs), graph_t, hp)
 
 
 def test_non_finite_scores_rejected():

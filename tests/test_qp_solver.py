@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subadapt import qp_solver
+from subadapt.classifier import ObjectiveContext
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
 from subadapt.neighborhood import build_graph
@@ -259,6 +260,11 @@ def dense_qp(problem):
     return QpProblem(*problem.qp_matrices(), np.zeros(n), np.full(n, problem.delta), float(n))
 
 
+def weight_context(pair, hp):
+    return ObjectiveContext(pair, build_graph(pair.source_x, hp.k),
+                            build_graph(pair.target_x, hp.k), hp)
+
+
 def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
     """(problem, warm start) of consecutive weight steps of one fit, with
     the projection and classifier drifting from cycle to cycle; each warm
@@ -267,15 +273,14 @@ def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
                                        shift=1.5, rot_deg=30.0)
     pair = DatasetPair(sx, sy, tx, ty[:10])
     hp = Hyperparams(**hp_kwargs).resolved(pair.m)
-    graph = build_graph(pair.source_x, hp.k)
-    state = ReconstructionHessian(graph.indices, graph.coeffs, 2.0 * hp.c2)
+    ctx = weight_context(pair, hp)
     rng = np.random.default_rng(seed)
     pi = np.ones(n)
     start = rng.standard_normal((pair.m, hp.r))
     for _ in range(cycles):
         theta = np.linalg.qr(start + 0.2 * rng.standard_normal(start.shape))[0].T
         phi_vec = 0.1 * rng.standard_normal(pair.m)
-        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+        problem = build_weight_problem(phi_vec, theta, ctx)
         yield problem, pi
         pi = solve(dense_qp(problem), warm_start=pi)
 
@@ -449,9 +454,7 @@ def seeded_weight_problem(seed, n=30, **hp_kwargs):
     hp = Hyperparams(**hp_kwargs).resolved(pair.m)
     rng = np.random.default_rng(seed)
     theta = np.linalg.qr(rng.standard_normal((pair.m, hp.r)))[0].T
-    graph = build_graph(pair.source_x, hp.k)
-    state = ReconstructionHessian(graph.indices, graph.coeffs, 2.0 * hp.c2)
-    return build_weight_problem(rng.standard_normal(pair.m), theta, pair, state, hp)
+    return build_weight_problem(rng.standard_normal(pair.m), theta, weight_context(pair, hp))
 
 
 @pytest.mark.parametrize("hp_kwargs", [
@@ -609,21 +612,24 @@ def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
 
 
 def test_fit_builds_one_kkt_basis(monkeypatch):
+    # H0 and its basis are formed at the fit's first Schur step; with
+    # delta = 1 every weight starts at its upper bound, no step is taken,
+    # and the no-weighting ablation forms neither
     built = Counter()
+    for name in ("kkt_basis", "_reconstruction_gram"):
+        def counted(*args, name=name, build=getattr(qp_solver, name)):
+            built[name] += 1
+            return build(*args)
+        monkeypatch.setattr(qp_solver, name, counted)
 
-    build = qp_solver.kkt_basis
-
-    def counting(h0):
-        built["basis"] += 1
-        return build(h0)
-
-    monkeypatch.setattr(qp_solver, "kkt_basis", counting)
     sx, sy, tx, ty = make_shifted_pair([5, 0], n1=60, n2=60, n3=10, m=5,
                                        shift=1.5, rot_deg=30.0)
-    _, trace = fit(DatasetPair(sx, sy, tx, ty[:10]),
-                   Hyperparams(tol=1e-12, max_outer_iters=4))
-    assert trace.n_iters == 4
-    assert built["basis"] == 1
+    for delta, formed in ((3.0, 1), (1.0, 0)):
+        built.clear()
+        _, trace = fit(DatasetPair(sx, sy, tx, ty[:10]),
+                       Hyperparams(tol=1e-12, max_outer_iters=4, delta=delta))
+        assert trace.n_iters == 4
+        assert (built["kkt_basis"], built["_reconstruction_gram"]) == (formed, formed)
 
 
 K1_PANEL_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "k1_panel_seed{}.npz")

@@ -6,7 +6,6 @@ from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, ValidationError, check_model_state
 from subadapt.losses import loss_value
 from subadapt.neighborhood import NeighborGraph, build_graph
-from subadapt.qp_solver import ReconstructionHessian
 from subadapt.subspace import projected_means
 from subadapt import trainer
 from subadapt.trainer import ObjectiveTerms, block_cycle, fit, full_objective
@@ -174,11 +173,11 @@ def test_fit_decoupled_losses_decrease():
     assert final <= initial
 
 
-def test_fit_trace_monotone_on_synthetic_pair():
+def test_fit_trace_monotone_on_synthetic_pair(recorded_cycles):
     pair = synthetic_pair(7)
     hp = Hyperparams(k=3, max_outer_iters=30)
-    snapshots = []
-    state, trace = fit(pair, hp, iteration_callback=snapshots.append)
+    with recorded_cycles() as snapshots:
+        state, trace = fit(pair, hp)
     seq = flattened_objective_trace(trace)
     assert np.all(np.diff(seq) <= 1e-6)
     assert len(snapshots) == trace.n_iters
@@ -225,14 +224,12 @@ def test_fit_converged_state_is_fixed_point():
     hp = Hyperparams(k=3, tol=1e-7, max_outer_iters=200)
     state, trace = fit(pair, hp)
     assert trace.stop_reason == "converged"
-    graph_s = build_graph(pair.source_x, hp.k)
-    graph_t = build_graph(pair.target_x, hp.k)
-    ctx = ObjectiveContext(pair, graph_s, graph_t, hp.resolved(pair.m))
+    ctx = ObjectiveContext(pair, build_graph(pair.source_x, hp.k),
+                           build_graph(pair.target_x, hp.k), hp.resolved(pair.m))
     before = full_objective(state.theta, state.w, state.phi, state.varphi,
                             state.pi, ctx).total
     params, terms, _, _ = block_cycle(state.theta, state.w, state.phi, state.varphi,
-                                      state.pi, ctx, ReconstructionHessian(
-                                          graph_s.indices, graph_s.coeffs, 2.0 * ctx.hp.c2))
+                                      state.pi, ctx)
     after = full_objective(*params, ctx).total
     assert after == terms[-1].total
     assert abs(after - before) <= hp.tol * max(1.0, abs(before))
@@ -255,11 +252,13 @@ def test_fit_records_weight_step_objectives():
         assert solved <= uniform + 1e-8
 
 
-def test_fit_ablation_flags():
+def test_fit_ablation_flags(no_subspace):
     # delta = 1 leaves the weight box the single point pi = 1: no weighting
     pair = synthetic_pair(29)
     hp = Hyperparams(c3=0.0, k=3, max_outer_iters=10, loss="logistic", delta=1.0)
-    state, trace = fit(pair, hp, update_subspace=False)
+    with no_subspace():
+        state, trace = fit(pair, hp)
+    assert np.array_equal(state.theta, np.eye(state.r, pair.m))
     assert np.array_equal(state.w, np.zeros(state.r))
     assert np.array_equal(state.pi, np.ones(pair.n1))
     assert np.array_equal(state.u, state.phi)
@@ -269,15 +268,22 @@ def test_fit_ablation_flags():
     assert np.all(np.diff(seq) <= 1e-6)
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_with_huge_delta_keeps_pi_feasible():
     # the weight QP's lower-bound test is not scaled by delta: at
-    # delta >= 2e11 it once marked every pi_i near 1 as sitting at 0
+    # delta >= 2e11 it once marked every pi_i near 1 as sitting at 0.
+    # pi >= 0 and sum(pi) = n1 keep every pi_i <= n1, so the QP's upper
+    # bound is min(delta, n1): at delta = 1e308 its sums once overflowed
     sx, sy, tx, ty = make_shifted_pair(3, n1=40, n2=40, n3=10, m=4)
-    for delta in (3e11, 1e12, 1e300):
-        state, _ = fit(DatasetPair(sx, sy, tx, ty[:10]),
-                       Hyperparams(k=3, max_outer_iters=3, delta=delta))
+    pair = DatasetPair(sx, sy, tx, ty[:10])
+    at_n1 = fit(pair, Hyperparams(k=3, max_outer_iters=5, delta=40.0))
+    for delta in (3e11, 1e12, 1e300, 1e308):
+        state, trace = fit(pair, Hyperparams(k=3, max_outer_iters=5, delta=delta))
         check_model_state(state, delta)
         assert abs(state.pi.sum() - 40.0) <= 1e-8 * 40.0
+        assert trace == at_n1[1]
+        for name in ("theta", "w", "phi", "varphi", "pi"):
+            assert getattr(state, name).tobytes() == getattr(at_n1[0], name).tobytes()
 
 
 def test_fit_validates_inputs():
@@ -309,7 +315,7 @@ def test_trace_records_each_descent_run(monkeypatch):
     assert set(trace.inner_hit_step_floor) == {True, False}
 
 
-def test_block_terms_feed_the_trace(monkeypatch):
+def test_block_terms_feed_the_trace(monkeypatch, recorded_cycles):
     # every trace entry is read off the terms block_cycle returns: the
     # objectives are their totals and the matching term is the one after
     # the weights block, equal bit for bit to a fresh projected_means pass
@@ -324,8 +330,8 @@ def test_block_terms_feed_the_trace(monkeypatch):
         return terms
 
     monkeypatch.setattr(trainer, "full_objective", recording)
-    snapshots = []
-    _, trace = fit(pair, hp, iteration_callback=snapshots.append)
+    with recorded_cycles() as snapshots:
+        _, trace = fit(pair, hp)
     assert len(seen) == 3 * trace.n_iters
     assert all(isinstance(terms, ObjectiveTerms) for terms in seen)
     assert trace.objective_after_subspace == [t.total for t in seen[0::3]]

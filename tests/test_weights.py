@@ -4,7 +4,7 @@ import pytest
 from subadapt.classifier import ObjectiveContext
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.losses import loss_value
-from subadapt.neighborhood import NeighborGraph, build_graph
+from subadapt.neighborhood import build_graph
 from subadapt.qp_solver import QpProblem, ReconstructionHessian, solve
 from subadapt.subspace import projected_means
 from subadapt.trainer import full_objective
@@ -19,11 +19,11 @@ def make_instance(rng, n1=6, n2=5, m=3, **hp_kwargs):
     pair = DatasetPair(xs, ys, xt, yt)
     hp_kwargs.setdefault("k", 2)
     hp = Hyperparams(**hp_kwargs).resolved(m)
-    graph = build_graph(xs, hp.k)
-    state = ReconstructionHessian(graph.indices, graph.coeffs, 2.0 * hp.c2)
+    # the weight step reads only the source graph; the target one sizes the context
+    ctx = ObjectiveContext(pair, build_graph(xs, hp.k), build_graph(xt, min(hp.k, n2 - 1)), hp)
     theta = np.linalg.qr(rng.standard_normal((m, hp.r)))[0].T
     phi_vec = rng.standard_normal(m)
-    return pair, hp, state, theta, phi_vec
+    return pair, hp, ctx, theta, phi_vec
 
 
 def random_feasible_pi(rng, n1, delta):
@@ -34,24 +34,24 @@ def random_feasible_pi(rng, n1, delta):
 
 def test_tau_is_one_for_zero_hinge_classifier():
     rng = np.random.default_rng(0)
-    pair, hp, state, theta, _ = make_instance(rng, loss="hinge")
-    problem = build_weight_problem(np.zeros(3), theta, pair, state, hp)
+    pair, hp, ctx, theta, _ = make_instance(rng, loss="hinge")
+    problem = build_weight_problem(np.zeros(3), theta, ctx)
     assert problem.tau == pytest.approx(np.ones(pair.n1), abs=1e-15)
 
 
 def test_recon_quad_zero_without_c2():
     rng = np.random.default_rng(1)
-    pair, hp, state, theta, phi_vec = make_instance(rng, c2=0.0)
-    problem = build_weight_problem(phi_vec, theta, pair, state, hp)
-    assert np.abs(state.h0).max() == 0.0
+    pair, hp, ctx, theta, phi_vec = make_instance(rng, c2=0.0)
+    problem = build_weight_problem(phi_vec, theta, ctx)
+    assert np.abs(ctx.fixed.h0).max() == 0.0
     assert np.array_equal(problem.qp_matrices()[0],
                           hp.c3 * (problem.gamma.T @ problem.gamma))
 
 
 def test_gamma_and_vartheta_definitions():
     rng = np.random.default_rng(2)
-    pair, hp, state, theta, phi_vec = make_instance(rng)
-    problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+    pair, hp, ctx, theta, phi_vec = make_instance(rng)
+    problem = build_weight_problem(phi_vec, theta, ctx)
     for i in range(pair.n1):
         assert problem.gamma[:, i] == pytest.approx(
             theta @ pair.source_x[i] / pair.n1, abs=1e-12)
@@ -63,9 +63,9 @@ def test_qp_matrices_consistent_with_objective_terms():
     # the assembled quadratic must reproduce the pi-dependent terms of the
     # full training objective at arbitrary feasible weights
     rng = np.random.default_rng(3)
-    pair, hp, state, theta, phi_vec = make_instance(
+    pair, hp, ctx, theta, phi_vec = make_instance(
         rng, c1=0.0, c2=0.8, c3=5.0, loss="logistic")
-    problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+    problem = build_weight_problem(phi_vec, theta, ctx)
     h, c = problem.qp_matrices()
     constant = 0.5 * hp.c3 * float(problem.vartheta @ problem.vartheta)
     for _ in range(20):
@@ -74,7 +74,7 @@ def test_qp_matrices_consistent_with_objective_terms():
 
         losses = loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec)
         direct = float(losses @ pi)
-        resid = pi - np.array([state.coeffs[i] @ pi[state.indices[i]]
+        resid = pi - np.array([ctx.fixed.coeffs[i] @ pi[ctx.fixed.indices[i]]
                                for i in range(pair.n1)])
         direct += hp.c2 * float(resid @ resid)
         means = projected_means(theta, pair, pi)
@@ -89,12 +89,12 @@ def test_qp_matrices_consistent_with_objective_terms():
 def test_objective_from_sparse_residual_matches_dense_formula(hp_kwargs):
     rng = np.random.default_rng(12)
     for _ in range(3):
-        pair, hp, state, theta, phi_vec = make_instance(rng, n1=12, **hp_kwargs)
-        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
-        assert problem.fit is state and state.a == 2.0 * hp.c2
+        pair, hp, ctx, theta, phi_vec = make_instance(rng, n1=12, **hp_kwargs)
+        problem = build_weight_problem(phi_vec, theta, ctx)
+        assert problem.fit is ctx.fixed and ctx.fixed.a == 2.0 * hp.c2
         for pi in (np.ones(pair.n1), random_feasible_pi(rng, pair.n1, hp.delta)):
             gap = problem.gamma @ pi - problem.vartheta
-            dense = float(problem.tau @ pi + 0.5 * (pi @ state.h0 @ pi)
+            dense = float(problem.tau @ pi + 0.5 * (pi @ ctx.fixed.h0 @ pi)
                           + 0.5 * problem.c3 * (gap @ gap))
             assert abs(problem.objective(pi) - dense) <= 1e-12 * max(1.0, abs(dense))
 
@@ -103,8 +103,8 @@ def test_uniform_weights_optimal_without_matching():
     # constant tau and rows summing to one leave no preference among
     # feasible weights; the solved point must tie the uniform objective
     rng = np.random.default_rng(4)
-    pair, hp, state, theta, _ = make_instance(rng, c2=1.5, c3=0.0, loss="hinge")
-    problem = build_weight_problem(np.zeros(3), theta, pair, state, hp)
+    pair, hp, ctx, theta, _ = make_instance(rng, c2=1.5, c3=0.0, loss="hinge")
+    problem = build_weight_problem(np.zeros(3), theta, ctx)
     pi = update_pi(problem)
     uniform = np.ones(pair.n1)
     assert problem.objective(pi) <= problem.objective(uniform) + 1e-8
@@ -124,9 +124,9 @@ def test_two_point_linear_corner():
 def test_update_pi_matches_grid_oracle():
     rng = np.random.default_rng(5)
     for _ in range(5):
-        pair, hp, state, theta, phi_vec = make_instance(
+        pair, hp, ctx, theta, phi_vec = make_instance(
             rng, n1=4, c2=0.6, c3=3.0, delta=1.5, loss="logistic")
-        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+        problem = build_weight_problem(phi_vec, theta, ctx)
         pi = update_pi(problem)
         h, c = problem.qp_matrices()
         constant = 0.5 * hp.c3 * float(problem.vartheta @ problem.vartheta)
@@ -147,8 +147,8 @@ def test_update_pi_matches_grid_oracle():
 
 def test_update_pi_feasibility():
     rng = np.random.default_rng(6)
-    pair, hp, state, theta, phi_vec = make_instance(rng, n1=9, c3=40.0)
-    problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+    pair, hp, ctx, theta, phi_vec = make_instance(rng, n1=9, c3=40.0)
+    problem = build_weight_problem(phi_vec, theta, ctx)
     pi = update_pi(problem)
     assert pi.min() >= -1e-8
     assert pi.max() <= hp.delta + 1e-8
@@ -158,15 +158,13 @@ def test_update_pi_feasibility():
 def test_update_pi_never_increases_full_objective():
     rng = np.random.default_rng(7)
     for trial in range(5):
-        pair, hp, state, theta, phi_vec = make_instance(
+        pair, hp, ctx, theta, phi_vec = make_instance(
             rng, n1=7, c2=0.5, c3=20.0, loss="hinge")
-        graph_t = build_graph(pair.target_x, hp.k)
         w = rng.standard_normal(hp.r)
         varphi_vec = rng.standard_normal(3)
         pi0 = random_feasible_pi(rng, pair.n1, hp.delta)
-        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+        problem = build_weight_problem(phi_vec, theta, ctx)
         pi1 = update_pi(problem, warm_start=pi0)
-        ctx = ObjectiveContext(pair, NeighborGraph(state.indices, state.coeffs), graph_t, hp)
         before = full_objective(theta, w, phi_vec, varphi_vec, pi0, ctx).total
         after = full_objective(theta, w, phi_vec, varphi_vec, pi1, ctx).total
         assert after <= before + 1e-8
@@ -175,8 +173,8 @@ def test_update_pi_never_increases_full_objective():
 def test_matching_improvement_over_uniform():
     rng = np.random.default_rng(8)
     for _ in range(5):
-        pair, hp, state, theta, phi_vec = make_instance(rng, n1=8, c3=30.0)
-        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+        pair, hp, ctx, theta, phi_vec = make_instance(rng, n1=8, c3=30.0)
+        problem = build_weight_problem(phi_vec, theta, ctx)
         pi = update_pi(problem)
         assert problem.objective(pi) <= problem.objective(np.ones(pair.n1)) + 1e-8
 
@@ -193,20 +191,20 @@ def test_update_pi_with_fit_state_matches_standalone(hp_kwargs):
     # consecutive cycles of one fit share the fit's one KKT basis, which
     # rides on each problem; the dense H of qp_matrices is the reference
     rng = np.random.default_rng(10)
-    pair, hp, state, theta, phi_vec = make_instance(
+    pair, hp, ctx, theta, phi_vec = make_instance(
         rng, n1=40, n2=30, m=5, k=4, **hp_kwargs)
     pi = np.ones(pair.n1)
     for _ in range(4):
         theta = np.linalg.qr(theta.T + 0.1 * rng.standard_normal(theta.T.shape))[0].T
         phi_vec = phi_vec + 0.1 * rng.standard_normal(phi_vec.shape)
-        problem = build_weight_problem(phi_vec, theta, pair, state, hp)
+        problem = build_weight_problem(phi_vec, theta, ctx)
         hessian = problem.hessian()
-        assert hessian.fixed is state and hessian.basis is state.basis
+        assert hessian.fixed is ctx.fixed and hessian.basis is ctx.fixed.basis
         fast = update_pi(problem, warm_start=pi)
         reference = dense_reference(problem, pi)
         assert np.abs(fast - reference).max() <= 1e-9
         pi = reference
-    assert state.basis is not None
+    assert ctx.fixed.basis is not None
 
 
 def test_update_pi_depends_only_on_the_problem():
@@ -214,9 +212,9 @@ def test_update_pi_depends_only_on_the_problem():
     # is solved against its own fit's fixed part, whatever was solved before
     rng = np.random.default_rng(13)
     instances = [make_instance(rng, n1=40, n2=30, m=5, k=4, c2=c2) for c2 in (1.0, 3.0)]
-    problems = [build_weight_problem(phi_vec, theta, pair, state, hp)
-                for pair, hp, state, theta, phi_vec in instances]
-    assert instances[0][2].basis is not None and instances[1][2].basis is not None
+    problems = [build_weight_problem(phi_vec, theta, ctx)
+                for pair, hp, ctx, theta, phi_vec in instances]
+    assert all(instance[2].fixed.basis is not None for instance in instances)
     first = [update_pi(problem) for problem in problems]
     for problem, pi in zip(problems, first):
         assert np.abs(pi - dense_reference(problem, None)).max() <= 1e-9
@@ -229,6 +227,6 @@ def test_fit_state_has_no_basis_for_singular_kkt(hp_kwargs):
     # c2 = 0 leaves the fixed part zero; k = 1 gives (I - W) one null vector
     # per connected component of the nearest-neighbor graph
     rng = np.random.default_rng(11)
-    _, _, state, _, _ = make_instance(
+    _, _, ctx, _, _ = make_instance(
         rng, n1=40, n2=30, m=5, **hp_kwargs)
-    assert state.basis is None
+    assert ctx.fixed.basis is None
