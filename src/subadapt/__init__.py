@@ -32,7 +32,7 @@ from .classifier import (
     predict_target,
     update_phi_varphi,
 )
-from .weights import WeightStepProblem, build_weight_problem, update_pi
+from .weights import build_weight_problem, update_pi
 from .trainer import TrainingTrace, block_cycle, fit, full_objective
 from .evaluation import CvReport, half_label_mask, kfold_split, one_vs_all, run_cv
 
@@ -47,7 +47,7 @@ __all__ = [
     "MeanEmbeddings", "build_phi", "projected_means", "update_theta", "update_w",
     "ObjectiveContext", "q_objective", "q_subgradients", "recover_u_v", "predict_source",
     "predict_target", "update_phi_varphi",
-    "WeightStepProblem", "build_weight_problem", "update_pi",
+    "build_weight_problem", "update_pi",
     "TrainingTrace", "block_cycle", "fit", "full_objective",
     "CvReport", "half_label_mask", "kfold_split", "one_vs_all", "run_cv",
 ]

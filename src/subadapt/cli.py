@@ -366,6 +366,8 @@ def load_model(path):
         check_model_state(state, hp.delta)
     except ValidationError as err:
         raise ValidationError(f"{path}: {err}") from None
+    if hp.r != state.r:
+        raise ValidationError(f"{path}: field 'r' is {hp.r} but theta has {state.r} rows")
     return state, hp, scaler
 
 

@@ -28,7 +28,7 @@ blocking bound always exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -198,7 +198,9 @@ def _validate(p: QpProblem) -> None:
     if np.any(p.lower > p.upper):
         raise ValidationError("infeasible bounds: lower > upper")
     slack = 1e-9 * max(1.0, abs(p.eq_sum))
-    if not (p.lower.sum() - slack <= p.eq_sum <= p.upper.sum() + slack):
+    with np.errstate(over="ignore"):  # bounds near 1e308 sum to inf
+        upper_sum = p.upper.sum()
+    if not (p.lower.sum() - slack <= p.eq_sum <= upper_sum + slack):
         raise ValidationError("equality constraint infeasible for the given bounds")
 
 
@@ -456,8 +458,15 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
     that qualifies, so a QP with no such step never asks for the basis. A
     dense p.h is checked for symmetry and PSD first; a GramHessian is both
     by construction.
+
+    Each upper bound is capped at eq_sum - sum_{j != i} lower_j, which the
+    lower bounds and the sum already impose, so a bound near 1e308 solves
+    as that cap does.
     """
     _validate(p)
+    # clipped at lower: an eq_sum within _validate's slack below sum(lower)
+    # must not put a cap under its lower bound
+    p = replace(p, upper=np.clip(p.eq_sum - (p.lower.sum() - p.lower), p.lower, p.upper))
     gram = isinstance(p.h, GramHessian)
     if not gram:
         _require_psd(p.h)

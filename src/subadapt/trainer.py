@@ -34,8 +34,10 @@ class TrainingTrace:
     ``inner_hit_step_floor`` record each cycle's accepted descent steps, its
     scored proposals (accepted steps plus halvings), and whether the descent
     stopped because no halved step decreased the objective. The weight-step
-    objective pair records the solved QP value against the value at uniform
-    weights; the two are equal when delta = 1.
+    objective pair records the weight QP's value 0.5 pi'H pi + c'pi
+    (``QpProblem.objective``, without the constant 0.5 c3 ||vartheta||^2)
+    at the solved weights and at uniform weights; the two are equal when
+    delta = 1.
     """
 
     objective_after_subspace: list = field(default_factory=list)

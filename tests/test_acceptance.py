@@ -105,19 +105,18 @@ def test_criterion_2_eigen_step_optimality():
 # criterion 3: QP solutions match exhaustive grid oracles
 
 def _pi_grid_best(problem, delta, step=0.01):
-    h, c = problem.qp_matrices()
-    constant = 0.5 * problem.c3 * float(problem.vartheta @ problem.vartheta)
+    h, c = problem.h.dense(), problem.c
     grid = np.arange(0.0, delta + 1e-12, step)
     g2, g3 = np.meshgrid(grid, grid, indexing="ij")
     best = np.inf
     for a in grid:
-        g4 = problem.n1 - a - g2 - g3
+        g4 = problem.n - a - g2 - g3
         keep = (g4 >= 0.0) & (g4 <= delta)
         if not keep.any():
             continue
         pts = np.column_stack(
             [np.full(int(keep.sum()), a), g2[keep], g3[keep], g4[keep]])
-        values = 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts) + pts @ c + constant
+        values = 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts) + pts @ c
         best = min(best, float(values.min()))
     return best
 

@@ -408,6 +408,7 @@ def test_predict_non_finite_row_exits_2(tmp_path, capsys):
     ("c1", 0, "c1 ten"),
     ("k", 0, "k 2.5"),
     ("seed", 0, "seed abc"),
+    ("r", 0, "r 2"),
     ("theta", 0, "theta 1 three"),
     ("theta", 0, "theta -1 3"),
     ("theta", 1, "1 0 x"),

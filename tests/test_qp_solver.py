@@ -197,6 +197,15 @@ def test_large_upper_bounds_keep_the_solution_feasible(upper):
     assert x == pytest.approx([8 / 3, 5 / 3, 2 / 3, 0.0, 0.0], abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_upper_bounds_near_overflow_solve_as_their_cap():
+    # x >= 0 and sum(x) = 5 keep every x_i <= 5, so upper bounds of 1e308
+    # and of 10 are both capped at 5; summing the 1e308 bounds overflowed
+    huge = solve(QpProblem(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, 1e308), 5.0))
+    small = solve(QpProblem(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, 10.0), 5.0))
+    assert huge.tobytes() == small.tobytes()
+
+
 def bisection_start(p, warm_start):
     """Shift-then-clip projection onto the box/sum set by 200-step bisection."""
     x0 = np.full(p.n, p.eq_sum / p.n) if warm_start is None else warm_start.copy()
@@ -254,10 +263,9 @@ def test_sum_nullspace_basis_matches_loop_bytes(n):
     assert z.tobytes() == expected.tobytes()
 
 
-def dense_qp(problem):
-    """The weight step's QP with the dense H of ``qp_matrices``."""
-    n = problem.n1
-    return QpProblem(*problem.qp_matrices(), np.zeros(n), np.full(n, problem.delta), float(n))
+def dense_copy(qp):
+    """``qp`` with its GramHessian's dense matrix: the reference path."""
+    return dataclasses.replace(qp, h=qp.h.dense())
 
 
 def weight_context(pair, hp):
@@ -282,26 +290,15 @@ def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
         phi_vec = 0.1 * rng.standard_normal(pair.m)
         problem = build_weight_problem(phi_vec, theta, ctx)
         yield problem, pi
-        pi = solve(dense_qp(problem), warm_start=pi)
+        pi = solve(dense_copy(problem), warm_start=pi)
 
 
-def weight_qp(problem, basis=None):
-    """The weight step's QP on the problem's factored Hessian, or on one
-    whose fixed part is a copy of the fit's that carries ``basis`` instead."""
-    if basis is not None:
-        fixed = copy.copy(problem.fit)
-        fixed.basis = basis
-        problem = dataclasses.replace(problem, fit=fixed)
-    n = problem.n1
-    return QpProblem(problem.hessian(), problem.linear_term(), np.zeros(n),
-                     np.full(n, problem.delta), float(n))
-
-
-def weight_qp_sequence(seed, cycles=4, n=80, **hp_kwargs):
-    """(QP on the factored Hessian with the fit's KKT basis, warm start) of
-    ``weight_problem_sequence``."""
-    for problem, pi in weight_problem_sequence(seed, cycles, n, **hp_kwargs):
-        yield weight_qp(problem), pi
+def with_basis(qp, basis):
+    """The weight QP ``qp`` on a Hessian whose fixed part is a copy of the
+    fit's that carries ``basis`` instead."""
+    fixed = copy.copy(qp.h.fixed)
+    fixed.basis = basis
+    return dataclasses.replace(qp, h=GramHessian(fixed, qp.h.gamma, qp.h.b))
 
 
 WEIGHT_QP_VARIANTS = [
@@ -351,18 +348,13 @@ def count_steps(monkeypatch):
     return counts
 
 
-def dense_copy(qp):
-    """``qp`` with its GramHessian's dense matrix: the reference path."""
-    return QpProblem(qp.h.dense(), qp.c, qp.lower, qp.upper, qp.eq_sum)
-
-
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
 def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
     counts = count_steps(monkeypatch)
     fast = Counter()
     first = Counter()
     for seed in range(3):
-        for cycle, (qp, warm) in enumerate(weight_qp_sequence(seed, **hp_kwargs)):
+        for cycle, (qp, warm) in enumerate(weight_problem_sequence(seed, **hp_kwargs)):
             assert qp.h.basis is not None
             # the Schur columns are the r = 5 rows of gamma, none without matching
             q = 0 if hp_kwargs.get("c3") == 0.0 else 5
@@ -393,11 +385,11 @@ def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
     other = build_graph(make_shifted_pair([9, 0], n1=80, n2=80, n3=10, m=6,
                                           shift=1.5, rot_deg=30.0)[0], 5)
     for problem, warm in weight_problem_sequence(4, cycles=2):
-        wrong_c2 = kkt_basis(3.0 * problem.fit.h0)
+        wrong_c2 = kkt_basis(3.0 * problem.h.fixed.h0)
         wrong_graph = ReconstructionHessian(other.indices, other.coeffs, 2.0).basis
-        reference = solve(dense_qp(problem), warm_start=warm)
+        reference = solve(dense_copy(problem), warm_start=warm)
         for wrong in (wrong_c2, wrong_graph):
-            qp = weight_qp(problem, wrong)
+            qp = with_basis(problem, wrong)
             counts.clear()
             x = solve(qp, warm_start=warm)
             assert np.abs(x - reference).max() <= 1e-9
@@ -414,11 +406,11 @@ def test_perturbed_basis_steps_are_refined(monkeypatch):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for problem, warm in weight_problem_sequence(seed):
-            basis = problem.fit.basis
+            basis = problem.h.basis
             noise = rng.standard_normal(basis.shape)
             noise *= 1e-9 * np.abs(basis).max()
-            qp = weight_qp(problem, basis + 0.5 * (noise + noise.T))
-            reference = solve(dense_qp(problem), warm_start=warm)
+            qp = with_basis(problem, basis + 0.5 * (noise + noise.T))
+            reference = solve(dense_copy(problem), warm_start=warm)
             counts.clear()
             x = solve(qp, warm_start=warm)
             fast.update(counts)
@@ -432,7 +424,7 @@ def test_all_free_solution_matches_basis_inverse(hp_kwargs):
     # M0 b read off M0 [H0 x; 1'x] = [x; 0], against the product with M0
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        for qp, warm in weight_qp_sequence(seed, **hp_kwargs):
+        for qp, warm in weight_problem_sequence(seed, **hp_kwargs):
             steps = qp_solver._SchurSteps(qp)
             for x in [warm, _feasible_start(qp, rng.uniform(qp.lower, qp.upper))]:
                 b = np.append(-(qp.h @ x + qp.c), qp.eq_sum - x.sum())
@@ -463,11 +455,11 @@ def seeded_weight_problem(seed, n=30, **hp_kwargs):
 def test_gram_hessian_matches_dense_formula(hp_kwargs):
     for seed in range(3):
         problem = seeded_weight_problem(seed, **hp_kwargs)
-        h = problem.hessian()
-        reference = problem.qp_matrices()[0]
+        h = problem.h
+        reference = h.fixed.h0 + h.b * (h.gamma.T @ h.gamma)
         assert h.shape == reference.shape
         rng = np.random.default_rng(seed)
-        for v in [np.ones(problem.n1), *rng.standard_normal((5, problem.n1))]:
+        for v in [np.ones(problem.n), *rng.standard_normal((5, problem.n))]:
             expected = reference @ v
             assert np.abs(h @ v - expected).max() <= \
                 1e-12 * max(1.0, np.abs(reference).max() * np.abs(v).sum())
@@ -582,17 +574,16 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
     fast = Counter()
     for seed in range(3):
         for problem, warm in weight_problem_sequence(seed, **hp_kwargs):
-            qp = dense_qp(problem)
-            reference = solve(qp, warm_start=warm)
             counts.clear()
             formed.clear()
             x = update_pi(problem, warm_start=warm)
             fast.update(counts)
-            assert np.abs(x - reference).max() <= 1e-9
-            assert kkt_residual(qp, x) <= 1e-8
             # H is formed densely only for dense free-set fallbacks, at most
             # once per QP
             assert formed["dense"] == int(counts["dense"] > 0)
+            qp = dense_copy(problem)
+            assert np.abs(x - solve(qp, warm_start=warm)).max() <= 1e-9
+            assert kkt_residual(qp, x) <= 1e-8
     assert fast["schur"] > 0
     assert fast["rejected"] == 0
     assert fast["m0_products"] == 0

@@ -9,6 +9,7 @@ from subadapt.neighborhood import NeighborGraph, build_graph
 from subadapt.subspace import projected_means
 from subadapt import trainer
 from subadapt.trainer import ObjectiveTerms, block_cycle, fit, full_objective
+from subadapt.weights import build_weight_problem
 
 
 def separable_identical_pair(rng, n=20, m=3, margin=1.5):
@@ -252,6 +253,23 @@ def test_fit_records_weight_step_objectives():
         assert solved <= uniform + 1e-8
 
 
+def test_weight_step_objectives_are_the_qp_values(recorded_cycles):
+    # the trace's pair is the weight QP's value 0.5 pi'H pi + c'pi at the
+    # cycle's solved pi and at pi = 1, on the cycle's theta and phi
+    pair = synthetic_pair(23)
+    hp = Hyperparams(k=3, max_outer_iters=6, tol=1e-12)
+    with recorded_cycles() as snapshots:
+        _, trace = fit(pair, hp)
+    resolved = hp.resolved(pair.m)
+    ctx = ObjectiveContext(pair, build_graph(pair.source_x, resolved.k),
+                           build_graph(pair.target_x, resolved.k), resolved)
+    assert len(snapshots) == trace.n_iters == 6
+    for t, snap in enumerate(snapshots):
+        problem = build_weight_problem(snap.phi, snap.theta, ctx)
+        assert problem.objective(snap.pi) == trace.pi_step_objective[t]
+        assert problem.objective(np.ones(pair.n1)) == trace.pi_step_objective_uniform[t]
+
+
 def test_fit_ablation_flags(no_subspace):
     # delta = 1 leaves the weight box the single point pi = 1: no weighting
     pair = synthetic_pair(29)
@@ -272,8 +290,8 @@ def test_fit_ablation_flags(no_subspace):
 def test_fit_with_huge_delta_keeps_pi_feasible():
     # the weight QP's lower-bound test is not scaled by delta: at
     # delta >= 2e11 it once marked every pi_i near 1 as sitting at 0.
-    # pi >= 0 and sum(pi) = n1 keep every pi_i <= n1, so the QP's upper
-    # bound is min(delta, n1): at delta = 1e308 its sums once overflowed
+    # pi >= 0 and sum(pi) = n1 keep every pi_i <= n1, so the solver caps
+    # the upper bound at n1: at delta = 1e308 its sums once overflowed
     sx, sy, tx, ty = make_shifted_pair(3, n1=40, n2=40, n3=10, m=4)
     pair = DatasetPair(sx, sy, tx, ty[:10])
     at_n1 = fit(pair, Hyperparams(k=3, max_outer_iters=5, delta=40.0))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from subadapt.classifier import ObjectiveContext
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.losses import loss_value
 from subadapt.neighborhood import build_graph
-from subadapt.qp_solver import QpProblem, ReconstructionHessian, solve
+from subadapt.qp_solver import GramHessian, QpProblem, ReconstructionHessian, solve
 from subadapt.subspace import projected_means
 from subadapt.trainer import full_objective
-from subadapt.weights import WeightStepProblem, build_weight_problem, update_pi
+from subadapt.weights import build_weight_problem, update_pi
 
 
 def make_instance(rng, n1=6, n2=5, m=3, **hp_kwargs):
@@ -26,6 +28,17 @@ def make_instance(rng, n1=6, n2=5, m=3, **hp_kwargs):
     return pair, hp, ctx, theta, phi_vec
 
 
+def projected_target_mean(pair, theta):
+    """vartheta: the target mean in the subspace."""
+    return (pair.target_x @ theta.T).mean(axis=0)
+
+
+def matching_constant(pair, hp, theta):
+    """0.5 c3 ||vartheta||^2: the weight objective's part that the QP leaves out."""
+    vartheta = projected_target_mean(pair, theta)
+    return 0.5 * hp.c3 * float(vartheta @ vartheta)
+
+
 def random_feasible_pi(rng, n1, delta):
     pi = rng.uniform(0.0, min(delta, 2.0), n1)
     pi *= n1 / pi.sum()
@@ -36,7 +49,9 @@ def test_tau_is_one_for_zero_hinge_classifier():
     rng = np.random.default_rng(0)
     pair, hp, ctx, theta, _ = make_instance(rng, loss="hinge")
     problem = build_weight_problem(np.zeros(3), theta, ctx)
-    assert problem.tau == pytest.approx(np.ones(pair.n1), abs=1e-15)
+    # c = tau - c3 gamma'vartheta
+    matching = hp.c3 * (problem.h.gamma.T @ projected_target_mean(pair, theta))
+    assert problem.c + matching == pytest.approx(np.ones(pair.n1), abs=1e-15)
 
 
 def test_recon_quad_zero_without_c2():
@@ -44,19 +59,22 @@ def test_recon_quad_zero_without_c2():
     pair, hp, ctx, theta, phi_vec = make_instance(rng, c2=0.0)
     problem = build_weight_problem(phi_vec, theta, ctx)
     assert np.abs(ctx.fixed.h0).max() == 0.0
-    assert np.array_equal(problem.qp_matrices()[0],
-                          hp.c3 * (problem.gamma.T @ problem.gamma))
+    assert np.array_equal(problem.h.dense(),
+                          hp.c3 * (problem.h.gamma.T @ problem.h.gamma))
 
 
 def test_gamma_and_vartheta_definitions():
     rng = np.random.default_rng(2)
     pair, hp, ctx, theta, phi_vec = make_instance(rng)
     problem = build_weight_problem(phi_vec, theta, ctx)
+    gamma = problem.h.gamma
     for i in range(pair.n1):
-        assert problem.gamma[:, i] == pytest.approx(
+        assert gamma[:, i] == pytest.approx(
             theta @ pair.source_x[i] / pair.n1, abs=1e-12)
-    assert problem.vartheta == pytest.approx(
-        (pair.target_x @ theta.T).mean(axis=0), abs=1e-12)
+    # vartheta enters only through c = tau - c3 gamma'vartheta
+    tau = loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec)
+    vartheta = np.mean([theta @ x for x in pair.target_x], axis=0)
+    assert problem.c == pytest.approx(tau - hp.c3 * (gamma.T @ vartheta), abs=1e-12)
 
 
 def test_qp_matrices_consistent_with_objective_terms():
@@ -66,8 +84,8 @@ def test_qp_matrices_consistent_with_objective_terms():
     pair, hp, ctx, theta, phi_vec = make_instance(
         rng, c1=0.0, c2=0.8, c3=5.0, loss="logistic")
     problem = build_weight_problem(phi_vec, theta, ctx)
-    h, c = problem.qp_matrices()
-    constant = 0.5 * hp.c3 * float(problem.vartheta @ problem.vartheta)
+    h, c = problem.h.dense(), problem.c
+    constant = matching_constant(pair, hp, theta)
     for _ in range(20):
         pi = random_feasible_pi(rng, pair.n1, hp.delta)
         qp_value = 0.5 * pi @ h @ pi + c @ pi + constant
@@ -82,7 +100,7 @@ def test_qp_matrices_consistent_with_objective_terms():
         direct += 0.5 * hp.c3 * float(gap @ gap)
 
         assert abs(qp_value - direct) <= 1e-9
-        assert abs(problem.objective(pi) - direct) <= 1e-9
+        assert abs(problem.objective(pi) + constant - direct) <= 1e-9
 
 
 @pytest.mark.parametrize("hp_kwargs", [{}, {"k": 1}, {"k": 11}, {"c2": 0.0}, {"c3": 0.0}])
@@ -91,12 +109,15 @@ def test_objective_from_sparse_residual_matches_dense_formula(hp_kwargs):
     for _ in range(3):
         pair, hp, ctx, theta, phi_vec = make_instance(rng, n1=12, **hp_kwargs)
         problem = build_weight_problem(phi_vec, theta, ctx)
-        assert problem.fit is ctx.fixed and ctx.fixed.a == 2.0 * hp.c2
+        assert problem.h.fixed is ctx.fixed and ctx.fixed.a == 2.0 * hp.c2
+        tau = loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec)
+        constant = matching_constant(pair, hp, theta)
         for pi in (np.ones(pair.n1), random_feasible_pi(rng, pair.n1, hp.delta)):
-            gap = problem.gamma @ pi - problem.vartheta
-            dense = float(problem.tau @ pi + 0.5 * (pi @ ctx.fixed.h0 @ pi)
-                          + 0.5 * problem.c3 * (gap @ gap))
-            assert abs(problem.objective(pi) - dense) <= 1e-12 * max(1.0, abs(dense))
+            gap = problem.h.gamma @ pi - projected_target_mean(pair, theta)
+            dense = float(tau @ pi + 0.5 * (pi @ ctx.fixed.h0 @ pi)
+                          + 0.5 * hp.c3 * (gap @ gap))
+            assert abs(problem.objective(pi) + constant - dense) <= \
+                1e-12 * max(1.0, abs(dense))
 
 
 def test_uniform_weights_optimal_without_matching():
@@ -112,12 +133,9 @@ def test_uniform_weights_optimal_without_matching():
 
 
 def test_two_point_linear_corner():
-    problem = WeightStepProblem(
-        tau=np.array([0.0, 10.0]),
-        gamma=np.zeros((1, 2)),
-        vartheta=np.zeros(1),
-        c3=0.0, delta=2.0, n1=2,
-        fit=ReconstructionHessian(np.array([[1], [0]]), np.ones((2, 1)), 0.0))
+    fixed = ReconstructionHessian(np.array([[1], [0]]), np.ones((2, 1)), 0.0)
+    problem = QpProblem(GramHessian(fixed, np.zeros((1, 2)), 0.0), c=[0.0, 10.0],
+                        lower=np.zeros(2), upper=np.full(2, 2.0), eq_sum=2.0)
     assert update_pi(problem) == pytest.approx([2.0, 0.0], abs=1e-10)
 
 
@@ -128,8 +146,7 @@ def test_update_pi_matches_grid_oracle():
             rng, n1=4, c2=0.6, c3=3.0, delta=1.5, loss="logistic")
         problem = build_weight_problem(phi_vec, theta, ctx)
         pi = update_pi(problem)
-        h, c = problem.qp_matrices()
-        constant = 0.5 * hp.c3 * float(problem.vartheta @ problem.vartheta)
+        h, c = problem.h.dense(), problem.c
         best = np.inf
         grid = np.arange(0.0, hp.delta + 1e-12, 0.01)
         g2, g3 = np.meshgrid(grid, grid, indexing="ij")
@@ -140,7 +157,7 @@ def test_update_pi_matches_grid_oracle():
                 continue
             pts = np.column_stack(
                 [np.full(int(keep.sum()), a), g2[keep], g3[keep], g4[keep]])
-            values = 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts) + pts @ c + constant
+            values = 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts) + pts @ c
             best = min(best, float(values.min()))
         assert problem.objective(pi) <= best + 1e-4
 
@@ -180,16 +197,14 @@ def test_matching_improvement_over_uniform():
 
 
 def dense_reference(problem, warm_start):
-    """The weight QP solved on the dense H of ``qp_matrices``."""
-    n = problem.n1
-    qp = QpProblem(*problem.qp_matrices(), np.zeros(n), np.full(n, problem.delta), float(n))
-    return solve(qp, warm_start=warm_start)
+    """The weight QP solved on the dense matrix of its Hessian."""
+    return solve(dataclasses.replace(problem, h=problem.h.dense()), warm_start=warm_start)
 
 
 @pytest.mark.parametrize("hp_kwargs", [{}, {"c3": 0.0}, {"delta": 1.05}])
 def test_update_pi_with_fit_state_matches_standalone(hp_kwargs):
     # consecutive cycles of one fit share the fit's one KKT basis, which
-    # rides on each problem; the dense H of qp_matrices is the reference
+    # rides on each problem; the dense H is the reference
     rng = np.random.default_rng(10)
     pair, hp, ctx, theta, phi_vec = make_instance(
         rng, n1=40, n2=30, m=5, k=4, **hp_kwargs)
@@ -198,7 +213,7 @@ def test_update_pi_with_fit_state_matches_standalone(hp_kwargs):
         theta = np.linalg.qr(theta.T + 0.1 * rng.standard_normal(theta.T.shape))[0].T
         phi_vec = phi_vec + 0.1 * rng.standard_normal(phi_vec.shape)
         problem = build_weight_problem(phi_vec, theta, ctx)
-        hessian = problem.hessian()
+        hessian = problem.h
         assert hessian.fixed is ctx.fixed and hessian.basis is ctx.fixed.basis
         fast = update_pi(problem, warm_start=pi)
         reference = dense_reference(problem, pi)
