@@ -1,5 +1,6 @@
 """Classifier-vector block: the joint objective in the two linear
-classifiers, its subgradients, a backtracked subgradient descent update,
+classifiers, its subgradients and Hessian, a damped Newton update for the
+smooth losses and a backtracked subgradient descent for hinge,
 adaptation-vector recovery, and prediction, plus the per-fit
 ``ObjectiveContext`` that every block and the trainer's full objective read.
 
@@ -16,12 +17,25 @@ and a subgradient is Z'(slope * (-y*c)) + (A x - b), where the slope
 Z and A are built once per fit, c and b once per block call, so scoring a
 proposal takes one Z product, one loss pass, one A product and two dots.
 
-The descent update keeps the plain fixed-step rule as its first candidate
-and halves the step whenever the proposal fails to decrease the objective,
-so the accepted trajectory is monotone even for the nonsmooth hinge loss.
-The loss kind and the labels are checked once per fit, when the context is
-built; each proposal is scored once, exactly from Z x, and the losses and
-A x of the accepted one are reused for the next subgradient.
+For the smooth logistic and exponential losses q is smooth and convex, and
+``update_phi_varphi`` minimizes it by damped Newton steps (Boyd &
+Vandenberghe, Convex Optimization, 9.5): the Hessian is
+Z' diag(c * curvature) Z + A, with the curvature d2 loss/d margin2 read off
+the loss values by ``losses.margin_curvature``; each step halves t from 1
+until the objective strictly decreases and meets the Armijo condition.
+Once the Newton decrement -g'd falls to NEWTON_DECREMENT_TOL relative to
+|q|, the run tries the full step once more, keeps it if q strictly
+decreases, and stops. A singular Hessian (possible when c1 = 0) is solved
+on the numerical range of its Jacobi-scaled form, so no direction is ever
+undefined.
+
+For the nonsmooth hinge loss ``update_phi_varphi`` runs ``descend``, which
+keeps the plain fixed-step rule as its first candidate and halves the step
+whenever the proposal fails to decrease the objective, so the accepted
+trajectory is monotone. The loss kind and the labels are checked once per
+fit, when the context is built; each proposal of either method is scored
+once, exactly from Z x, and the losses and A x of the accepted one are
+reused for the next gradient.
 """
 
 from __future__ import annotations
@@ -32,23 +46,36 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_model import DatasetPair, Hyperparams, NumericError, ValidationError
-from .losses import checked_labels, margin_loss, margin_slope
+from .losses import checked_labels, margin_curvature, margin_loss, margin_slope
 from .neighborhood import NeighborGraph
 from .qp_solver import ReconstructionHessian
 
 # proposals halve the step at most this many times before the update stops
 MAX_STEP_HALVINGS = 20
+# a Newton run stops once the decrement -g'd is at most this share of |q|
+NEWTON_DECREMENT_TOL = 1e-13
+# a Newton step is accepted when q falls by at least this share of t * (-g'd)
+ARMIJO_FRACTION = 0.25
+# eigenvalues of the Jacobi-scaled Hessian at or below this share of the
+# largest are treated as zero; a squared Cholesky pivot at or below it sends
+# the Newton solve to that eigen path
+HESSIAN_RCOND = 1e-12
 
 
 @dataclass
 class InnerTrace:
-    """Accepted objective values of one descent run; q_values[0] is the start.
-    ``proposals`` counts every scored proposal: accepted steps plus halvings."""
+    """Accepted objective values of one classifier-block run (Newton or
+    descent); q_values[0] is the start. ``proposals`` counts every scored
+    proposal: accepted steps plus halvings. ``hit_step_floor`` records a stop
+    because no halved step decreased the objective, and ``capped`` a stop at
+    the step cap ``max_inner_iters``; a Newton run with neither stopped on
+    its decrement."""
 
     q_values: list = field(default_factory=list)
     accepted_steps: int = 0
     proposals: int = 0
     hit_step_floor: bool = False
+    capped: bool = False
 
 
 class BlockState(NamedTuple):
@@ -125,6 +152,12 @@ class ObjectiveContext:
         slope = margin_slope(self.hp.loss, losses)
         return self.z.T @ (slope * block.signed_weights) + (ax - block.anchor_term)
 
+    def hessian(self, block: BlockState, losses):
+        """The Hessian Z' diag(c * curvature) Z + A in x, from the losses of
+        ``score`` at x (zero curvature for hinge)."""
+        curvature = margin_curvature(self.hp.loss, losses) * block.weights
+        return (self.z.T * curvature) @ self.z + self.quad
+
 
 def _vectors(phi_vec, varphi_vec, m):
     phi_vec = np.asarray(phi_vec, dtype=float)
@@ -164,9 +197,105 @@ def q_subgradients(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext):
     return g[:ctx.pair.m], g[ctx.pair.m:]
 
 
+def _check_controls(ctx: ObjectiveContext, hp: Hyperparams):
+    if replace(hp, step=ctx.hp.step, max_inner_iters=ctx.hp.max_inner_iters) != ctx.hp:
+        raise ValidationError("hyperparameters other than step and max_inner_iters "
+                              "differ from the objective context's")
+
+
+def _checked_gradient(ctx: ObjectiveContext, block: BlockState, losses, ax):
+    g = ctx.subgradient(block, losses, ax)
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite subgradient in the classifier update")
+    return g
+
+
 def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
                       hp: Hyperparams):
-    """Backtracked subgradient descent on both classifier vectors jointly.
+    """Minimize the classifier objective in both classifier vectors jointly.
+
+    For the logistic and exponential losses this runs damped Newton steps.
+    Each solves H d = -g for the Hessian H (on its numerical range when H is
+    singular, see ``_newton_direction``) and halves t from 1, at most
+    MAX_STEP_HALVINGS times, until x + t d strictly decreases the objective
+    by at least ARMIJO_FRACTION * t * (-g'd). Once the Newton decrement -g'd
+    is at most NEWTON_DECREMENT_TOL * |q|, the full step is tried once more,
+    kept if it strictly decreases the objective, and the run stops. It also
+    stops when no halved step is accepted, or after ``hp.max_inner_iters``
+    steps. For hinge it runs ``descend``.
+
+    ``hp`` supplies the controls: ``max_inner_iters`` for both methods and
+    ``step`` for the descent only. The objective comes from ``ctx``, and
+    every other field of ``hp`` must equal ``ctx.hp``'s.
+    """
+    if ctx.hp.loss == "hinge":
+        return descend(phi_vec, varphi_vec, theta, w, pi, ctx, hp)
+    _check_controls(ctx, hp)
+    x, block = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
+    q_cur, losses, ax = ctx.score(x, block)
+    trace = InnerTrace(q_values=[q_cur])
+    for _ in range(hp.max_inner_iters):
+        g = _checked_gradient(ctx, block, losses, ax)
+        d = _newton_direction(ctx.hessian(block, losses), g)
+        decrement = -float(g @ d)
+        # a converged run tries the full step once more and stops either way:
+        # that step cuts the gradient quadratically whenever q still tells its
+        # decrease from rounding, and costs one score when it does not
+        converged = decrement <= NEWTON_DECREMENT_TOL * abs(q_cur)
+        t = 1.0
+        for _ in range(1 if converged else MAX_STEP_HALVINGS + 1):
+            x_try = x + t * d
+            # an overflowing loss scores inf (or nan against a zero weight),
+            # which the comparisons below reject like any other failed step
+            with np.errstate(over="ignore", invalid="ignore"):
+                q_try, losses_try, ax_try = ctx.score(x_try, block)
+            trace.proposals += 1
+            if q_try < q_cur and (converged
+                                  or q_try <= q_cur - ARMIJO_FRACTION * t * decrement):
+                x, q_cur, losses, ax = x_try, q_try, losses_try, ax_try
+                trace.q_values.append(q_cur)
+                trace.accepted_steps += 1
+                break
+            t *= 0.5
+        else:
+            trace.hit_step_floor = not converged
+            break
+        if converged:
+            break
+    else:
+        trace.capped = True
+    return x[:ctx.pair.m], x[ctx.pair.m:], trace
+
+
+def _newton_direction(h, g):
+    """The Newton direction -H^+ g of a symmetric positive semidefinite H,
+    after Jacobi scaling S^-1 H S^-1 with S = sqrt(diag H), so that blocks of
+    H on different scales are each judged on their own scale (a zero row of H
+    keeps S = 1 and gets a zero step). The scaled system is solved directly
+    when its Cholesky factorization succeeds with every squared pivot above
+    HESSIAN_RCOND, and otherwise on the eigenvectors whose eigenvalues exceed
+    HESSIAN_RCOND times the largest."""
+    scale = np.sqrt(h.diagonal())
+    scale[scale == 0.0] = 1.0
+    h_s = h / np.outer(scale, scale)
+    g_s = g / scale
+    try:
+        # a unit diagonal bounds every squared pivot by 1
+        well_posed = np.linalg.cholesky(h_s).diagonal().min() ** 2 > HESSIAN_RCOND
+    except np.linalg.LinAlgError:
+        well_posed = False
+    if well_posed:
+        return -np.linalg.solve(h_s, g_s) / scale
+    values, vectors = np.linalg.eigh(h_s)
+    keep = values > HESSIAN_RCOND * values[-1]
+    vectors = vectors[:, keep]
+    return -(vectors @ ((vectors.T @ g_s) / values[keep])) / scale
+
+
+def descend(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext, hp: Hyperparams):
+    """Backtracked subgradient descent on both classifier vectors jointly:
+    the hinge path of ``update_phi_varphi``, and for the smooth losses the
+    first-order reference its Newton steps are compared against.
 
     ``hp`` supplies the descent controls, ``step`` and ``max_inner_iters``;
     the objective comes from ``ctx``, and every other field of ``hp`` must
@@ -176,16 +305,12 @@ def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
     MAX_STEP_HALVINGS failed halvings the whole update stops at the current
     point.
     """
-    if replace(hp, step=ctx.hp.step, max_inner_iters=ctx.hp.max_inner_iters) != ctx.hp:
-        raise ValidationError("hyperparameters other than step and max_inner_iters "
-                              "differ from the objective context's")
+    _check_controls(ctx, hp)
     x, block = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
     q_cur, losses, ax = ctx.score(x, block)
     trace = InnerTrace(q_values=[q_cur])
     for _ in range(hp.max_inner_iters):
-        g = ctx.subgradient(block, losses, ax)
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite subgradient in the classifier update")
+        g = _checked_gradient(ctx, block, losses, ax)
         step = hp.step
         for _ in range(MAX_STEP_HALVINGS + 1):
             x_try = x - step * g
@@ -200,6 +325,8 @@ def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
         else:
             trace.hit_step_floor = True
             break
+    else:
+        trace.capped = True
     return x[:ctx.pair.m], x[ctx.pair.m:], trace
 
 

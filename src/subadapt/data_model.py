@@ -85,7 +85,10 @@ class Hyperparams:
     """Term weights and optimization controls.
 
     ``r`` may be left as None and is resolved to ``min(10, m - 1)`` once the
-    feature dimension is known.
+    feature dimension is known. ``max_inner_iters`` caps the classifier
+    block's steps: Newton steps for the smooth logistic and exponential
+    losses, descent steps for hinge. ``step`` is the descent's first step
+    size, so it affects only the hinge loss.
     """
 
     c1: float = 10.0

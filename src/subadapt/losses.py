@@ -7,9 +7,10 @@ may be scalars or arrays of matching shape.
 ``loss_value``/``loss_subgradient`` check their inputs; the margin kernels
 ``margin_loss``/``margin_subgradient`` hold the formulas and check nothing,
 for callers that have passed the kind and labels through ``checked_labels``
-once already. ``margin_slope``, also unchecked, reads the slope
--d(loss)/d(margin) off loss values a caller already holds, so a descent that
-has scored a point needs no second pass over its margins for the subgradient.
+once already. ``margin_slope`` and ``margin_curvature``, also unchecked,
+read the slope -d(loss)/d(margin) and the curvature d2(loss)/d(margin)2 off
+loss values a caller already holds, so an update that has scored a point
+needs no second pass over its margins for the gradient or the Hessian.
 """
 
 from __future__ import annotations
@@ -73,6 +74,18 @@ def margin_slope(kind, losses):
         return np.sign(losses)  # hinge losses are >= 0, so this is [loss > 0]
     if kind == "logistic":
         return -np.expm1(-losses)
+    return losses
+
+
+def margin_curvature(kind, losses):
+    """Unchecked d2(loss)/d(margin)2 from the loss values ``margin_loss``
+    returned: 0 for hinge (piecewise linear), exp(-loss) * (1 - exp(-loss))
+    for logistic (sigmoid(m) * sigmoid(-m), as exp(-loss) = sigmoid(m)), and
+    the loss itself for exponential."""
+    if kind == "hinge":
+        return np.zeros_like(losses)
+    if kind == "logistic":
+        return np.exp(-losses) * -np.expm1(-losses)
     return losses
 
 

@@ -3,10 +3,11 @@ terms on the fit's one ``ObjectiveContext``, initialization, convergence,
 and a monotonicity-auditable trace read off the terms after each block.
 
 Block order per cycle: projection (exact eigen-step), shared classifier
-(closed form), classifier vectors (backtracked descent), source weights
-(constrained QP). Each exact block minimizes its subproblem globally, the
-descent block only accepts improving steps, so the full objective is
-nonincreasing across every block boundary up to rounding.
+(closed form), classifier vectors (damped Newton for the smooth losses,
+backtracked descent for hinge), source weights (constrained QP). Each exact
+block minimizes its subproblem globally, the classifier block only accepts
+improving steps, so the full objective is nonincreasing across every block
+boundary up to rounding.
 """
 
 from __future__ import annotations
@@ -30,10 +31,13 @@ class TrainingTrace:
 
     The three objective lists record the full objective after each block
     boundary of a cycle; flattened in order they form a nonincreasing
-    sequence up to small slack. ``inner_steps``, ``inner_proposals`` and
-    ``inner_hit_step_floor`` record each cycle's accepted descent steps, its
-    scored proposals (accepted steps plus halvings), and whether the descent
-    stopped because no halved step decreased the objective. The weight-step
+    sequence up to small slack. ``inner_steps``, ``inner_proposals``,
+    ``inner_hit_step_floor`` and ``inner_capped`` record each cycle's
+    accepted classifier-block steps (Newton steps for the smooth losses,
+    descent steps for hinge), its scored proposals (accepted steps plus
+    halvings), whether the run stopped because no halved step decreased the
+    objective, and whether it stopped at the ``max_inner_iters`` cap; a
+    Newton run with neither flag stopped on its decrement. The weight-step
     objective pair records the weight QP's value 0.5 pi'H pi + c'pi
     (``QpProblem.objective``, without the constant 0.5 c3 ||vartheta||^2)
     at the solved weights and at uniform weights; the two are equal when
@@ -53,6 +57,7 @@ class TrainingTrace:
     inner_steps: list = field(default_factory=list)
     inner_proposals: list = field(default_factory=list)
     inner_hit_step_floor: list = field(default_factory=list)
+    inner_capped: list = field(default_factory=list)
     pi_step_objective: list = field(default_factory=list)
     pi_step_objective_uniform: list = field(default_factory=list)
     n_iters: int = 0
@@ -103,15 +108,15 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi,
 
 def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext):
     """Run one full block cycle. Returns the new (theta, w, phi, varphi, pi),
-    the objective terms after each of the three blocks, the descent's
-    InnerTrace, and the weight QP's (solved, uniform) objectives."""
+    the objective terms after each of the three blocks, the classifier
+    block's InnerTrace, and the weight QP's (solved, uniform) objectives."""
     pair, hp = ctx.pair, ctx.hp
     phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
     theta = update_theta(phi_mat, hp.r, prev_theta=theta)
     w = update_w(theta, phi_vec, varphi_vec)
     after_subspace = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
 
-    # hp goes by keyword: the benchmark's descent counter reads it there
+    # hp goes by keyword: the benchmark's classifier-step counter reads it there
     phi_vec, varphi_vec, inner = update_phi_varphi(
         phi_vec, varphi_vec, theta, w, pi, ctx, hp=hp)
     after_classifier = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
@@ -166,6 +171,7 @@ def fit(pair: DatasetPair, hp: Hyperparams):
         trace.inner_steps.append(inner.accepted_steps)
         trace.inner_proposals.append(inner.proposals)
         trace.inner_hit_step_floor.append(inner.hit_step_floor)
+        trace.inner_capped.append(inner.capped)
         trace.pi_step_objective.append(qp_objectives[0])
         trace.pi_step_objective_uniform.append(qp_objectives[1])
         trace.pi_min.append(float(pi.min()))

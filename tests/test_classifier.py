@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subadapt import classifier, trainer
 from subadapt.classifier import (
+    HESSIAN_RCOND,
     MAX_STEP_HALVINGS,
     ObjectiveContext,
+    descend,
     predict_source,
     predict_target,
     q_objective,
@@ -16,7 +19,14 @@ from subadapt.classifier import (
     update_phi_varphi,
 )
 from subadapt.cli import make_shifted_pair
-from subadapt.data_model import LOSS_KINDS, DatasetPair, Hyperparams, NumericError, ValidationError
+from subadapt.data_model import (
+    LOSS_KINDS,
+    DatasetPair,
+    Hyperparams,
+    NumericError,
+    ValidationError,
+    check_model_state,
+)
 from subadapt.losses import loss_subgradient, loss_value
 from subadapt.neighborhood import NeighborGraph, build_graph
 from subadapt.trainer import fit
@@ -304,9 +314,13 @@ def test_descent_matches_reference_loop(loss, n3, step, max_inner, floored):
     varphi_vec = 0.5 * rng.standard_normal(4)
     phi_ref, varphi_ref, q_ref, floor_ref, halvings = descent_reference(
         phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
-    phi_out, varphi_out, trace = update_phi_varphi(
+    # the smooth losses take Newton steps in update_phi_varphi, so their
+    # descent is reached by its own name
+    entry = update_phi_varphi if loss == "hinge" else descend
+    phi_out, varphi_out, trace = entry(
         phi_vec, varphi_vec, theta, w, pi, context(pair, graph_t, hp), hp)
     assert trace.hit_step_floor == floor_ref == floored
+    assert trace.capped == (not floored)
     if floored:
         assert halvings > MAX_STEP_HALVINGS  # some proposals were halved before the floor
         # The stacked system sums the objective in another order, which moves
@@ -344,14 +358,237 @@ def test_descent_matches_reference_loop_at_bench_scale(n, loss):
     start = np.zeros(pair.m)
     phi_ref, varphi_ref, q_ref, floor_ref, halvings = descent_reference(
         start, start, theta, w, pi, pair, graph_t, hp)
-    phi_out, varphi_out, trace = update_phi_varphi(
+    entry = update_phi_varphi if loss == "hinge" else descend
+    phi_out, varphi_out, trace = entry(
         start, start, theta, w, pi, context(pair, graph_t, hp), hp)
-    assert not trace.hit_step_floor and not floor_ref
+    assert not trace.hit_step_floor and not floor_ref and trace.capped
     assert trace.accepted_steps == len(q_ref) - 1 == hp.max_inner_iters
     assert trace.proposals == trace.accepted_steps + halvings
     assert np.allclose(trace.q_values, q_ref, rtol=1e-9, atol=0.0)
     assert np.allclose(phi_out, phi_ref, rtol=1e-9, atol=1e-12)
     assert np.allclose(varphi_out, varphi_ref, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n3", [0, 4])
+@pytest.mark.parametrize("loss", ["logistic", "exponential"])
+def test_hessian_matches_finite_differences_of_the_gradient(loss, n3):
+    rng = np.random.default_rng(41)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, n3=n3, c1=0.5, c2=0.7, loss=loss)
+    ctx = context(pair, graph_t, hp)
+    x0, block = ctx.block_state(0.3 * rng.standard_normal(4), 0.3 * rng.standard_normal(4),
+                                theta, w, pi)
+
+    def gradient(x):
+        _, losses, ax = ctx.score(x, block)
+        return ctx.subgradient(block, losses, ax)
+
+    hessian = ctx.hessian(block, ctx.score(x0, block)[1])
+    assert np.allclose(hessian, hessian.T, rtol=1e-14, atol=0.0)
+    h = 1e-6
+    for i in range(8):
+        step = np.zeros(8)
+        step[i] = h
+        fd = (gradient(x0 + step) - gradient(x0 - step)) / (2 * h)
+        assert np.allclose(hessian[:, i], fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("rank", [0, 3, 8])
+def test_newton_direction_solves_singular_hessians(rank):
+    # a full-rank H takes the linear solve; a singular one (a zero Hessian
+    # included) gets a solution on its range, and no LinAlgError
+    rng = np.random.default_rng(42)
+    basis = rng.standard_normal((8, rank))
+    h = basis @ basis.T
+    g = h @ rng.standard_normal(8)  # in the range, as the gradient of q is
+    d = classifier._newton_direction(h, g)
+    assert np.isfinite(d).all()
+    assert np.allclose(h @ d, -g, atol=1e-9 * max(1.0, np.abs(g).max()))
+    if rank == 0:
+        assert np.array_equal(d, np.zeros(8))
+    if rank == 8:
+        assert np.allclose(d, -np.linalg.solve(h, g), rtol=1e-9, atol=1e-12)
+
+
+def test_newton_direction_keeps_a_block_on_a_small_scale():
+    # a block 1e-12 times smaller than the other, as when separable source
+    # margins grow beside a fixed target block, is still solved exactly
+    rng = np.random.default_rng(46)
+    small, large = rng.standard_normal((2, 6, 4))
+    h = np.zeros((8, 8))
+    h[:4, :4] = 1e-12 * small.T @ small
+    h[4:, 4:] = large.T @ large
+    g = rng.standard_normal(8)
+    expected = -np.linalg.solve(h, g)
+    d = classifier._newton_direction(h, g)
+    assert np.allclose(d, expected, rtol=1e-9, atol=0.0)
+
+
+def _gradient_norm(phi_vec, varphi_vec, theta, w, pi, ctx):
+    return float(np.linalg.norm(np.concatenate(
+        q_subgradients(phi_vec, varphi_vec, theta, w, pi, ctx))))
+
+
+@pytest.mark.parametrize("n3", [0, 4])
+@pytest.mark.parametrize("loss", ["logistic", "exponential"])
+def test_newton_stops_on_its_decrement_below_the_descent(loss, n3):
+    rng = np.random.default_rng(43)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, n3=n3, c1=2.0, c2=0.5, loss=loss)
+    ctx = context(pair, graph_t, hp)
+    phi_vec = 0.5 * rng.standard_normal(4)
+    varphi_vec = 0.5 * rng.standard_normal(4)
+    g0 = _gradient_norm(phi_vec, varphi_vec, theta, w, pi, ctx)
+    phi_out, varphi_out, trace = update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx, hp)
+    assert not trace.capped and not trace.hit_step_floor  # stopped on the decrement
+    assert 0 < trace.accepted_steps < 10
+    assert all(b < a for a, b in zip(trace.q_values, trace.q_values[1:]))
+    assert trace.q_values[-1] == q_objective(phi_out, varphi_out, theta, w, pi, ctx)
+    assert _gradient_norm(phi_out, varphi_out, theta, w, pi, ctx) <= 1e-8 * max(1.0, g0)
+    _, _, ref = descend(phi_vec, varphi_vec, theta, w, pi, ctx, hp)
+    assert trace.q_values[-1] <= ref.q_values[-1]
+    # step only steers the descent
+    for step in (1e-8, 10.0):
+        out = update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx, replace(hp, step=step))
+        assert out[0].tobytes() == phi_out.tobytes() and out[2] == trace
+
+
+def test_newton_takes_its_step_cap_from_hp():
+    rng = np.random.default_rng(44)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="logistic")
+    ctx = context(pair, graph_t, hp)
+    start = 3.0 * rng.standard_normal(4)
+    _, _, trace = update_phi_varphi(start, start, theta, w, pi, ctx,
+                                    replace(hp, max_inner_iters=1))
+    assert trace.accepted_steps == 1 and trace.capped and not trace.hit_step_floor
+    _, _, full = update_phi_varphi(start, start, theta, w, pi, ctx, hp)
+    assert 1 < full.accepted_steps < hp.max_inner_iters and not full.capped
+    assert full.q_values[:2] == trace.q_values
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("loss", ["logistic", "exponential"])
+def test_newton_on_a_rank_deficient_source_block(loss):
+    # c1 = 0 and three weighted source rows in four dimensions: the Hessian
+    # is singular, and the run stays finite, warning-free and monotone
+    rng = np.random.default_rng(45)
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, n1=8, n3=0, c1=0.0, c2=0.0,
+                                                    loss=loss)
+    pi[3:] = 0.0
+    ctx = context(pair, graph_t, hp)
+    start = 0.1 * rng.standard_normal(4)
+    x, block = ctx.block_state(start, start, theta, w, pi)
+    assert np.linalg.matrix_rank(ctx.hessian(block, ctx.score(x, block)[1])) == 3
+    phi_out, varphi_out, trace = update_phi_varphi(start, start, theta, w, pi, ctx, hp)
+    assert all(b < a for a, b in zip(trace.q_values, trace.q_values[1:]))
+    assert trace.accepted_steps >= 1
+    assert np.isfinite(phi_out).all() and np.array_equal(varphi_out, start)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("far_weight", [1.0, 0.0])
+def test_newton_rejects_a_step_whose_loss_overflows(far_weight):
+    # row 0 has margin -0.1 and pulls phi[0] up by about 1 per Newton step;
+    # row 1 has margin 300 on a feature of -3000, so the full step takes its
+    # margin to -2700 and its exponential loss overflows. That proposal
+    # scores inf (nan against a zero weight) and is halved away, silently.
+    xs = np.array([[1.0, 0.0], [-3000.0, 0.0]])
+    xt = np.random.default_rng(47).standard_normal((4, 2))
+    pair = DatasetPair(xs, np.array([1, 1]), xt, np.array([], dtype=np.int64))
+    hp = Hyperparams(loss="exponential", c1=0.0, c2=0.0, c3=0.0, k=1, r=1)
+    ctx = context(pair, build_graph(xt, 1), hp)
+    start = np.array([-0.1, 0.0])
+    phi_out, _, trace = update_phi_varphi(start, np.zeros(2), np.eye(1, 2), np.zeros(1),
+                                          np.array([1.0, far_weight]), ctx, hp)
+    assert trace.proposals > trace.accepted_steps >= 1
+    assert all(b < a for a, b in zip(trace.q_values, trace.q_values[1:]))
+    assert np.isfinite(phi_out).all() and phi_out[0] > start[0]
+
+
+def _singular_fit(loss, case):
+    """A c1 = 0 fit whose classifier blocks meet singular Hessians."""
+    if case == "n3=0, c2=0":
+        # the target classifier is in no term of q, and the separable
+        # source pushes phi towards infinity
+        xs, ys, xt, _ = make_shifted_pair([3, 0], n1=60, n2=60, n3=0, m=5,
+                                          shift=1.5, rot_deg=30)
+        return (DatasetPair(xs, ys, xt, np.array([], dtype=np.int64)),
+                Hyperparams(loss=loss, c1=0.0, c2=0.0, c3=1.0, k=3, max_outer_iters=5))
+    if case == "pi with zeros":
+        xs, ys, xt, yt = make_shifted_pair([0, 0], n1=80, n2=80, n3=20, m=10,
+                                           shift=1.5, rot_deg=30)
+        return (DatasetPair(xs, ys, xt, yt[:20]),
+                Hyperparams(loss=loss, c1=0.0, k=3, tol=1e-12, max_outer_iters=6))
+    # separable labels and no labeled target rows: q falls towards 0 without
+    # a minimizer, so the step cap ends each run
+    rng = np.random.default_rng(4)
+    xs = rng.standard_normal((60, 5))
+    ys = np.where(xs @ rng.standard_normal(5) >= 0, 1, -1)
+    return (DatasetPair(xs, ys, rng.standard_normal((60, 5)) + 0.3,
+                        np.array([], dtype=np.int64)),
+            Hyperparams(loss=loss, c1=0.0, k=3, max_outer_iters=5))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["n3=0, c2=0", "pi with zeros", "separable"])
+@pytest.mark.parametrize("loss", ["logistic", "exponential"])
+def test_singular_newton_hessians_train(loss, case, monkeypatch):
+    pair, hp = _singular_fit(loss, case)
+    ranks = []
+    hessian = ObjectiveContext.hessian
+
+    def recording(self, block, losses):
+        out = hessian(self, block, losses)
+        values = np.linalg.eigvalsh(out)
+        ranks.append(int((values > HESSIAN_RCOND * values[-1]).sum()))
+        return out
+
+    monkeypatch.setattr(ObjectiveContext, "hessian", recording)
+    state, trace = fit(pair, hp)
+    check_model_state(state, hp.delta)
+    # some Newton step met a Hessian singular to working precision
+    assert min(ranks) < 2 * pair.m
+    for t in range(trace.n_iters):
+        if t > 0:
+            assert trace.objective_after_subspace[t] <= trace.objective_after_weights[t - 1] + 1e-9
+        assert trace.objective_after_classifier[t] <= trace.objective_after_subspace[t] + 1e-6
+        assert trace.objective_after_weights[t] <= trace.objective_after_classifier[t] + 1e-9
+    assert trace.inner_capped == [steps == hp.max_inner_iters for steps in trace.inner_steps]
+    if case == "pi with zeros":
+        assert min(trace.pi_min[:-1]) == 0.0  # a Newton block saw zero weights
+    else:
+        assert any(trace.inner_capped)
+
+
+@pytest.mark.parametrize("seed", [2016, 1, 2])
+@pytest.mark.parametrize("loss", ["logistic", "exponential"])
+def test_newton_blocks_of_a_fit_beat_the_descent(loss, seed, monkeypatch):
+    # every Newton block of a 40-cycle fit ends at or below the descent
+    # from the same start, with its gradient cut to 1e-6 of the start's
+    xs, ys, xt, yt = make_shifted_pair([seed, 0], n1=200, n2=200, n3=20, m=20,
+                                       shift=1.5, rot_deg=30)
+    pair = DatasetPair(xs, ys, xt, yt[:20])
+    newton = trainer.update_phi_varphi
+    worst = []
+
+    def compared(phi_vec, varphi_vec, theta, w, pi, ctx, hp):
+        out = newton(phi_vec, varphi_vec, theta, w, pi, ctx, hp=hp)
+        ref = descend(phi_vec, varphi_vec, theta, w, pi, ctx, hp)
+        q_newton, q_descent = out[2].q_values[-1], ref[2].q_values[-1]
+        g0 = _gradient_norm(phi_vec, varphi_vec, theta, w, pi, ctx)
+        worst.append((q_newton - q_descent - 1e-12 * abs(q_descent),
+                      _gradient_norm(out[0], out[1], theta, w, pi, ctx) / max(1.0, g0)))
+        return out
+
+    monkeypatch.setattr(trainer, "update_phi_varphi", compared)
+    _, trace = fit(pair, Hyperparams(loss=loss, tol=1e-12, max_outer_iters=40))
+    assert len(worst) == trace.n_iters == 40
+    assert max(q for q, _ in worst) <= 0.0
+    assert max(g for _, g in worst) <= 1e-6
+    assert not any(trace.inner_capped) and not any(trace.inner_hit_step_floor)
+    for t in range(1, trace.n_iters):
+        assert trace.objective_after_subspace[t] <= trace.objective_after_weights[t - 1] + 1e-9
+    for t in range(trace.n_iters):
+        assert trace.objective_after_classifier[t] <= trace.objective_after_subspace[t] + 1e-6
+        assert trace.objective_after_weights[t] <= trace.objective_after_classifier[t] + 1e-9
 
 
 def test_bad_label_rejected_without_pair_validation():
@@ -403,11 +640,11 @@ def test_non_finite_scores_rejected():
                     pytest.raises(ValidationError, match="non-finite classifier score"):
                 entry(np.array(phi_vec, dtype=float), np.array(varphi_vec, dtype=float),
                       theta, w, pi, ctx, *extra)
-    # a finite start whose first proposal overflows the scores
+    # a finite start whose first descent proposal overflows the scores
     huge = Hyperparams(k=hp.k, r=hp.r, loss="logistic", step=1e308)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValidationError, match="non-finite classifier score"):
-        update_phi_varphi(finite, finite, theta, w, pi, ctx, huge)
+        descend(finite, finite, theta, w, pi, ctx, huge)
 
 
 @pytest.mark.parametrize("change", [
@@ -427,10 +664,10 @@ def test_update_takes_its_descent_controls_from_hp():
     pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="logistic")
     ctx = context(pair, graph_t, hp)
     start = 0.5 * rng.standard_normal(4)
-    _, _, trace = update_phi_varphi(start, start, theta, w, pi, ctx,
-                                    replace(hp, step=1e-4, max_inner_iters=3))
+    _, _, trace = descend(start, start, theta, w, pi, ctx,
+                          replace(hp, step=1e-4, max_inner_iters=3))
     assert trace.accepted_steps == 3
-    _, _, base = update_phi_varphi(start, start, theta, w, pi, ctx, hp)
+    _, _, base = descend(start, start, theta, w, pi, ctx, hp)
     assert base.accepted_steps == hp.max_inner_iters
     # block_cycle passes the context's own hp
     _, trace = fit(pair, replace(hp, max_outer_iters=2))

@@ -132,6 +132,33 @@ def test_csv_labeled_after_unlabeled_rejected(tmp_path):
         read_feature_csv(path)
 
 
+@pytest.mark.parametrize("loss, inner", [("hinge", "50"), ("logistic", "50"), ("logistic", "1")])
+def test_trace_records_capped_classifier_runs(tmp_path, loss, inner):
+    # inner_capped records a stop at --max-inner-iters; a Newton run (the
+    # smooth losses) that is neither capped nor floored stopped on its
+    # decrement
+    data = synth(tmp_path, "d")
+    trace_path = tmp_path / "trace.json"
+    rc = main(["train", "--source", str(data / "source.csv"),
+               "--target", str(data / "target.csv"), "--model", str(tmp_path / "model.txt"),
+               "--trace", str(trace_path), "--neighbors", "3", "--max-iters", "6",
+               "--loss", loss, "--max-inner-iters", inner])
+    assert rc == 0
+    trace = json.loads(trace_path.read_text())
+    capped = trace["inner_capped"]
+    assert len(capped) == trace["n_iters"] and all(type(c) is bool for c in capped)
+    assert all(steps == int(inner) for steps, c in zip(trace["inner_steps"], capped) if c)
+    if loss == "hinge":
+        # the descent is capped exactly when it takes all its steps, and its
+        # 1e-3 step rarely finishes the block
+        assert capped == [steps == int(inner) for steps in trace["inner_steps"]]
+        assert any(capped)
+    elif inner == "1":
+        assert capped[0]
+    else:
+        assert not any(capped) and not any(trace["inner_hit_step_floor"])
+
+
 def test_train_model_reload_and_revalidate(tmp_path):
     data = synth(tmp_path, "d")
     model_path = tmp_path / "model.txt"

@@ -8,6 +8,7 @@ from subadapt.losses import (
     _sigmoid,
     loss_subgradient,
     loss_value,
+    margin_curvature,
     margin_loss,
     margin_slope,
     margin_subgradient,
@@ -174,3 +175,31 @@ def test_margin_slope_matches_margin_subgradient(kind):
         assert not np.isfinite(slope).all()  # the overflow reaches the caller
     else:
         assert np.isfinite(slope).all()
+
+
+@pytest.mark.parametrize("kind", ["hinge", "logistic", "exponential"])
+def test_margin_curvature_matches_closed_form(kind):
+    # the curvature read off the loss values against d2 loss/d margin2 from
+    # the margins: 0, e/(1 + e)^2 with e = exp(-|m|), and exp(-m)
+    margins = np.concatenate([np.linspace(-700.0, 745.0, 20001), [1.0, 0.0, -0.0]])
+    curvature = margin_curvature(kind, margin_loss(kind, margins))
+    if kind == "hinge":
+        assert np.array_equal(curvature, np.zeros_like(margins))
+        return
+    if kind == "logistic":
+        e = np.exp(-np.abs(margins))
+        expected = e / (1.0 + e) ** 2
+    else:
+        expected = np.exp(-margins)
+    assert np.all(curvature >= 0.0)
+    assert np.all(np.abs(curvature - expected) <= 4e-15 * expected)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "exponential"])
+def test_margin_curvature_is_the_slope_derivative(kind):
+    margins = np.linspace(-20.0, 20.0, 401)
+    h = 1e-5
+    fd = -(margin_slope(kind, margin_loss(kind, margins + h))
+           - margin_slope(kind, margin_loss(kind, margins - h))) / (2 * h)
+    curvature = margin_curvature(kind, margin_loss(kind, margins))
+    assert np.all(np.abs(curvature - fd) <= 1e-6 * np.maximum(1.0, curvature))

@@ -197,6 +197,19 @@ def test_large_upper_bounds_keep_the_solution_feasible(upper):
     assert x == pytest.approx([8 / 3, 5 / 3, 2 / 3, 0.0, 0.0], abs=1e-12)
 
 
+def test_large_lower_bounds_keep_the_upper_activity_test_per_bound():
+    # lower bounds of -1e12 leave the cap of the upper bounds at 1, so the
+    # per-bound activity scaling is reached: scaled by max(|lower|, |upper|),
+    # the upper test took every x near 1 as sitting at its bound, and the
+    # solve returned [1, 1, 1, 1], which misses the sum
+    p = QpProblem(np.eye(4), np.array([0.0, 0.1, 0.2, 0.3]), np.full(4, -1e12),
+                  np.ones(4), 2.0)
+    x = solve(p)
+    assert abs(x.sum() - 2.0) <= 1e-8 * 2.0
+    assert kkt_residual(p, x) <= 1e-8
+    assert x == pytest.approx([0.65, 0.55, 0.45, 0.35], abs=1e-12)
+
+
 @pytest.mark.filterwarnings("error")
 def test_upper_bounds_near_overflow_solve_as_their_cap():
     # x >= 0 and sum(x) = 5 keep every x_i <= 5, so upper bounds of 1e308

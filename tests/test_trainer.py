@@ -331,6 +331,7 @@ def test_trace_records_each_descent_run(monkeypatch):
                for run in runs if run.hit_step_floor)
     assert trace.inner_hit_step_floor == [run.hit_step_floor for run in runs]
     assert set(trace.inner_hit_step_floor) == {True, False}
+    assert trace.inner_capped == [run.capped for run in runs]
 
 
 def test_block_terms_feed_the_trace(monkeypatch, recorded_cycles):
