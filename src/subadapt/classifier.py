@@ -94,9 +94,10 @@ class ObjectiveContext:
     hyperparameters, the checked float labels [source_y; target_y], the
     labeled target block, the two reconstruction operators (``fixed``, the
     source side's 2 c2 R_s'R_s with R_s = I - W_s, the fixed part of every
-    weight QP; and the target residual R_t X_t), and the classifier block's
-    stacked system: the block design matrix ``z`` and the fixed quadratic
-    ``quad`` (see the module docstring)."""
+    weight QP, which also holds the source features that span every weight
+    QP's matching term; and the target residual R_t X_t), and the
+    classifier block's stacked system: the block design matrix ``z`` and
+    the fixed quadratic ``quad`` (see the module docstring)."""
 
     def __init__(self, pair: DatasetPair, graph_s: NeighborGraph,
                  graph_t: NeighborGraph, hp: Hyperparams):
@@ -106,16 +107,24 @@ class ObjectiveContext:
             raise ValidationError("target graph size does not match the target set")
         self.pair = pair
         self.hp = hp
-        self.fixed = ReconstructionHessian(graph_s.indices, graph_s.coeffs, 2.0 * hp.c2)
+        self.target_resid = graph_t.residual_vectors(pair.target_x)
+        # both reconstruction operators carry 2 c2; one that overflows is
+        # a c2 too large for floating point
+        with np.errstate(over="ignore", invalid="ignore"):
+            target_quad = 2.0 * hp.c2 * (self.target_resid.T @ self.target_resid)
+        if not (2.0 * hp.c2 < np.inf and np.isfinite(target_quad).all()):
+            raise ValidationError(
+                f"c2 = {hp.c2:g} overflows the reconstruction terms; use a smaller c2")
+        self.fixed = ReconstructionHessian(graph_s.indices, graph_s.coeffs, 2.0 * hp.c2,
+                                           features=pair.source_x)
         self.y = checked_labels(hp.loss, np.concatenate([pair.source_y, pair.target_y]))
         self.xt_lab = pair.target_x[:pair.n3]
-        self.target_resid = graph_t.residual_vectors(pair.target_x)
         n1, m = pair.n1, pair.m
         self.z = np.zeros((n1 + pair.n3, 2 * m))
         self.z[:n1, :m] = pair.source_x
         self.z[n1:, m:] = self.xt_lab
         self.quad = hp.c1 * np.eye(2 * m)
-        self.quad[m:, m:] += 2.0 * hp.c2 * (self.target_resid.T @ self.target_resid)
+        self.quad[m:, m:] += target_quad
 
     def block_state(self, phi_vec, varphi_vec, theta, w, pi):
         """Check the classifier block's arguments; return the stacked point

@@ -10,19 +10,23 @@ H is either a dense symmetric PSD matrix, checked on every solve, or a
 (R = I - W, with k entries per row of W) plus a rank-r Gram term, both
 held in factored form, symmetric PSD by construction, whose products cost
 O(nk + nr). H0 is the part of the weight step's Hessian fixed for a whole
-fit, so it is checked once and carries its dense matrix and its KKT basis:
-the explicit inverse M0 of the all-free bordered KKT matrix K0 of H0, both
-formed at the fit's first Schur step and kept. Each step then comes from a
-small Schur complement against that inverse,
-bordered by the rank-r term b G'G (q = r columns) and the fixed set, and
-verified against H itself (Gill, Murray, Saunders & Wright 1990, "A
-Schur-complement method for sparse quadratic programming"). The step's
-all-free solution M0 b is read off M0 [H0 x; 1'x] = [x; 0] and one product
-M0 [-c; eq_sum] per QP, so a step makes no product with M0; a step that
-fails verification is solved from the dense free-set system instead.
-Singular reduced Hessians (PSD but rank deficient, including H = 0) fall
-back to an eigendecomposition of the reduced Hessian and follow directions
-of linear descent until a bound blocks; the feasible set is compact, so a
+fit, so it is checked once and carries its KKT basis: the inverse M0 of
+the all-free bordered KKT matrix K0 of H0, held as the lower Cholesky
+factor L of S = H0 + alpha 11' (``KktBasis``), formed at the fit's first
+Schur step and kept. Each step then comes from a small Schur complement
+against M0, bordered by the rank-r term b G'G (q = r columns) and the
+fixed set, and verified against H itself (Gill, Murray, Saunders & Wright
+1990, "A Schur-complement method for sparse quadratic programming"). The
+columns of M0 that the steps read are triangular solves with L: M0 G'
+once per QP (or, when G = coef F' for the fit's features F, M0 F once per
+fit), M0 [-c; eq_sum] once per QP, and the column of each fixed index
+once per fit, the first time that index is fixed. The step's all-free
+solution M0 b is read off M0 [H0 x; 1'x] = [x; 0], so a step solves
+nothing new unless its fixed set holds a new index; a step that fails
+verification is solved from the dense free-set system instead. Singular
+reduced Hessians (PSD but rank deficient, including H = 0) fall back to
+an eigendecomposition of the reduced Hessian and follow directions of
+linear descent until a bound blocks; the feasible set is compact, so a
 blocking bound always exists.
 """
 
@@ -46,18 +50,28 @@ BASIS_COND_LIMIT = 1e8
 
 _MAX_ITERS_PER_VAR = 100
 
+# Rows per diagonal block of L in the KKT basis's triangular solves: numpy
+# has no triangular solve, so each block is one GEMM panel against the
+# solved part plus a product with the block's inverse, formed once per fit.
+# Dense n x n scans go by row panels of the same height.
+_SOLVE_BLOCK = 64
+
 
 class ReconstructionHessian:
     """H0 = a R'R with R = I - W: the fixed part of every weight QP of a fit.
 
     Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
-    n x k), and a >= 0. The constructor checks these factors; the dense
-    ``h0`` and its ``kkt_basis`` (None when K0 is singular or
-    ill-conditioned) are formed on first use and kept, so a fit whose QPs
-    take no free-set step never forms them. ``@`` applies H0 in O(nk).
+    n x k), and a >= 0. ``features`` (n x m, or None) spans the rows of the
+    rank-r terms that ``GramHessian.from_features`` pairs with H0. The
+    constructor checks these factors. The dense ``h0`` (a reference for
+    ``GramHessian.dense``) and the ``KktBasis`` ``basis`` (None when K0 is
+    singular or ill-conditioned) are formed on first use and kept, so a fit
+    whose QPs take no free-set step forms neither; neither forms W. ``@``
+    applies H0 in O(nk), and ``h0_diagonal`` is H0's diagonal, from the
+    sparse rows in O(nk^2).
     """
 
-    def __init__(self, indices, coeffs, a):
+    def __init__(self, indices, coeffs, a, features=None):
         indices = np.asarray(indices)
         coeffs = np.asarray(coeffs, dtype=float)
         n = indices.shape[0] if indices.ndim == 2 else -1
@@ -71,20 +85,62 @@ class ReconstructionHessian:
         a = float(a)
         if not 0.0 <= a < np.inf:
             raise ValidationError("Gram Hessian scales must be finite and nonnegative")
+        if features is not None:
+            features = np.asarray(features, dtype=float)
+            if features.ndim != 2 or features.shape[0] != n:
+                raise ValidationError("Gram Hessian factors have mismatched shapes")
+            if not np.isfinite(features).all():
+                raise ValidationError("Gram Hessian factors contain non-finite entries")
         self.n = n
         self.shape = (n, n)
         self.indices = indices
         self.coeffs = coeffs
         self.a = a
+        self.features = features
         self._flat_indices = indices.ravel()
+
+    def _gram_terms(self):
+        """(flat position row * n + column, value) of every term of
+        R'R = I - W - W' + W'W, the last as sum_i W_ij W_il over the pairs
+        of row i: O(nk^2) terms, with no dense W."""
+        n, k = self.indices.shape
+        rows = np.repeat(np.arange(n), k)
+        cols = self._flat_indices
+        c = self.coeffs.ravel()
+        pair_rows = np.repeat(cols, k)
+        pair_cols = np.repeat(self.indices, k, axis=0).ravel()
+        pair_vals = (self.coeffs[:, :, None] * self.coeffs[:, None, :]).ravel()
+        diag = np.arange(n) * (n + 1)
+        position = np.concatenate([diag, rows * n + cols, cols * n + rows,
+                                   pair_rows * n + pair_cols])
+        return position, np.concatenate([np.ones(n), -c, -c, pair_vals])
+
+    def _scaled_gram(self) -> np.ndarray:
+        """a R'R as a new dense array, scattered by one bincount."""
+        position, value = self._gram_terms()
+        gram = np.bincount(position, value, minlength=self.n * self.n)
+        gram *= self.a
+        return gram.reshape(self.n, self.n)
 
     @cached_property
     def h0(self) -> np.ndarray:
-        return self.a * _reconstruction_gram(self.indices, self.coeffs)
+        return self._scaled_gram()
 
     @cached_property
-    def basis(self) -> np.ndarray | None:
-        return kkt_basis(self.h0)
+    def h0_diagonal(self) -> np.ndarray:
+        position, value = self._gram_terms()
+        on_diag = position % (self.n + 1) == 0
+        return self.a * np.bincount(position[on_diag] // (self.n + 1), value[on_diag],
+                                    minlength=self.n)
+
+    @cached_property
+    def basis(self) -> KktBasis | None:
+        return _factor_kkt(self._scaled_gram())
+
+    @cached_property
+    def feature_columns(self) -> np.ndarray:
+        """M0 [F; 0] for the features F: formed once per fit."""
+        return self.basis.solve(np.vstack([self.features, np.zeros(self.features.shape[1])]))
 
     def residual(self, v) -> np.ndarray:
         """R v, in O(nk)."""
@@ -99,23 +155,134 @@ class ReconstructionHessian:
         return self.a * rtrv
 
 
-def _reconstruction_gram(indices, coeffs) -> np.ndarray:
-    """(I - W)'(I - W), dense; W and I - W are freed on return."""
-    n, k = indices.shape
-    w = np.zeros((n, n))
-    w[np.repeat(np.arange(n), k), indices.ravel()] = coeffs.ravel()
-    eye_minus_w = np.eye(n) - w
-    return eye_minus_w.T @ eye_minus_w
+class KktBasis:
+    """The inverse M0 of the all-free bordered KKT matrix
+    K0 = [[H0, 1], [1', 0]], held as the lower Cholesky factor L of the
+    symmetric positive definite S = H0 + alpha 11' (alpha > 0).
+
+    Adding alpha 1 times the sum row to the first n rows turns K0 into
+    [[S, 1], [1', 0]], so with w = S^-1 1 and s = 1'w,
+    M0 = [[S^-1 - w w'/s, w/s], [w'/s, alpha - 1/s]] (w = 1/(alpha n) and
+    s = 1/alpha when H0 1 = 0). ``solve`` applies M0 by blocked forward and
+    back substitution with L; ``columns`` keeps each column it solves.
+    """
+
+    def __init__(self, chol: np.ndarray, alpha: float):
+        n = chol.shape[0]
+        self.n = n
+        self._chol = chol
+        self._alpha = alpha
+        self._blocks = [(i, min(i + _SOLVE_BLOCK, n)) for i in range(0, n, _SOLVE_BLOCK)]
+        self._block_inverses = [np.linalg.inv(chol[i:j, i:j]) for i, j in self._blocks]
+        self._w = self._s_solve(np.ones(n))
+        self._s = float(self._w.sum())
+        self._kept = {}  # index -> M0's column there, once solved
+
+    def _s_solve(self, rhs) -> np.ndarray:
+        """S^-1 rhs for an n-vector or n x k panel."""
+        y = np.array(rhs, dtype=float)
+        chol = self._chol
+        for (i, j), inverse in zip(self._blocks, self._block_inverses):
+            if i:
+                y[i:j] -= chol[i:j, :i] @ y[:i]
+            y[i:j] = inverse @ y[i:j]
+        for (i, j), inverse in zip(reversed(self._blocks), reversed(self._block_inverses)):
+            if j < self.n:
+                y[i:j] -= chol[j:, i:j].T @ y[j:]
+            y[i:j] = inverse.T @ y[i:j]
+        return y
+
+    def solve(self, rhs) -> np.ndarray:
+        """M0 rhs for an (n + 1)-vector or (n + 1) x k panel."""
+        rhs = np.asarray(rhs, dtype=float)
+        n = self.n
+        t = (self._w @ rhs[:n] - rhs[n]) / self._s
+        out = np.empty(rhs.shape)
+        out[:n] = self._s_solve(rhs[:n]) - np.multiply.outer(self._w, t)
+        out[n] = t + self._alpha * rhs[n]
+        return out
+
+    def columns(self, idx) -> np.ndarray:
+        """M0's columns at the indices idx (all below n), as the rows of a
+        |idx| x (n + 1) array. Each column is solved the first time it is
+        asked for and kept for the life of the basis."""
+        new = [j for j in dict.fromkeys(idx.tolist()) if j not in self._kept]
+        if new:
+            units = np.zeros((self.n + 1, len(new)))
+            units[new, np.arange(len(new))] = 1.0
+            self._kept.update(zip(new, np.ascontiguousarray(self.solve(units).T)))
+        return np.array([self._kept[j] for j in idx.tolist()]).reshape(idx.size, self.n + 1)
+
+
+def _norm1_estimate(apply, size: int) -> float:
+    """A lower estimate of the 1-norm of a symmetric linear map of R^size
+    from a few products (Hager 1984, with Higham's 1988 extra test
+    vector); it is nearly always within a factor of 3 of the norm."""
+    x = np.full(size, 1.0 / size)
+    estimate = 0.0
+    for _ in range(5):
+        y = apply(x)
+        value = float(np.abs(y).sum())
+        if value <= estimate:
+            break
+        estimate = value
+        z = apply(np.where(y >= 0.0, 1.0, -1.0))  # the map is its own transpose
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(size)
+        x[j] = 1.0
+    alternating = np.where(np.arange(size) % 2, -1.0, 1.0) * (1.0 + np.arange(size) / (size - 1))
+    return max(estimate, 2.0 * float(np.abs(apply(alternating)).sum()) / (3.0 * size))
+
+
+def kkt_basis(h0) -> KktBasis | None:
+    """The KKT basis of the symmetric PSD H0: M0 = K0^-1 for
+    K0 = [[H0, 1], [1', 0]], or None when S = H0 + alpha 11' is not
+    positive definite (exactly when K0 is singular) or the infinity-norm
+    condition number of K0, with ||M0|| estimated, exceeds
+    BASIS_COND_LIMIT."""
+    return _factor_kkt(np.array(h0, dtype=float))
+
+
+def _factor_kkt(h0: np.ndarray) -> KktBasis | None:
+    """``kkt_basis`` on an array it overwrites with S."""
+    n = h0.shape[0]
+    # ||K0||_inf, row panel by row panel, so that no second n x n array is
+    # formed; S's eigenvalue on 1 is alpha n, here H0's mean eigenvalue
+    # (alpha = 1 put it far above H0's spectrum and cost S a tenfold
+    # condition number). An overflowed norm refuses the basis.
+    with np.errstate(over="ignore"):
+        h0_norm = max((float(np.abs(h0[i:i + _SOLVE_BLOCK]).sum(axis=1).max())
+                       for i in range(0, n, _SOLVE_BLOCK)), default=0.0)
+        alpha = float(np.trace(h0)) / n ** 2
+    k0_norm = max(float(n), h0_norm + 1.0)
+    if not k0_norm < np.inf:
+        return None
+    h0 += alpha
+    try:
+        chol = np.linalg.cholesky(h0)
+    except np.linalg.LinAlgError:
+        return None
+    # M0 is symmetric, so its 1-norm is its infinity norm; an underestimate
+    # is caught where every step is verified against H. A nearly singular S
+    # can overflow the solves, and a non-finite estimate refuses the basis.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        basis = KktBasis(chol, alpha)
+        cond = k0_norm * _norm1_estimate(basis.solve, n + 1)
+    return basis if cond <= BASIS_COND_LIMIT else None
 
 
 class GramHessian:
     """H = H0 + b G'G: a fit's ``ReconstructionHessian`` H0 plus a rank-r
     Gram term, with G r x n and b >= 0.
 
-    ``diagonal`` and ``dense`` read H0's dense ``h0``, and ``basis`` is
-    H0's KKT basis, with which ``solve`` takes Schur steps. H0 checked its
-    own factors and the constructor checks G and b, so H is symmetric PSD
-    by construction and ``solve`` runs no symmetry scan or PSD check on it.
+    ``diagonal`` reads H0's sparse diagonal, ``dense`` H0's dense ``h0``,
+    and ``basis`` is H0's KKT basis, with which ``solve`` takes Schur steps.
+    H0 checked its own factors and the constructor checks G and b, so H is
+    symmetric PSD by construction and ``solve`` runs no symmetry scan or
+    PSD check on it. ``coef`` is None, or, for a Hessian built by
+    ``from_features``, the r x m matrix with G = coef F'.
     """
 
     def __init__(self, fixed: ReconstructionHessian, gamma, b):
@@ -131,19 +298,38 @@ class GramHessian:
         self.fixed = fixed
         self.gamma = gamma
         self.b = b
+        self.coef = None
         self._dense = None
 
+    @classmethod
+    def from_features(cls, fixed: ReconstructionHessian, coef, b) -> GramHessian:
+        """H0 + b G'G with G = coef F', where F (n x m) is ``fixed.features``
+        and coef is r x m. Its Schur steps read M0 G' off the fit's M0 F
+        instead of solving it per QP."""
+        coef = np.asarray(coef, dtype=float)
+        if fixed.features is None or coef.ndim != 2 or coef.shape[1] != fixed.features.shape[1]:
+            raise ValidationError("Gram Hessian factors have mismatched shapes")
+        hessian = cls(fixed, coef @ fixed.features.T, b)
+        hessian.coef = coef
+        return hessian
+
     @property
-    def basis(self) -> np.ndarray | None:
+    def basis(self) -> KktBasis | None:
         return self.fixed.basis
+
+    def basis_columns(self) -> np.ndarray:
+        """M0 [G'; 0], the basis's columns for the rank-r term."""
+        if self.coef is not None:
+            return self.fixed.feature_columns @ self.coef.T
+        return self.basis.solve(np.vstack([self.gamma.T, np.zeros(self.gamma.shape[0])]))
 
     def __matmul__(self, v) -> np.ndarray:
         """H v for a vector v, in O(nk + nr)."""
         return self.fixed @ v + self.b * (self.gamma.T @ (self.gamma @ v))
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal of H, in O(n + nr); named as ndarray's."""
-        return np.diag(self.fixed.h0) + self.b * (self.gamma ** 2).sum(axis=0)
+        """The diagonal of H, in O(nr) once H0's is formed; named as ndarray's."""
+        return self.fixed.h0_diagonal + self.b * (self.gamma ** 2).sum(axis=0)
 
     def dense(self) -> np.ndarray:
         """H as a dense matrix, formed on the first call and cached."""
@@ -319,7 +505,8 @@ def _free_subproblem(p: QpProblem, x, free_idx, grad):
     if sol is not None and np.all(np.isfinite(sol)):
         step = sol[:nf] - x[free_idx]
         resid = np.abs(k @ sol - rhs).max()
-        scale = max(1.0, np.abs(rhs).max(), np.abs(k).max() * max(1.0, np.abs(sol).max()))
+        with np.errstate(over="ignore"):  # an overflowed scale admits any residual
+            scale = max(1.0, np.abs(rhs).max(), np.abs(k).max() * max(1.0, np.abs(sol).max()))
         if _step_verified(p, x, free_idx, gf, step, resid, scale):
             return step, False
     return _reduced_step(hff, gf)
@@ -339,26 +526,6 @@ def _step_verified(p: QpProblem, x, free_idx, gf, step, resid, scale) -> bool:
     return descent <= 1e-10 * max(1.0, np.abs(gf).max()) * max(1.0, np.abs(step).max())
 
 
-def kkt_basis(h0) -> np.ndarray | None:
-    """The inverse M0 of the all-free bordered KKT matrix
-    K0 = [[H0, 1], [1', 0]], or None when K0 is singular or its
-    infinity-norm condition number exceeds BASIS_COND_LIMIT."""
-    h0 = np.asarray(h0, dtype=float)
-    n = h0.shape[0]
-    k0 = np.ones((n + 1, n + 1))
-    k0[:n, :n] = h0
-    k0[n, n] = 0.0
-    try:
-        inverse = np.linalg.inv(k0)
-    except np.linalg.LinAlgError:
-        return None
-    cond = np.abs(k0).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
-    if not cond <= BASIS_COND_LIMIT:
-        return None
-    # symmetric to the last bit, so that the Schur complement is too
-    return 0.5 * (inverse + inverse.T)
-
-
 class _SchurSteps:
     """Free-set steps of one QP from the KKT basis M0 of its GramHessian's
     ``ReconstructionHessian`` H0.
@@ -370,22 +537,27 @@ class _SchurSteps:
     C = blockdiag(-I/d, 0). With S = C - V' M0 V and y0 = M0 b, the
     solution is y0 - M0 V S^-1 (-V' y0). The right-hand side is
     b = [-(H0 x + d U U'x + c); eq_sum - 1'x] and M0 [H0 x; 1'x] = [x; 0],
-    so y0 = y_c - [x; 0] - M0 U (d U'x) with y_c = M0 [-c; eq_sum]: no
-    product with M0 per step, only work in n (q + |A|). M0 U, U' M0 U and
-    y_c are formed once per QP.
+    so y0 = y_c - [x; 0] - M0 U (d U'x) with y_c = M0 [-c; eq_sum]. M0 U,
+    U' M0 U and y_c are formed once per QP; M0 E_A comes from the basis's
+    kept columns, so a step solves only the columns of indices fixed for
+    the first time in the fit, and otherwise works in n (q + |A|).
     """
 
     def __init__(self, p: QpProblem):
         n = p.n
-        self.m0 = p.h.basis
+        self.basis = p.h.basis
         self.d = p.h.b
-        self.u = p.h.gamma.T if self.d else np.zeros((n, 0))
+        if self.d:
+            self.u = p.h.gamma.T
+            self.m0u = p.h.basis_columns()
+        else:
+            self.u = np.zeros((n, 0))
+            self.m0u = np.zeros((n + 1, 0))
         self.q = self.u.shape[1]
-        self.m0u = self.m0[:, :n] @ self.u
         utm0u = self.u.T @ self.m0u[:n]
         # with d = 0 the corner is empty and nothing is divided
         self.corner = -np.eye(self.q) / self.d - 0.5 * (utm0u + utm0u.T)
-        self.y_c = self.m0 @ np.append(-p.c, p.eq_sum)
+        self.y_c = self.basis.solve(np.append(-p.c, p.eq_sum))
         # H_ii is at most max_j |H_ij|, so scaling the residual by the free
         # rows' diagonal is no looser than by their row maxima, and it needs
         # no O(n^2) scan of a GramHessian
@@ -405,12 +577,14 @@ class _SchurSteps:
         free_idx = np.flatnonzero(free)
         fixed_idx = np.flatnonzero(~free)
         cross = self.m0u[fixed_idx]
-        fixed_rows = self.m0[fixed_idx]  # M0 is symmetric: its fixed columns
+        fixed_rows = self.basis.columns(fixed_idx)  # M0 is symmetric: its fixed columns
+        fixed_block = fixed_rows[:, fixed_idx]
         schur = np.empty((q + fixed_idx.size, q + fixed_idx.size))
         schur[:q, :q] = self.corner
         schur[q:, :q] = -cross
         schur[:q, q:] = -cross.T
-        schur[q:, q:] = -fixed_rows[:, fixed_idx]
+        # solved columns are symmetric only to rounding
+        schur[q:, q:] = -0.5 * (fixed_block + fixed_block.T)
 
         def correct(y):
             z = np.linalg.solve(schur, np.concatenate([self.u.T @ y[:n], y[fixed_idx]]))
@@ -432,8 +606,9 @@ class _SchurSteps:
             r[free_idx] = h_dir[free_idx] + sol[n] + grad[free_idx]
             r[n] = sol[:n].sum() - rhs_sum
             step = sol[free_idx]
-            scale = max(rhs_scale, row_scale * max(
-                1.0, np.abs(x[free_idx] + step).max(), abs(sol[n])))
+            with np.errstate(over="ignore"):  # an overflowed scale admits any residual
+                scale = max(rhs_scale, row_scale * max(
+                    1.0, np.abs(x[free_idx] + step).max(), abs(sol[n])))
             if _step_verified(p, x, free_idx, grad[free_idx], step,
                               np.abs(r).max(), scale):
                 return step, h_dir[free_idx]

@@ -80,51 +80,77 @@ class ObjectiveTerms(NamedTuple):
             + self.reconstruction + self.matching
 
 
-def full_objective(theta, w, phi_vec, varphi_vec, pi,
-                   ctx: ObjectiveContext) -> ObjectiveTerms:
-    """The five named terms of the training objective at the given parameters."""
+# full_objective's unscaled pieces that the weight block, and those that
+# the classifier block, leaves unchanged
+VECTOR_PIECES = ("target", "adaptation", "target_reconstruction")
+WEIGHT_PIECES = ("pi_reconstruction", "matching")
+
+
+def full_objective(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
+                   pieces=None) -> ObjectiveTerms:
+    """The five named terms of the training objective at the given parameters.
+
+    ``pieces``, when given, is a dict of unscaled pieces of the terms: the
+    ones it holds are read instead of computed, and the ones it lacks are
+    computed and stored in it. The caller keeps in it only pieces that its
+    parameters leave unchanged: ``VECTOR_PIECES`` depend on theta, w and
+    the classifier vectors alone, ``WEIGHT_PIECES`` on theta and pi alone.
+    The terms are combined in one fixed order, so a carried piece gives
+    the total the same bits as a computed one.
+    """
     pi = np.asarray(pi, dtype=float)
     if not np.isfinite(pi).all():
         raise ValidationError("non-finite pi in the objective")
     pair, hp = ctx.pair, ctx.hp
+    pieces = {} if pieces is None else pieces
 
     source = float(loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec) @ pi)
-    target = 0.0
-    if pair.n3:
-        target = float(loss_value(hp.loss, pair.target_y, ctx.xt_lab @ varphi_vec).sum())
-
-    u, v = recover_u_v(theta, w, phi_vec, varphi_vec)
-    adaptation = 0.5 * hp.c1 * (float(u @ u) + float(v @ v))
-
-    pi_resid = ctx.fixed.residual(pi)
-    h_resid = ctx.target_resid @ varphi_vec
-    reconstruction = hp.c2 * (float(pi_resid @ pi_resid) + float(h_resid @ h_resid))
-
-    means = projected_means(theta, pair, pi)
-    gap = means.mu_s_pi - means.mu_t
-    return ObjectiveTerms(source, target, adaptation, reconstruction,
-                          0.5 * hp.c3 * float(gap @ gap))
+    if not pieces.keys() >= set(VECTOR_PIECES):
+        target = 0.0
+        if pair.n3:
+            target = float(loss_value(hp.loss, pair.target_y, ctx.xt_lab @ varphi_vec).sum())
+        u, v = recover_u_v(theta, w, phi_vec, varphi_vec)
+        h_resid = ctx.target_resid @ varphi_vec
+        pieces.update(target=target, adaptation=0.5 * hp.c1 * (float(u @ u) + float(v @ v)),
+                      target_reconstruction=float(h_resid @ h_resid))
+    if not pieces.keys() >= set(WEIGHT_PIECES):
+        pi_resid = ctx.fixed.residual(pi)
+        means = projected_means(theta, pair, pi)
+        gap = means.mu_s_pi - means.mu_t
+        pieces.update(pi_reconstruction=float(pi_resid @ pi_resid),
+                      matching=0.5 * hp.c3 * float(gap @ gap))
+    reconstruction = hp.c2 * (pieces["pi_reconstruction"] + pieces["target_reconstruction"])
+    return ObjectiveTerms(source, pieces["target"], pieces["adaptation"], reconstruction,
+                          pieces["matching"])
 
 
 def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext):
     """Run one full block cycle. Returns the new (theta, w, phi, varphi, pi),
     the objective terms after each of the three blocks, the classifier
-    block's InnerTrace, and the weight QP's (solved, uniform) objectives."""
+    block's InnerTrace, and the weight QP's (solved, uniform) objectives.
+    The terms after the classifier block carry the weight pieces over from
+    those after the subspace block, and the terms after the weight block
+    the vector pieces from those after the classifier block."""
     pair, hp = ctx.pair, ctx.hp
     phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
     theta = update_theta(phi_mat, hp.r, prev_theta=theta)
     w = update_w(theta, phi_vec, varphi_vec)
-    after_subspace = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
+    pieces = {}
+    # pieces go positionally, so wrappers that pass on only positional
+    # arguments see them
+    after_subspace = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx, pieces)
 
     # hp goes by keyword: the benchmark's classifier-step counter reads it there
     phi_vec, varphi_vec, inner = update_phi_varphi(
         phi_vec, varphi_vec, theta, w, pi, ctx, hp=hp)
-    after_classifier = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
+    pieces = {name: pieces[name] for name in WEIGHT_PIECES}
+    after_classifier = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx, pieces)
 
     problem = build_weight_problem(phi_vec, theta, ctx)
     pi = update_pi(problem, warm_start=pi)
     qp_objectives = (problem.objective(pi), problem.objective(np.ones(pair.n1)))
-    after_weights = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx)
+    pieces = {name: pieces[name] for name in VECTOR_PIECES}
+    after_weights = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx, pieces)
     return ((theta, w, phi_vec, varphi_vec, pi),
             (after_subspace, after_classifier, after_weights), inner, qp_objectives)
 

@@ -308,10 +308,21 @@ def weight_problem_sequence(seed, cycles=4, n=80, **hp_kwargs):
 
 def with_basis(qp, basis):
     """The weight QP ``qp`` on a Hessian whose fixed part is a copy of the
-    fit's that carries ``basis`` instead."""
+    fit's that carries ``basis`` instead, with its columns for the
+    features solved on that basis."""
     fixed = copy.copy(qp.h.fixed)
+    fixed.__dict__.pop("feature_columns", None)
     fixed.basis = basis
-    return dataclasses.replace(qp, h=GramHessian(fixed, qp.h.gamma, qp.h.b))
+    return dataclasses.replace(qp, h=GramHessian.from_features(fixed, qp.h.coef, qp.h.b))
+
+
+def dense_kkt_inverse(h0):
+    """The explicit inverse of the bordered KKT matrix [[H0, 1], [1', 0]]."""
+    n = h0.shape[0]
+    k0 = np.ones((n + 1, n + 1))
+    k0[:n, :n] = h0
+    k0[n, n] = 0.0
+    return np.linalg.inv(k0)
 
 
 WEIGHT_QP_VARIANTS = [
@@ -319,35 +330,51 @@ WEIGHT_QP_VARIANTS = [
 ]
 
 
-class CountingInverse:
-    """A _SchurSteps' M0 that counts its products; any other use of the
-    whole matrix fails with an AttributeError."""
+def unit_columns(rhs):
+    """The indices of rhs's columns when each is a unit vector, else None."""
+    if rhs.ndim != 2 or not np.array_equal(np.abs(rhs).sum(axis=0), np.ones(rhs.shape[1])):
+        return None
+    idx = np.abs(rhs).argmax(axis=0)
+    return idx if np.array_equal(rhs[idx, np.arange(rhs.shape[1])], np.ones(idx.size)) else None
 
-    def __init__(self, m0, counts):
-        self.m0, self.counts = m0, counts
 
-    def __getitem__(self, key):
-        return self.m0[key]
+def count_basis_solves(monkeypatch, counts):
+    """Count KktBasis solves into ``counts``: ``columns`` for each column of
+    M0 solved at a fixed index, ``repeated`` for one already solved on the
+    same basis, and ``other_solves`` for every other solve."""
+    solved = {}
+    basis_solve = qp_solver.KktBasis.solve
 
-    def __matmul__(self, other):
-        self.counts["m0_products"] += 1
-        return self.m0 @ other
+    def solve(self, rhs, *args, **kwargs):
+        idx = unit_columns(np.asarray(rhs))
+        if idx is None:
+            counts["other_solves"] += 1
+        else:
+            seen = solved.setdefault(self, set())
+            counts["columns"] += idx.size
+            counts["repeated"] += len(seen & set(idx.tolist()))
+            seen.update(idx.tolist())
+        return basis_solve(self, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(qp_solver.KktBasis, "solve", solve)
 
 
 def count_steps(monkeypatch):
-    """Count Schur steps taken and rejected, the steps' products with M0,
-    and dense free-set steps solved."""
+    """Count Schur steps taken and rejected, dense free-set steps solved,
+    and the basis solves that the Schur steps make: ``step_solves`` for
+    solves of anything but a fixed index's column, and ``repeated`` for a
+    column solved before on the same basis."""
     counts = Counter()
-    schur_init = qp_solver._SchurSteps.__init__
+    in_steps = Counter()
+    count_basis_solves(monkeypatch, in_steps)
     schur_step = qp_solver._SchurSteps.step
     dense_step = qp_solver._free_subproblem
 
-    def init(self, *args):
-        schur_init(self, *args)
-        self.m0 = CountingInverse(self.m0, counts)
-
     def schur(self, *args):
+        before = in_steps.copy()
         found = schur_step(self, *args)
+        counts["step_solves"] += in_steps["other_solves"] - before["other_solves"]
+        counts["repeated"] += in_steps["repeated"] - before["repeated"]
         counts["schur" if found is not None else "rejected"] += 1
         return found
 
@@ -355,7 +382,6 @@ def count_steps(monkeypatch):
         counts["dense"] += 1
         return dense_step(*args)
 
-    monkeypatch.setattr(qp_solver._SchurSteps, "__init__", init)
     monkeypatch.setattr(qp_solver._SchurSteps, "step", schur)
     monkeypatch.setattr(qp_solver, "_free_subproblem", dense)
     return counts
@@ -383,7 +409,7 @@ def test_basis_solve_matches_dense_path(monkeypatch, hp_kwargs):
     assert fast["schur"] > 0
     assert first["schur"] > 0
     assert fast["rejected"] == 0
-    assert fast["m0_products"] == 0
+    assert fast["step_solves"] == 0 and fast["repeated"] == 0
     if hp_kwargs.get("delta") == 1.05:
         # most weights end at a bound: once r + |fixed| >= |free| the dense
         # free-set system is solved instead
@@ -411,18 +437,19 @@ def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
 
 
 def test_perturbed_basis_steps_are_refined(monkeypatch):
-    # the fit's own basis perturbed by 1e-9 of its size: a Schur step that
-    # fails its check against H is not refined on the basis but solved again
-    # on the dense free-set path, to the dense reference's solution
+    # the basis factored from the fit's own H0 perturbed by 1e-9 of its
+    # size: a Schur step that fails its check against H is not refined on
+    # the basis but solved again on the dense free-set path, to the dense
+    # reference's solution
     counts = count_steps(monkeypatch)
     fast = Counter()
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for problem, warm in weight_problem_sequence(seed):
-            basis = problem.h.basis
-            noise = rng.standard_normal(basis.shape)
-            noise *= 1e-9 * np.abs(basis).max()
-            qp = with_basis(problem, basis + 0.5 * (noise + noise.T))
+            h0 = problem.h.fixed.h0
+            noise = rng.standard_normal(h0.shape)
+            noise *= 1e-9 * np.abs(h0).max()
+            qp = with_basis(problem, kkt_basis(h0 + 0.5 * (noise + noise.T)))
             reference = solve(dense_copy(problem), warm_start=warm)
             counts.clear()
             x = solve(qp, warm_start=warm)
@@ -434,22 +461,79 @@ def test_perturbed_basis_steps_are_refined(monkeypatch):
 
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
 def test_all_free_solution_matches_basis_inverse(hp_kwargs):
-    # M0 b read off M0 [H0 x; 1'x] = [x; 0], against the product with M0
+    # M0 b read off M0 [H0 x; 1'x] = [x; 0], against the product with the
+    # explicit inverse of K0
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for qp, warm in weight_problem_sequence(seed, **hp_kwargs):
             steps = qp_solver._SchurSteps(qp)
+            m0 = dense_kkt_inverse(qp.h.fixed.h0)
             for x in [warm, _feasible_start(qp, rng.uniform(qp.lower, qp.upper))]:
                 b = np.append(-(qp.h @ x + qp.c), qp.eq_sum - x.sum())
-                expected = qp.h.basis @ b
+                expected = m0 @ b
                 assert np.abs(steps.all_free(x) - expected).max() <= \
                     1e-12 * np.abs(expected).max()
 
 
 def test_singular_kkt_matrix_has_no_basis():
+    # the Cholesky factor of S fails on H0 = 0 (as for c2 = 0) and on a
+    # k = 1 ring (I - W with a null vector per component); the estimated
+    # condition number refuses the nearly singular diagonal
     assert kkt_basis(np.zeros((4, 4))) is None
     assert kkt_basis(np.diag([1.0, 1e-12, 1e-12])) is None
     assert kkt_basis(np.eye(4)) is not None
+    parts = gram_parts()
+    assert ReconstructionHessian(parts["indices"], parts["coeffs"], 0.0).basis is None
+    two_rings = np.array([[1], [2], [0], [4], [5], [3]])
+    assert ReconstructionHessian(two_rings, np.ones((6, 1)), 2.0).basis is None
+    assert ReconstructionHessian(parts["indices"], parts["coeffs"], 2.0).basis is not None
+
+
+def test_kkt_basis_columns_match_dense_inverse_at_fit_size():
+    # a fit_large-sized source graph (n = 800, k = 10): M0 read through the
+    # Cholesky factor against the explicit inverse of K0, whole and as
+    # kept columns, which repeat bit for bit
+    sx = make_shifted_pair([2016, 0], n1=800, n2=800, n3=80, m=20,
+                           shift=1.5, rot_deg=30.0)[0]
+    graph = build_graph(sx, 10)
+    fixed = ReconstructionHessian(graph.indices, graph.coeffs, 2.0)
+    m0 = dense_kkt_inverse(fixed.h0)
+    scale = np.abs(m0).max()
+    assert np.abs(fixed.basis.solve(np.eye(801)) - m0).max() <= 1e-12 * scale
+    idx = np.array([799, 0, 411, 5, 411])
+    columns = fixed.basis.columns(idx)
+    assert np.abs(columns - m0[idx]).max() <= 1e-12 * scale
+    assert np.array_equal(fixed.basis.columns(idx[::-1]), columns[::-1])
+
+
+def test_gram_term_without_features_takes_schur_steps(monkeypatch):
+    # a GramHessian given gamma itself solves M0 G' per QP instead of
+    # reading it off the fit's M0 F; both take the same steps
+    counts = count_steps(monkeypatch)
+    for problem, warm in weight_problem_sequence(1):
+        h = problem.h
+        qp = dataclasses.replace(problem, h=GramHessian(h.fixed, h.gamma, h.b))
+        assert qp.h.coef is None
+        assert np.abs(qp.h.basis_columns() - h.basis_columns()).max() <= \
+            1e-12 * np.abs(h.basis_columns()).max()
+        counts.clear()
+        x = solve(qp, warm_start=warm)
+        assert counts["schur"] > 0 and counts["rejected"] == 0
+        assert np.abs(x - solve(dense_copy(problem), warm_start=warm)).max() <= 1e-9
+        assert kkt_residual(qp, x) <= 1e-8
+
+
+def test_features_form_needs_matching_features():
+    parts = gram_parts()
+    fixed = ReconstructionHessian(parts["indices"], parts["coeffs"], 2.0)
+    with pytest.raises(ValidationError, match="shapes"):
+        GramHessian.from_features(fixed, np.ones((2, 3)), 1.0)
+    fixed = ReconstructionHessian(parts["indices"], parts["coeffs"], 2.0,
+                                  features=np.arange(18.0).reshape(6, 3))
+    with pytest.raises(ValidationError, match="shapes"):
+        GramHessian.from_features(fixed, np.ones((2, 4)), 1.0)
+    h = GramHessian.from_features(fixed, np.ones((2, 3)), 1.0)
+    assert np.array_equal(h.gamma, np.ones((2, 3)) @ fixed.features.T)
 
 
 def seeded_weight_problem(seed, n=30, **hp_kwargs):
@@ -529,8 +613,10 @@ def test_reconstruction_hessian_matches_loop(k, a):
     expected = a * (r_mat.T @ r_mat)
     assert fixed.h0.shape == (12, 12) and fixed.n == 12
     assert np.abs(fixed.h0 - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert np.array_equal(fixed.h0_diagonal, np.diag(fixed.h0))
     if fixed.basis is not None:
-        assert np.array_equal(fixed.basis, kkt_basis(fixed.h0))
+        m0 = dense_kkt_inverse(expected)
+        assert np.abs(fixed.basis.solve(np.eye(13)) - m0).max() <= 1e-12 * np.abs(m0).max()
     # the ring of a k = 1 graph leaves I - W a null vector per component
     assert (fixed.basis is None) == (k == 1)
 
@@ -549,13 +635,17 @@ def test_reconstruction_hessian_matches_loop(k, a):
     ("indices", np.arange(6), "shapes"),
     ("gamma", np.zeros((2, 5)), "shapes"),
     ("gamma", np.zeros(6), "shapes"),
+    ("features", np.zeros((5, 2)), "shapes"),
+    ("features", np.zeros(6), "shapes"),
+    ("features", np.full((6, 2), np.inf), "non-finite"),
 ])
 def test_gram_hessian_rejects_bad_parts(field, value, message):
-    # the graph factors and a are ReconstructionHessian's to check, gamma
-    # and b GramHessian's
+    # the graph factors, a and the features are ReconstructionHessian's to
+    # check, gamma and b GramHessian's
     parts = gram_parts()
     parts[field] = value
-    recon = {name: parts.pop(name) for name in ("indices", "coeffs", "a")}
+    recon = {name: parts.pop(name) for name in ("indices", "coeffs", "a", "features")
+             if name in parts}
     if field in recon:
         with pytest.raises(ValidationError, match=message):
             ReconstructionHessian(**recon)
@@ -599,7 +689,7 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
             assert kkt_residual(qp, x) <= 1e-8
     assert fast["schur"] > 0
     assert fast["rejected"] == 0
-    assert fast["m0_products"] == 0
+    assert fast["step_solves"] == 0 and fast["repeated"] == 0
 
 
 def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
@@ -616,24 +706,38 @@ def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
 
 
 def test_fit_builds_one_kkt_basis(monkeypatch):
-    # H0 and its basis are formed at the fit's first Schur step; with
-    # delta = 1 every weight starts at its upper bound, no step is taken,
-    # and the no-weighting ablation forms neither
-    built = Counter()
-    for name in ("kkt_basis", "_reconstruction_gram"):
-        def counted(*args, name=name, build=getattr(qp_solver, name)):
-            built[name] += 1
-            return build(*args)
-        monkeypatch.setattr(qp_solver, name, counted)
-
+    # S = H0 + alpha 11' is factored once, at the fit's first Schur step,
+    # and the basis solves M0 [X_s; 0] once and each fixed index's column
+    # at most once; with delta = 1 every weight starts at its upper bound, no step
+    # is taken, and the no-weighting ablation factors nothing
     sx, sy, tx, ty = make_shifted_pair([5, 0], n1=60, n2=60, n3=10, m=5,
                                        shift=1.5, rot_deg=30.0)
+    pair = DatasetPair(sx, sy, tx, ty[:10])
+    factored = Counter()
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factored["cholesky"] += np.shape(a) == (60, 60)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    solves = Counter()
+    count_basis_solves(monkeypatch, solves)
+    panel = qp_solver.KktBasis.solve
+
+    def features_counted(self, rhs, *args, **kwargs):
+        factored["features"] += np.array_equal(np.asarray(rhs)[:60], pair.source_x)
+        return panel(self, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(qp_solver.KktBasis, "solve", features_counted)
     for delta, formed in ((3.0, 1), (1.0, 0)):
-        built.clear()
-        _, trace = fit(DatasetPair(sx, sy, tx, ty[:10]),
-                       Hyperparams(tol=1e-12, max_outer_iters=4, delta=delta))
+        factored.clear()
+        solves.clear()
+        _, trace = fit(pair, Hyperparams(tol=1e-12, max_outer_iters=4, delta=delta))
         assert trace.n_iters == 4
-        assert (built["kkt_basis"], built["_reconstruction_gram"]) == (formed, formed)
+        assert (factored["cholesky"], factored["features"]) == (formed, formed)
+        assert solves["repeated"] == 0
+        assert (solves["columns"] > 0) == (delta == 3.0)
 
 
 K1_PANEL_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "k1_panel_seed{}.npz")

@@ -304,6 +304,53 @@ def test_fit_with_huge_delta_keeps_pi_feasible():
             assert getattr(state, name).tobytes() == getattr(at_n1[0], name).tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c2", [1e200, 1e300, 1e307])
+def test_fit_with_huge_c2_warns_nothing(c2):
+    # at c2 = 1e200 and 1e300 the KKT basis's condition number and the
+    # free-set residual scale overflow and saturate: a refused basis or a
+    # threshold that admits any residual. At 1e307 the classifier block's
+    # reconstruction term overflows, which is reported as c2's fault.
+    sx, sy, tx, ty = make_shifted_pair(3, n1=40, n2=40, n3=10, m=4)
+    pair = DatasetPair(sx, sy, tx, ty[:10])
+    hp = Hyperparams(c2=c2, max_outer_iters=5)
+    if c2 > 1e306:
+        with pytest.raises(ValidationError, match="c2 = 1e.307 overflows"):
+            fit(pair, hp)
+        return
+    state, trace = fit(pair, hp)
+    check_model_state(state, hp.delta)
+    assert np.isfinite(trace.objective_after_weights).all()
+
+
+def test_block_cycle_carries_unchanged_pieces_bit_for_bit(monkeypatch, recorded_cycles):
+    # the terms after the classifier block reuse the pi reconstruction and
+    # the matching term, those after the weight block the target loss,
+    # the adaptation and the target reconstruction: each total keeps the
+    # bits of a fresh evaluation, and projected_means runs twice per cycle
+    pair = synthetic_pair(43)
+    hp = Hyperparams(k=3, max_outer_iters=6, tol=1e-12)
+    calls = []
+    means = trainer.projected_means
+    monkeypatch.setattr(trainer, "projected_means",
+                        lambda *args: calls.append(1) or means(*args))
+    with recorded_cycles() as cycles:
+        _, trace = fit(pair, hp)
+    assert len(calls) == 2 * trace.n_iters
+    resolved = hp.resolved(pair.m)
+    ctx = ObjectiveContext(pair, build_graph(pair.source_x, resolved.k),
+                           build_graph(pair.target_x, resolved.k), resolved)
+    pi = np.ones(pair.n1)
+    for t, cycle in enumerate(cycles):
+        after_classifier = full_objective(*cycle[:4], pi, ctx)
+        after_weights = full_objective(*cycle, ctx)
+        assert trace.terms_after_classifier[t] == after_classifier._asdict()
+        assert trace.terms_after_weights[t] == after_weights._asdict()
+        assert trace.objective_after_classifier[t] == after_classifier.total
+        assert trace.objective_after_weights[t] == after_weights.total
+        pi = cycle.pi
+
+
 def test_fit_validates_inputs():
     pair = synthetic_pair(31)
     from subadapt.data_model import ValidationError
