@@ -322,8 +322,11 @@ def descend(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext, hp: Hyperp
         g = _checked_gradient(ctx, block, losses, ax)
         step = hp.step
         for _ in range(MAX_STEP_HALVINGS + 1):
-            x_try = x - step * g
-            q_try, losses_try, ax_try = ctx.score(x_try, block)
+            # as in the Newton loop, an overflowing objective scores inf (or
+            # nan), which the comparison below rejects like any failed step
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_try = x - step * g
+                q_try, losses_try, ax_try = ctx.score(x_try, block)
             trace.proposals += 1
             if q_try < q_cur:
                 x, q_cur, losses, ax = x_try, q_try, losses_try, ax_try

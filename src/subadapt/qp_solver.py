@@ -7,27 +7,27 @@ A primal active-set method fixes variables at their bounds and solves the
 remaining equality-constrained subproblem through a bordered KKT system.
 H is either a dense symmetric PSD matrix, checked on every solve, or a
 ``GramHessian`` H0 + b G'G: a ``ReconstructionHessian`` H0 = a R'R
-(R = I - W, with k entries per row of W) plus a rank-r Gram term, both
-held in factored form, symmetric PSD by construction, whose products cost
-O(nk + nr). H0 is the part of the weight step's Hessian fixed for a whole
-fit, so it is checked once and carries its KKT basis: the inverse M0 of
-the all-free bordered KKT matrix K0 of H0, held as the lower Cholesky
-factor L of S = H0 + alpha 11' (``KktBasis``), formed at the fit's first
-Schur step and kept. Each step then comes from a small Schur complement
-against M0, bordered by the rank-r term b G'G (q = r columns) and the
-fixed set, and verified against H itself (Gill, Murray, Saunders & Wright
-1990, "A Schur-complement method for sparse quadratic programming"). The
-columns of M0 that the steps read are triangular solves with L: M0 G'
-once per QP (or, when G = coef F' for the fit's features F, M0 F once per
-fit), M0 [-c; eq_sum] once per QP, and the column of each fixed index
-once per fit, the first time that index is fixed. The step's all-free
-solution M0 b is read off M0 [H0 x; 1'x] = [x; 0], so a step solves
-nothing new unless its fixed set holds a new index; a step that fails
-verification is solved from the dense free-set system instead. Singular
-reduced Hessians (PSD but rank deficient, including H = 0) fall back to
-an eigendecomposition of the reduced Hessian and follow directions of
-linear descent until a bound blocks; the feasible set is compact, so a
-blocking bound always exists.
+(R = I - W, with k entries per row of W) plus a rank-r Gram term over
+H0's features F (G = coef F'), both held in factored form, symmetric PSD
+by construction, whose products cost O(nk + nr). H0 is the part of the
+weight step's Hessian fixed for a whole fit, so it is checked once and
+carries its KKT basis: the inverse M0 of the all-free bordered KKT matrix
+K0 of H0, held as the lower Cholesky factor L of S = H0 + alpha 11'
+(``KktBasis``), formed at the fit's first Schur step and kept. Each step
+then comes from a small Schur complement against M0, bordered by the
+rank-r term b G'G (q = r columns) and the fixed set, and verified against
+H itself (Gill, Murray, Saunders & Wright 1990, "A Schur-complement
+method for sparse quadratic programming"). The columns of M0 that the
+steps read are triangular solves with L: M0 F once per fit (M0 G' is
+M0 F coef'), M0 [-c; eq_sum] once per QP, and the column of each fixed
+index once per fit, the first time that index is fixed. The step's
+all-free solution M0 b is read off M0 [H0 x; 1'x] = [x; 0], so a step
+solves nothing new unless its fixed set holds a new index; a step that
+fails verification is solved from the dense free-set system instead.
+Singular reduced Hessians (PSD but rank deficient, including H = 0) fall
+back to an eigendecomposition of the reduced Hessian and follow
+directions of linear descent until a bound blocks; the feasible set is
+compact, so a blocking bound always exists.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class ReconstructionHessian:
     """H0 = a R'R with R = I - W: the fixed part of every weight QP of a fit.
 
     Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
-    n x k), and a >= 0. ``features`` (n x m, or None) spans the rows of the
-    rank-r terms that ``GramHessian.from_features`` pairs with H0. The
-    constructor checks these factors. The dense ``h0`` (a reference for
+    n x k), and a >= 0. ``features`` F (n x m) spans the rows of the rank-r
+    terms G = coef F' that ``GramHessian`` pairs with H0. The constructor
+    checks these factors. The dense ``h0`` (a reference for
     ``GramHessian.dense``) and the ``KktBasis`` ``basis`` (None when K0 is
     singular or ill-conditioned) are formed on first use and kept, so a fit
     whose QPs take no free-set step forms neither; neither forms W. ``@``
@@ -71,7 +71,7 @@ class ReconstructionHessian:
     sparse rows in O(nk^2).
     """
 
-    def __init__(self, indices, coeffs, a, features=None):
+    def __init__(self, indices, coeffs, a, features):
         indices = np.asarray(indices)
         coeffs = np.asarray(coeffs, dtype=float)
         n = indices.shape[0] if indices.ndim == 2 else -1
@@ -85,12 +85,11 @@ class ReconstructionHessian:
         a = float(a)
         if not 0.0 <= a < np.inf:
             raise ValidationError("Gram Hessian scales must be finite and nonnegative")
-        if features is not None:
-            features = np.asarray(features, dtype=float)
-            if features.ndim != 2 or features.shape[0] != n:
-                raise ValidationError("Gram Hessian factors have mismatched shapes")
-            if not np.isfinite(features).all():
-                raise ValidationError("Gram Hessian factors contain non-finite entries")
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[0] != n:
+            raise ValidationError("Gram Hessian factors have mismatched shapes")
+        if not np.isfinite(features).all():
+            raise ValidationError("Gram Hessian factors contain non-finite entries")
         self.n = n
         self.shape = (n, n)
         self.indices = indices
@@ -135,7 +134,7 @@ class ReconstructionHessian:
 
     @cached_property
     def basis(self) -> KktBasis | None:
-        return _factor_kkt(self._scaled_gram())
+        return kkt_basis(self._scaled_gram())
 
     @cached_property
     def feature_columns(self) -> np.ndarray:
@@ -236,17 +235,13 @@ def _norm1_estimate(apply, size: int) -> float:
     return max(estimate, 2.0 * float(np.abs(apply(alternating)).sum()) / (3.0 * size))
 
 
-def kkt_basis(h0) -> KktBasis | None:
-    """The KKT basis of the symmetric PSD H0: M0 = K0^-1 for
-    K0 = [[H0, 1], [1', 0]], or None when S = H0 + alpha 11' is not
-    positive definite (exactly when K0 is singular) or the infinity-norm
-    condition number of K0, with ||M0|| estimated, exceeds
+def kkt_basis(h0: np.ndarray) -> KktBasis | None:
+    """The KKT basis of the symmetric PSD float array H0, which it
+    overwrites with S = H0 + alpha 11' (a copy would cost the fit a second
+    n x n array): M0 = K0^-1 for K0 = [[H0, 1], [1', 0]], or None when S is
+    not positive definite (exactly when K0 is singular) or the
+    infinity-norm condition number of K0, with ||M0|| estimated, exceeds
     BASIS_COND_LIMIT."""
-    return _factor_kkt(np.array(h0, dtype=float))
-
-
-def _factor_kkt(h0: np.ndarray) -> KktBasis | None:
-    """``kkt_basis`` on an array it overwrites with S."""
     n = h0.shape[0]
     # ||K0||_inf, row panel by row panel, so that no second n x n array is
     # formed; S's eigenvalue on 1 is alpha n, here H0's mean eigenvalue
@@ -275,20 +270,21 @@ def _factor_kkt(h0: np.ndarray) -> KktBasis | None:
 
 class GramHessian:
     """H = H0 + b G'G: a fit's ``ReconstructionHessian`` H0 plus a rank-r
-    Gram term, with G r x n and b >= 0.
+    Gram term over its features F, G = coef F' (``gamma``, r x n) with
+    coef r x m and b >= 0.
 
     ``diagonal`` reads H0's sparse diagonal, ``dense`` H0's dense ``h0``,
-    and ``basis`` is H0's KKT basis, with which ``solve`` takes Schur steps.
-    H0 checked its own factors and the constructor checks G and b, so H is
-    symmetric PSD by construction and ``solve`` runs no symmetry scan or
-    PSD check on it. ``coef`` is None, or, for a Hessian built by
-    ``from_features``, the r x m matrix with G = coef F'.
+    and ``basis`` is H0's KKT basis, with which ``solve`` takes Schur steps
+    that read M0 G' off the fit's M0 F. H0 checked its own factors and the
+    constructor checks coef, G and b, so H is symmetric PSD by construction
+    and ``solve`` runs no symmetry scan or PSD check on it.
     """
 
-    def __init__(self, fixed: ReconstructionHessian, gamma, b):
-        gamma = np.asarray(gamma, dtype=float)
-        if gamma.ndim != 2 or gamma.shape[1] != fixed.n:
+    def __init__(self, fixed: ReconstructionHessian, coef, b):
+        coef = np.asarray(coef, dtype=float)
+        if coef.ndim != 2 or coef.shape[1] != fixed.features.shape[1]:
             raise ValidationError("Gram Hessian factors have mismatched shapes")
+        gamma = coef @ fixed.features.T
         if not np.isfinite(gamma).all():
             raise ValidationError("Gram Hessian factors contain non-finite entries")
         b = float(b)
@@ -296,32 +292,14 @@ class GramHessian:
             raise ValidationError("Gram Hessian scales must be finite and nonnegative")
         self.shape = fixed.shape
         self.fixed = fixed
+        self.coef = coef
         self.gamma = gamma
         self.b = b
-        self.coef = None
         self._dense = None
-
-    @classmethod
-    def from_features(cls, fixed: ReconstructionHessian, coef, b) -> GramHessian:
-        """H0 + b G'G with G = coef F', where F (n x m) is ``fixed.features``
-        and coef is r x m. Its Schur steps read M0 G' off the fit's M0 F
-        instead of solving it per QP."""
-        coef = np.asarray(coef, dtype=float)
-        if fixed.features is None or coef.ndim != 2 or coef.shape[1] != fixed.features.shape[1]:
-            raise ValidationError("Gram Hessian factors have mismatched shapes")
-        hessian = cls(fixed, coef @ fixed.features.T, b)
-        hessian.coef = coef
-        return hessian
 
     @property
     def basis(self) -> KktBasis | None:
         return self.fixed.basis
-
-    def basis_columns(self) -> np.ndarray:
-        """M0 [G'; 0], the basis's columns for the rank-r term."""
-        if self.coef is not None:
-            return self.fixed.feature_columns @ self.coef.T
-        return self.basis.solve(np.vstack([self.gamma.T, np.zeros(self.gamma.shape[0])]))
 
     def __matmul__(self, v) -> np.ndarray:
         """H v for a vector v, in O(nk + nr)."""
@@ -537,10 +515,11 @@ class _SchurSteps:
     C = blockdiag(-I/d, 0). With S = C - V' M0 V and y0 = M0 b, the
     solution is y0 - M0 V S^-1 (-V' y0). The right-hand side is
     b = [-(H0 x + d U U'x + c); eq_sum - 1'x] and M0 [H0 x; 1'x] = [x; 0],
-    so y0 = y_c - [x; 0] - M0 U (d U'x) with y_c = M0 [-c; eq_sum]. M0 U,
-    U' M0 U and y_c are formed once per QP; M0 E_A comes from the basis's
-    kept columns, so a step solves only the columns of indices fixed for
-    the first time in the fit, and otherwise works in n (q + |A|).
+    so y0 = y_c - [x; 0] - M0 U (d U'x) with y_c = M0 [-c; eq_sum].
+    M0 U = M0 F coef' (M0 F is kept for the fit), U' M0 U and y_c are
+    formed once per QP; M0 E_A comes from the basis's kept columns, so a
+    step solves only the columns of indices fixed for the first time in
+    the fit, and otherwise works in n (q + |A|).
     """
 
     def __init__(self, p: QpProblem):
@@ -549,7 +528,7 @@ class _SchurSteps:
         self.d = p.h.b
         if self.d:
             self.u = p.h.gamma.T
-            self.m0u = p.h.basis_columns()
+            self.m0u = p.h.fixed.feature_columns @ p.h.coef.T
         else:
             self.u = np.zeros((n, 0))
             self.m0u = np.zeros((n + 1, 0))
@@ -557,7 +536,10 @@ class _SchurSteps:
         utm0u = self.u.T @ self.m0u[:n]
         # with d = 0 the corner is empty and nothing is divided
         self.corner = -np.eye(self.q) / self.d - 0.5 * (utm0u + utm0u.T)
-        self.y_c = self.basis.solve(np.append(-p.c, p.eq_sum))
+        # a huge c overflows y_c; a step read off it is not finite and
+        # fails its check
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.y_c = self.basis.solve(np.append(-p.c, p.eq_sum))
         # H_ii is at most max_j |H_ij|, so scaling the residual by the free
         # rows' diagonal is no looser than by their row maxima, and it needs
         # no O(n^2) scan of a GramHessian
@@ -614,8 +596,11 @@ class _SchurSteps:
                 return step, h_dir[free_idx]
             return None
 
+        # a huge b or y_c overflows a candidate or its residual, which then
+        # fails its check and the step takes the dense path
         try:
-            return checked(correct(self.all_free(x)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return checked(correct(self.all_free(x)))
         except np.linalg.LinAlgError:
             return None
 

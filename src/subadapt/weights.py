@@ -26,9 +26,9 @@ from .qp_solver import GramHessian, QpProblem, solve
 
 def build_weight_problem(phi_vec, theta, ctx: ObjectiveContext) -> QpProblem:
     """The weight QP at the given classifier and projection. Column i of
-    gamma is theta @ source_x[i] / n1, given to the Hessian as
-    gamma = (theta / n1) source_x' over the fit's source features, and
-    vartheta is the projected target mean."""
+    gamma is theta @ source_x[i] / n1, given to the Hessian as its coef
+    theta / n1 over the fit's source features, and vartheta is the
+    projected target mean."""
     pair, hp = ctx.pair, ctx.hp
     phi_vec = np.asarray(phi_vec, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -38,7 +38,7 @@ def build_weight_problem(phi_vec, theta, ctx: ObjectiveContext) -> QpProblem:
         raise ValidationError("theta columns do not match the feature dimension")
     tau = np.asarray(loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec),
                      dtype=float)
-    hessian = GramHessian.from_features(ctx.fixed, theta / pair.n1, hp.c3)
+    hessian = GramHessian(ctx.fixed, theta / pair.n1, hp.c3)
     vartheta = (pair.target_x @ theta.T).mean(axis=0)
     return QpProblem(h=hessian, c=tau - hp.c3 * (hessian.gamma.T @ vartheta),
                      lower=np.zeros(pair.n1), upper=np.full(pair.n1, hp.delta),

@@ -313,7 +313,7 @@ def with_basis(qp, basis):
     fixed = copy.copy(qp.h.fixed)
     fixed.__dict__.pop("feature_columns", None)
     fixed.basis = basis
-    return dataclasses.replace(qp, h=GramHessian.from_features(fixed, qp.h.coef, qp.h.b))
+    return dataclasses.replace(qp, h=GramHessian(fixed, qp.h.coef, qp.h.b))
 
 
 def dense_kkt_inverse(h0):
@@ -421,11 +421,12 @@ def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
     # steps from each fail their check against H and the dense free-set
     # system is solved instead
     counts = count_steps(monkeypatch)
-    other = build_graph(make_shifted_pair([9, 0], n1=80, n2=80, n3=10, m=6,
-                                          shift=1.5, rot_deg=30.0)[0], 5)
+    other_x = make_shifted_pair([9, 0], n1=80, n2=80, n3=10, m=6,
+                                shift=1.5, rot_deg=30.0)[0]
+    other = build_graph(other_x, 5)
     for problem, warm in weight_problem_sequence(4, cycles=2):
         wrong_c2 = kkt_basis(3.0 * problem.h.fixed.h0)
-        wrong_graph = ReconstructionHessian(other.indices, other.coeffs, 2.0).basis
+        wrong_graph = ReconstructionHessian(other.indices, other.coeffs, 2.0, other_x).basis
         reference = solve(dense_copy(problem), warm_start=warm)
         for wrong in (wrong_c2, wrong_graph):
             qp = with_basis(problem, wrong)
@@ -483,10 +484,11 @@ def test_singular_kkt_matrix_has_no_basis():
     assert kkt_basis(np.diag([1.0, 1e-12, 1e-12])) is None
     assert kkt_basis(np.eye(4)) is not None
     parts = gram_parts()
-    assert ReconstructionHessian(parts["indices"], parts["coeffs"], 0.0).basis is None
+    ring = (parts["indices"], parts["coeffs"])
+    assert ReconstructionHessian(*ring, 0.0, parts["features"]).basis is None
     two_rings = np.array([[1], [2], [0], [4], [5], [3]])
-    assert ReconstructionHessian(two_rings, np.ones((6, 1)), 2.0).basis is None
-    assert ReconstructionHessian(parts["indices"], parts["coeffs"], 2.0).basis is not None
+    assert ReconstructionHessian(two_rings, np.ones((6, 1)), 2.0, parts["features"]).basis is None
+    assert ReconstructionHessian(*ring, 2.0, parts["features"]).basis is not None
 
 
 def test_kkt_basis_columns_match_dense_inverse_at_fit_size():
@@ -496,7 +498,7 @@ def test_kkt_basis_columns_match_dense_inverse_at_fit_size():
     sx = make_shifted_pair([2016, 0], n1=800, n2=800, n3=80, m=20,
                            shift=1.5, rot_deg=30.0)[0]
     graph = build_graph(sx, 10)
-    fixed = ReconstructionHessian(graph.indices, graph.coeffs, 2.0)
+    fixed = ReconstructionHessian(graph.indices, graph.coeffs, 2.0, sx)
     m0 = dense_kkt_inverse(fixed.h0)
     scale = np.abs(m0).max()
     assert np.abs(fixed.basis.solve(np.eye(801)) - m0).max() <= 1e-12 * scale
@@ -504,36 +506,6 @@ def test_kkt_basis_columns_match_dense_inverse_at_fit_size():
     columns = fixed.basis.columns(idx)
     assert np.abs(columns - m0[idx]).max() <= 1e-12 * scale
     assert np.array_equal(fixed.basis.columns(idx[::-1]), columns[::-1])
-
-
-def test_gram_term_without_features_takes_schur_steps(monkeypatch):
-    # a GramHessian given gamma itself solves M0 G' per QP instead of
-    # reading it off the fit's M0 F; both take the same steps
-    counts = count_steps(monkeypatch)
-    for problem, warm in weight_problem_sequence(1):
-        h = problem.h
-        qp = dataclasses.replace(problem, h=GramHessian(h.fixed, h.gamma, h.b))
-        assert qp.h.coef is None
-        assert np.abs(qp.h.basis_columns() - h.basis_columns()).max() <= \
-            1e-12 * np.abs(h.basis_columns()).max()
-        counts.clear()
-        x = solve(qp, warm_start=warm)
-        assert counts["schur"] > 0 and counts["rejected"] == 0
-        assert np.abs(x - solve(dense_copy(problem), warm_start=warm)).max() <= 1e-9
-        assert kkt_residual(qp, x) <= 1e-8
-
-
-def test_features_form_needs_matching_features():
-    parts = gram_parts()
-    fixed = ReconstructionHessian(parts["indices"], parts["coeffs"], 2.0)
-    with pytest.raises(ValidationError, match="shapes"):
-        GramHessian.from_features(fixed, np.ones((2, 3)), 1.0)
-    fixed = ReconstructionHessian(parts["indices"], parts["coeffs"], 2.0,
-                                  features=np.arange(18.0).reshape(6, 3))
-    with pytest.raises(ValidationError, match="shapes"):
-        GramHessian.from_features(fixed, np.ones((2, 4)), 1.0)
-    h = GramHessian.from_features(fixed, np.ones((2, 3)), 1.0)
-    assert np.array_equal(h.gamma, np.ones((2, 3)) @ fixed.features.T)
 
 
 def seeded_weight_problem(seed, n=30, **hp_kwargs):
@@ -566,13 +538,14 @@ def test_gram_hessian_matches_dense_formula(hp_kwargs):
         assert h.dense() is h.dense()
 
 
-def gram_parts(n=6, k=2, r=2):
-    """A ring graph's factors (indices, coeffs, a) and a rank-r term (gamma, b)."""
+def gram_parts(n=6, k=2, r=2, m=3):
+    """A ring graph's factors (indices, coeffs, a) with n x m features and
+    a rank-r term's (coef, b)."""
     rng = np.random.default_rng(0)
     indices = np.array([[(i + 1 + j) % n for j in range(k)] for i in range(n)])
     coeffs = np.full((n, k), 1.0 / k)
-    return dict(indices=indices, coeffs=coeffs, a=2.0, gamma=rng.standard_normal((r, n)),
-                b=3.0)
+    return dict(indices=indices, coeffs=coeffs, a=2.0, features=rng.standard_normal((n, m)),
+                coef=rng.standard_normal((r, m)), b=3.0)
 
 
 def loop_coefficients(indices, coeffs):
@@ -587,11 +560,15 @@ def loop_coefficients(indices, coeffs):
 
 def test_gram_hessian_parts_accepted():
     parts = gram_parts()
-    fixed = ReconstructionHessian(parts["indices"], parts["coeffs"], parts["a"])
-    h = GramHessian(fixed, parts["gamma"], parts["b"])
+    fixed = ReconstructionHessian(parts["indices"], parts["coeffs"], parts["a"],
+                                  parts["features"])
+    h = GramHessian(fixed, parts["coef"], parts["b"])
+    # G = coef F', formed by the constructor
+    gamma = parts["coef"] @ parts["features"].T
+    assert np.array_equal(h.gamma, gamma)
     r_mat = np.eye(6) - loop_coefficients(parts["indices"], parts["coeffs"])
     h0 = 2.0 * (r_mat.T @ r_mat)
-    expected = h0 + 3.0 * parts["gamma"].T @ parts["gamma"]
+    expected = h0 + 3.0 * gamma.T @ gamma
     v = np.arange(6.0)
     assert np.abs(fixed @ v - h0 @ v).max() <= 1e-12 * np.abs(h0).max() * 15
     assert np.abs(h @ v - expected @ v).max() <= 1e-12 * np.abs(expected).max() * 15
@@ -608,7 +585,7 @@ def test_reconstruction_hessian_matches_loop(k, a):
     w = loop_coefficients(graph.indices, graph.coeffs)
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-8
     assert np.all(np.diag(w) == 0.0)
-    fixed = ReconstructionHessian(graph.indices, graph.coeffs, a)
+    fixed = ReconstructionHessian(graph.indices, graph.coeffs, a, points)
     r_mat = np.eye(12) - w
     expected = a * (r_mat.T @ r_mat)
     assert fixed.h0.shape == (12, 12) and fixed.n == 12
@@ -626,26 +603,26 @@ def test_reconstruction_hessian_matches_loop(k, a):
     ("b", -1e-300, "nonnegative"),
     ("a", np.nan, "nonnegative"),
     ("b", np.inf, "nonnegative"),
-    ("gamma", np.array([[np.nan] * 6, [0.0] * 6]), "non-finite"),
+    ("coef", np.array([[np.nan] * 3, [0.0] * 3]), "non-finite"),
     ("coeffs", np.array([[np.inf, 0.0]] + [[0.5, 0.5]] * 5), "non-finite"),
     ("indices", np.array([[1, 6]] + [[0, 1]] * 5), "out of range"),
     ("indices", np.array([[1, -1]] + [[2, 3]] * 5), "out of range"),
     ("indices", np.full((6, 2), 1.0), "out of range"),
     ("coeffs", np.full((6, 3), 0.5), "shapes"),
     ("indices", np.arange(6), "shapes"),
-    ("gamma", np.zeros((2, 5)), "shapes"),
-    ("gamma", np.zeros(6), "shapes"),
+    # a coef of another feature dimension than the features'
+    ("coef", np.zeros((2, 4)), "shapes"),
+    ("coef", np.zeros(3), "shapes"),
     ("features", np.zeros((5, 2)), "shapes"),
     ("features", np.zeros(6), "shapes"),
     ("features", np.full((6, 2), np.inf), "non-finite"),
 ])
 def test_gram_hessian_rejects_bad_parts(field, value, message):
     # the graph factors, a and the features are ReconstructionHessian's to
-    # check, gamma and b GramHessian's
+    # check, coef (with G = coef F') and b GramHessian's
     parts = gram_parts()
     parts[field] = value
-    recon = {name: parts.pop(name) for name in ("indices", "coeffs", "a", "features")
-             if name in parts}
+    recon = {name: parts.pop(name) for name in ("indices", "coeffs", "a", "features")}
     if field in recon:
         with pytest.raises(ValidationError, match=message):
             ReconstructionHessian(**recon)
@@ -658,7 +635,7 @@ def test_gram_hessian_rejects_bad_parts(field, value, message):
 def test_reconstruction_hessian_rejects_flat_factors():
     # indices and coeffs of one shape, but not n x k
     with pytest.raises(ValidationError, match="shapes"):
-        ReconstructionHessian(np.arange(6), np.full(6, 0.5), 2.0)
+        ReconstructionHessian(np.arange(6), np.full(6, 0.5), 2.0, np.zeros((6, 1)))
 
 
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
@@ -749,11 +726,14 @@ def test_k1_panel_fixture_rebuilds_without_basis(seed):
     # converge", written by tests/data/capture_k1_panel.py
     with np.load(K1_PANEL_FIXTURE.format(seed)) as data:
         qp_data = dict(data)
-    fixed = ReconstructionHessian(qp_data["indices"], qp_data["coeffs"], qp_data["a"])
+    # the features G' with coef = I rebuild the saved G bit for bit
+    gamma = qp_data["gamma"]
+    fixed = ReconstructionHessian(qp_data["indices"], qp_data["coeffs"], qp_data["a"],
+                                  gamma.T)
     # a k = 1 graph leaves I - W more than one null vector: the dense path
     assert fixed.indices.shape[1] == 1 and fixed.basis is None
-    h = GramHessian(fixed, qp_data["gamma"], qp_data["b"])
-    assert h.basis is None
+    h = GramHessian(fixed, np.eye(gamma.shape[0]), qp_data["b"])
+    assert h.basis is None and h.gamma.tobytes() == gamma.tobytes()
     qp = QpProblem(h, qp_data["c"], qp_data["lower"], qp_data["upper"], qp_data["eq_sum"])
     qp_solver._validate(qp)
     warm = qp_data["warm_start"]

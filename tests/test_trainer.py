@@ -323,6 +323,22 @@ def test_fit_with_huge_c2_warns_nothing(c2):
     assert np.isfinite(trace.objective_after_weights).all()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("change", [
+    {"c3": 1e200}, {"c3": 1e300}, {"c3": 1e308},
+    {"loss": "hinge", "step": 1e200}, {"loss": "hinge", "step": 1e300},
+])
+def test_fit_with_huge_c3_or_step_warns_nothing(change):
+    # a huge c3 overflows the weight QP's Schur candidates and their
+    # residuals, a huge descent step the objective of its proposal: each
+    # such candidate fails its check like any other, and the fit trains
+    sx, sy, tx, ty = make_shifted_pair(3, n1=40, n2=40, n3=10, m=4)
+    pair = DatasetPair(sx, sy, tx, ty[:10])
+    hp = Hyperparams(k=3, max_outer_iters=5, **change)
+    state, _ = fit(pair, hp)
+    check_model_state(state, hp.delta)
+
+
 def test_block_cycle_carries_unchanged_pieces_bit_for_bit(monkeypatch, recorded_cycles):
     # the terms after the classifier block reuse the pi reconstruction and
     # the matching term, those after the weight block the target loss,

@@ -133,8 +133,8 @@ def test_uniform_weights_optimal_without_matching():
 
 
 def test_two_point_linear_corner():
-    fixed = ReconstructionHessian(np.array([[1], [0]]), np.ones((2, 1)), 0.0)
-    problem = QpProblem(GramHessian(fixed, np.zeros((1, 2)), 0.0), c=[0.0, 10.0],
+    fixed = ReconstructionHessian(np.array([[1], [0]]), np.ones((2, 1)), 0.0, np.zeros((2, 1)))
+    problem = QpProblem(GramHessian(fixed, np.zeros((1, 1)), 0.0), c=[0.0, 10.0],
                         lower=np.zeros(2), upper=np.full(2, 2.0), eq_sum=2.0)
     assert update_pi(problem) == pytest.approx([2.0, 0.0], abs=1e-10)
 
