@@ -508,6 +508,18 @@ def test_kkt_basis_columns_match_dense_inverse_at_fit_size():
     assert np.array_equal(fixed.basis.columns(idx[::-1]), columns[::-1])
 
 
+def test_features_form_needs_matching_features():
+    # coef must span the fit's feature dimension; G = coef F' is then formed
+    # from the features H0 was built with
+    parts = gram_parts()
+    fixed = ReconstructionHessian(parts["indices"], parts["coeffs"], 2.0,
+                                  features=np.arange(18.0).reshape(6, 3))
+    with pytest.raises(ValidationError, match="shapes"):
+        GramHessian(fixed, np.ones((2, 4)), 1.0)
+    h = GramHessian(fixed, np.ones((2, 3)), 1.0)
+    assert np.array_equal(h.gamma, np.ones((2, 3)) @ fixed.features.T)
+
+
 def seeded_weight_problem(seed, n=30, **hp_kwargs):
     sx, sy, tx, ty = make_shifted_pair([seed, 1], n1=n, n2=n, n3=5, m=4,
                                        shift=1.5, rot_deg=30.0)
