@@ -1,6 +1,6 @@
 """Classifier-vector block: the joint objective in the two linear
-classifiers, its subgradients and Hessian, a damped Newton update for the
-smooth losses and a backtracked subgradient descent for hinge,
+classifiers, its subgradients and Hessian, one backtracking descent update
+(damped Newton for the smooth losses, subgradient steps for hinge),
 adaptation-vector recovery, and prediction, plus the per-fit
 ``ObjectiveContext`` that every block and the trainer's full objective read.
 
@@ -17,23 +17,25 @@ and a subgradient is Z'(slope * (-y*c)) + (A x - b), where the slope
 Z and A are built once per fit, c and b once per block call, so scoring a
 proposal takes one Z product, one loss pass, one A product and two dots.
 
-For the smooth logistic and exponential losses q is smooth and convex, and
-``update_phi_varphi`` minimizes it by damped Newton steps (Boyd &
-Vandenberghe, Convex Optimization, 9.5): the Hessian is
-Z' diag(c * curvature) Z + A, with the curvature d2 loss/d margin2 read off
-the loss values by ``losses.margin_curvature``; each step halves t from 1
-until the objective strictly decreases and meets the Armijo condition.
-Once the Newton decrement -g'd falls to NEWTON_DECREMENT_TOL relative to
-|q|, the run tries the full step once more, keeps it if q strictly
-decreases, and stops. A singular Hessian (possible when c1 = 0) is solved
-on the numerical range of its Jacobi-scaled form, so no direction is ever
-undefined.
+``update_phi_varphi`` minimizes q by one descent loop with a backtracking
+line search (Boyd & Vandenberghe, Convex Optimization, 9.2-9.5), in which
+the loss kind picks the direction d. For the smooth logistic and
+exponential losses q is smooth and convex, and d is the damped Newton step
+(9.5) for the Hessian Z' diag(c * curvature) Z + A, with the curvature
+d2 loss/d margin2 read off the loss values by ``losses.margin_curvature``;
+each step halves t from 1 until q strictly decreases and meets the Armijo
+condition. Once the Newton decrement -g'd falls to NEWTON_DECREMENT_TOL
+relative to |q|, the run tries the full step once more, keeps it if q
+strictly decreases, and stops. A singular Hessian (possible when c1 = 0)
+is solved on the numerical range of its Jacobi-scaled form, so no
+direction is ever undefined.
 
-For the nonsmooth hinge loss ``update_phi_varphi`` runs ``descend``, which
-keeps the plain fixed-step rule as its first candidate and halves the step
-whenever the proposal fails to decrease the objective, so the accepted
-trajectory is monotone. The loss kind and the labels are checked once per
-fit, when the context is built; each proposal of either method is scored
+For the nonsmooth hinge loss d = -g: the plain fixed-step rule is the
+first candidate, and the step is halved whenever the proposal fails to
+decrease the objective, so the accepted trajectory is monotone. Either way
+a proposal whose scores or objective overflow scores inf (or nan), and the
+comparison rejects it like any other. The loss kind and the labels are
+checked once per fit, when the context is built; each proposal is scored
 once, exactly from Z x, and the losses and A x of the accepted one are
 reused for the next gradient.
 """
@@ -65,11 +67,11 @@ HESSIAN_RCOND = 1e-12
 @dataclass
 class InnerTrace:
     """Accepted objective values of one classifier-block run (Newton or
-    descent); q_values[0] is the start. ``proposals`` counts every scored
-    proposal: accepted steps plus halvings. ``hit_step_floor`` records a stop
-    because no halved step decreased the objective, and ``capped`` a stop at
-    the step cap ``max_inner_iters``; a Newton run with neither stopped on
-    its decrement."""
+    subgradient steps); q_values[0] is the start. ``proposals`` counts every
+    scored proposal: accepted steps plus halvings. ``hit_step_floor`` records
+    a stop because no halved step decreased the objective, and ``capped`` a
+    stop at the step cap ``max_inner_iters``; a Newton run with neither
+    stopped on its decrement."""
 
     q_values: list = field(default_factory=list)
     accepted_steps: int = 0
@@ -139,6 +141,9 @@ class ObjectiveContext:
         x = np.concatenate([phi_vec, varphi_vec])
         if not np.isfinite(x).all():
             raise ValidationError("non-finite classifier score: phi or varphi is not finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(self.z @ x).all():
+                raise ValidationError("non-finite classifier score")
         weights = np.concatenate([pi, np.ones(self.pair.n3)])
         c1 = self.hp.c1
         return x, BlockState(weights, -self.y * weights,
@@ -147,10 +152,12 @@ class ObjectiveContext:
 
     def score(self, x, block: BlockState):
         """The objective at the stacked point x, with the losses and A x
-        that ``subgradient`` takes for the subgradient there."""
+        that ``subgradient`` takes for the subgradient there. A point whose
+        scores overflow scores inf, which no descent step accepts (a hinge
+        loss would read its infinite margins as a zero loss)."""
         scores = self.z @ x
         if not np.isfinite(scores).all():
-            raise ValidationError("non-finite classifier score")
+            return np.inf, None, None
         losses = margin_loss(self.hp.loss, self.y * scores)
         ax = self.quad @ x
         total = float(losses @ block.weights) + float(x @ (0.5 * ax - block.anchor_term))
@@ -221,42 +228,41 @@ def _checked_gradient(ctx: ObjectiveContext, block: BlockState, losses, ax):
 
 def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
                       hp: Hyperparams):
-    """Minimize the classifier objective in both classifier vectors jointly.
+    """Minimize the classifier objective in both classifier vectors jointly
+    by the module's one backtracking loop. For the smooth losses x + t d
+    takes the Newton direction d (see ``_newton_direction``) from t = 1 and
+    must decrease q by ARMIJO_FRACTION * t * (-g'd); for hinge d = -g from
+    t = ``hp.step``, and the decrement is taken as 0, so the test is a
+    strict decrease. Each step halves t at most MAX_STEP_HALVINGS times; the
+    run stops when no halved step is accepted, on the Newton decrement, or
+    after ``hp.max_inner_iters`` steps.
 
-    For the logistic and exponential losses this runs damped Newton steps.
-    Each solves H d = -g for the Hessian H (on its numerical range when H is
-    singular, see ``_newton_direction``) and halves t from 1, at most
-    MAX_STEP_HALVINGS times, until x + t d strictly decreases the objective
-    by at least ARMIJO_FRACTION * t * (-g'd). Once the Newton decrement -g'd
-    is at most NEWTON_DECREMENT_TOL * |q|, the full step is tried once more,
-    kept if it strictly decreases the objective, and the run stops. It also
-    stops when no halved step is accepted, or after ``hp.max_inner_iters``
-    steps. For hinge it runs ``descend``.
-
-    ``hp`` supplies the controls: ``max_inner_iters`` for both methods and
-    ``step`` for the descent only. The objective comes from ``ctx``, and
-    every other field of ``hp`` must equal ``ctx.hp``'s.
+    ``hp`` supplies the controls: ``max_inner_iters``, and ``step`` for hinge
+    only. The objective comes from ``ctx``, and every other field of ``hp``
+    must equal ``ctx.hp``'s.
     """
-    if ctx.hp.loss == "hinge":
-        return descend(phi_vec, varphi_vec, theta, w, pi, ctx, hp)
     _check_controls(ctx, hp)
+    newton = ctx.hp.loss != "hinge"
     x, block = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
     q_cur, losses, ax = ctx.score(x, block)
     trace = InnerTrace(q_values=[q_cur])
     for _ in range(hp.max_inner_iters):
         g = _checked_gradient(ctx, block, losses, ax)
-        d = _newton_direction(ctx.hessian(block, losses), g)
-        decrement = -float(g @ d)
+        if newton:
+            d = _newton_direction(ctx.hessian(block, losses), g)
+            decrement = -float(g @ d)
+        else:
+            d, decrement = -g, 0.0
         # a converged run tries the full step once more and stops either way:
         # that step cuts the gradient quadratically whenever q still tells its
         # decrease from rounding, and costs one score when it does not
-        converged = decrement <= NEWTON_DECREMENT_TOL * abs(q_cur)
-        t = 1.0
+        converged = newton and decrement <= NEWTON_DECREMENT_TOL * abs(q_cur)
+        t = 1.0 if newton else hp.step
         for _ in range(1 if converged else MAX_STEP_HALVINGS + 1):
-            x_try = x + t * d
-            # an overflowing loss scores inf (or nan against a zero weight),
-            # which the comparisons below reject like any other failed step
+            # a proposal whose scores or loss overflow scores inf (or nan
+            # against a zero weight), which the comparisons below reject
             with np.errstate(over="ignore", invalid="ignore"):
+                x_try = x + t * d
                 q_try, losses_try, ax_try = ctx.score(x_try, block)
             trace.proposals += 1
             if q_try < q_cur and (converged
@@ -301,47 +307,6 @@ def _newton_direction(h, g):
     return -(vectors @ ((vectors.T @ g_s) / values[keep])) / scale
 
 
-def descend(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext, hp: Hyperparams):
-    """Backtracked subgradient descent on both classifier vectors jointly:
-    the hinge path of ``update_phi_varphi``, and for the smooth losses the
-    first-order reference its Newton steps are compared against.
-
-    ``hp`` supplies the descent controls, ``step`` and ``max_inner_iters``;
-    the objective comes from ``ctx``, and every other field of ``hp`` must
-    equal ``ctx.hp``'s. Runs up to ``hp.max_inner_iters`` accepted steps.
-    Each step proposes the fixed-step update and accepts only if the
-    objective strictly decreases; otherwise the step is halved, and after
-    MAX_STEP_HALVINGS failed halvings the whole update stops at the current
-    point.
-    """
-    _check_controls(ctx, hp)
-    x, block = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
-    q_cur, losses, ax = ctx.score(x, block)
-    trace = InnerTrace(q_values=[q_cur])
-    for _ in range(hp.max_inner_iters):
-        g = _checked_gradient(ctx, block, losses, ax)
-        step = hp.step
-        for _ in range(MAX_STEP_HALVINGS + 1):
-            # as in the Newton loop, an overflowing objective scores inf (or
-            # nan), which the comparison below rejects like any failed step
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_try = x - step * g
-                q_try, losses_try, ax_try = ctx.score(x_try, block)
-            trace.proposals += 1
-            if q_try < q_cur:
-                x, q_cur, losses, ax = x_try, q_try, losses_try, ax_try
-                trace.q_values.append(q_cur)
-                trace.accepted_steps += 1
-                break
-            step *= 0.5
-        else:
-            trace.hit_step_floor = True
-            break
-    else:
-        trace.capped = True
-    return x[:ctx.pair.m], x[ctx.pair.m:], trace
-
-
 def recover_u_v(theta, w, phi_vec, varphi_vec):
     """Adaptation vectors: u = phi - theta.T w and v = varphi - theta.T w."""
     phi_vec, varphi_vec = _vectors(phi_vec, varphi_vec, np.size(phi_vec))
@@ -352,6 +317,8 @@ def recover_u_v(theta, w, phi_vec, varphi_vec):
 def _predict(vector, x):
     vector = np.asarray(vector, dtype=float)
     x = np.asarray(x, dtype=float)
+    if vector.ndim != 1:
+        raise ValidationError("the classifier must be a 1-d vector")
     if not (np.isfinite(vector).all() and np.isfinite(x).all()):
         raise ValidationError("non-finite classifier or input value")
     if x.ndim == 1:

@@ -53,6 +53,8 @@ class NeighborGraph:
     def residual_vectors(self, points: np.ndarray) -> np.ndarray:
         """points[i] minus its coefficient-weighted neighbor combination."""
         points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[0] != self.n:
+            raise ValidationError("points must be a matrix with one row per graph point")
         recon = np.einsum("ik,ikm->im", self.coeffs, points[self.indices])
         return points - recon
 

@@ -348,6 +348,8 @@ def _validate(p: QpProblem) -> None:
     """Shapes, finiteness and feasibility; H's entries and symmetry only for
     a dense H (a GramHessian was checked by its constructor)."""
     n = p.n
+    if n == 0:
+        raise ValidationError("QP has no variables")
     dense_h = not isinstance(p.h, GramHessian)
     if p.c.ndim != 1 or p.h.shape != (n, n) or p.lower.shape != (n,) or p.upper.shape != (n,):
         raise ValidationError("QP dimension mismatch")

@@ -92,7 +92,8 @@ def update_theta(phi_mat: np.ndarray, r: int, prev_theta=None) -> np.ndarray:
     Rows are the eigenvectors of the r algebraically smallest eigenvalues in
     ascending order, each with its first nonzero component made positive.
     When the whole spectrum is numerically zero any orthonormal matrix is
-    optimal, so the previous projection is kept if one is supplied.
+    optimal, so the previous projection is kept if one is supplied; it must
+    be a finite r x m matrix with rows orthonormal within 1e-10.
     """
     phi_mat = np.asarray(phi_mat, dtype=float)
     m = phi_mat.shape[0]
@@ -102,9 +103,15 @@ def update_theta(phi_mat: np.ndarray, r: int, prev_theta=None) -> np.ndarray:
         raise ValidationError("non-finite phi matrix")
     if not 1 <= r <= m:
         raise ValidationError(f"r must satisfy 1 <= r <= m, got r = {r}")
+    if prev_theta is not None:
+        prev_theta = np.array(prev_theta, dtype=float)
+        if not (prev_theta.shape == (r, m) and np.isfinite(prev_theta).all()
+                and np.abs(prev_theta @ prev_theta.T - np.eye(r)).max() <= 1e-10):
+            raise ValidationError("prev_theta must be a finite r x m matrix "
+                                  "with rows orthonormal within 1e-10")
     vals, vecs = np.linalg.eigh(0.5 * (phi_mat + phi_mat.T))
     if prev_theta is not None and np.abs(vals).max(initial=0.0) <= DEGENERATE_EIG_TOL:
-        return np.array(prev_theta, dtype=float)
+        return prev_theta
     vals, rows = _canonical_rows(vals, vecs)
     return rows[:r]
 

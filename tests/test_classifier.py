@@ -10,7 +10,6 @@ from subadapt.classifier import (
     HESSIAN_RCOND,
     MAX_STEP_HALVINGS,
     ObjectiveContext,
-    descend,
     predict_source,
     predict_target,
     q_objective,
@@ -304,7 +303,7 @@ def descent_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
 
 
 @pytest.mark.parametrize("n3", [0, 4])
-@pytest.mark.parametrize("loss", ["hinge", "logistic", "exponential"])
+@pytest.mark.parametrize("loss", ["hinge"])
 @pytest.mark.parametrize("step, max_inner, floored", [(1e-2, 50, False), (10.0, 200, True)])
 def test_descent_matches_reference_loop(loss, n3, step, max_inner, floored):
     rng = np.random.default_rng(21)
@@ -314,10 +313,7 @@ def test_descent_matches_reference_loop(loss, n3, step, max_inner, floored):
     varphi_vec = 0.5 * rng.standard_normal(4)
     phi_ref, varphi_ref, q_ref, floor_ref, halvings = descent_reference(
         phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
-    # the smooth losses take Newton steps in update_phi_varphi, so their
-    # descent is reached by its own name
-    entry = update_phi_varphi if loss == "hinge" else descend
-    phi_out, varphi_out, trace = entry(
+    phi_out, varphi_out, trace = update_phi_varphi(
         phi_vec, varphi_vec, theta, w, pi, context(pair, graph_t, hp), hp)
     assert trace.hit_step_floor == floor_ref == floored
     assert trace.capped == (not floored)
@@ -343,7 +339,7 @@ def test_descent_matches_reference_loop(loss, n3, step, max_inner, floored):
     assert np.allclose(varphi_out, varphi_ref, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("n, loss", [(200, "logistic"), (800, "hinge")])
+@pytest.mark.parametrize("n, loss", [(800, "hinge")])
 def test_descent_matches_reference_loop_at_bench_scale(n, loss):
     xs, ys, xt, yt = make_shifted_pair([2016, 0], n1=n, n2=n, n3=n // 10, m=20,
                                        shift=1.5, rot_deg=30)
@@ -358,8 +354,7 @@ def test_descent_matches_reference_loop_at_bench_scale(n, loss):
     start = np.zeros(pair.m)
     phi_ref, varphi_ref, q_ref, floor_ref, halvings = descent_reference(
         start, start, theta, w, pi, pair, graph_t, hp)
-    entry = update_phi_varphi if loss == "hinge" else descend
-    phi_out, varphi_out, trace = entry(
+    phi_out, varphi_out, trace = update_phi_varphi(
         start, start, theta, w, pi, context(pair, graph_t, hp), hp)
     assert not trace.hit_step_floor and not floor_ref and trace.capped
     assert trace.accepted_steps == len(q_ref) - 1 == hp.max_inner_iters
@@ -443,8 +438,8 @@ def test_newton_stops_on_its_decrement_below_the_descent(loss, n3):
     assert all(b < a for a, b in zip(trace.q_values, trace.q_values[1:]))
     assert trace.q_values[-1] == q_objective(phi_out, varphi_out, theta, w, pi, ctx)
     assert _gradient_norm(phi_out, varphi_out, theta, w, pi, ctx) <= 1e-8 * max(1.0, g0)
-    _, _, ref = descend(phi_vec, varphi_vec, theta, w, pi, ctx, hp)
-    assert trace.q_values[-1] <= ref.q_values[-1]
+    q_descent = descent_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)[2]
+    assert trace.q_values[-1] <= q_descent[-1]
     # step only steers the descent
     for step in (1e-8, 10.0):
         out = update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx, replace(hp, step=step))
@@ -566,20 +561,22 @@ def test_newton_blocks_of_a_fit_beat_the_descent(loss, seed, monkeypatch):
     xs, ys, xt, yt = make_shifted_pair([seed, 0], n1=200, n2=200, n3=20, m=20,
                                        shift=1.5, rot_deg=30)
     pair = DatasetPair(xs, ys, xt, yt[:20])
+    fit_hp = Hyperparams(loss=loss, tol=1e-12, max_outer_iters=40)
+    graph_t = build_graph(xt, fit_hp.k)
     newton = trainer.update_phi_varphi
     worst = []
 
     def compared(phi_vec, varphi_vec, theta, w, pi, ctx, hp):
         out = newton(phi_vec, varphi_vec, theta, w, pi, ctx, hp=hp)
-        ref = descend(phi_vec, varphi_vec, theta, w, pi, ctx, hp)
-        q_newton, q_descent = out[2].q_values[-1], ref[2].q_values[-1]
+        ref = descent_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp)
+        q_newton, q_descent = out[2].q_values[-1], ref[2][-1]
         g0 = _gradient_norm(phi_vec, varphi_vec, theta, w, pi, ctx)
         worst.append((q_newton - q_descent - 1e-12 * abs(q_descent),
                       _gradient_norm(out[0], out[1], theta, w, pi, ctx) / max(1.0, g0)))
         return out
 
     monkeypatch.setattr(trainer, "update_phi_varphi", compared)
-    _, trace = fit(pair, Hyperparams(loss=loss, tol=1e-12, max_outer_iters=40))
+    _, trace = fit(pair, fit_hp)
     assert len(worst) == trace.n_iters == 40
     assert max(q for q, _ in worst) <= 0.0
     assert max(g for _, g in worst) <= 1e-6
@@ -640,11 +637,40 @@ def test_non_finite_scores_rejected():
                     pytest.raises(ValidationError, match="non-finite classifier score"):
                 entry(np.array(phi_vec, dtype=float), np.array(varphi_vec, dtype=float),
                       theta, w, pi, ctx, *extra)
-    # a finite start whose first descent proposal overflows the scores
-    huge = Hyperparams(k=hp.k, r=hp.r, loss="logistic", step=1e308)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValidationError, match="non-finite classifier score"):
-        descend(finite, finite, theta, w, pi, ctx, huge)
+    # a finite start whose scores overflow is rejected as well
+    with pytest.raises(ValidationError, match="non-finite classifier score"):
+        q_objective(np.full(4, 1e308), finite, theta, w, pi, ctx)
+    # a finite start whose descent proposals overflow the scores at every
+    # halving: each scores inf, is rejected, and the run stops at the floor
+    huge = replace(hp, loss="hinge", step=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi_out, varphi_out, trace = update_phi_varphi(
+            finite, finite, theta, w, pi, context(pair, graph_t, huge), huge)
+    assert np.array_equal(phi_out, finite) and np.array_equal(varphi_out, finite)
+    assert trace.hit_step_floor and not trace.capped
+    assert trace.accepted_steps == 0 and trace.proposals == MAX_STEP_HALVINGS + 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_hinge_rejects_a_step_whose_scores_overflow_at_zero_loss():
+    # c1 = c2 = 0 and every source margin growing along -g: a proposal
+    # whose scores overflow to +inf has zero hinge loss and a finite
+    # remainder, and is still rejected, so every accepted point has
+    # finite scores
+    rng = np.random.default_rng(48)
+    xs = np.array([3.0, 0.0, 0.0, 0.0]) + 0.1 * rng.standard_normal((8, 4))
+    xt = rng.standard_normal((7, 4))
+    pair = DatasetPair(xs, np.ones(8, dtype=np.int64), xt, np.array([], dtype=np.int64))
+    hp = Hyperparams(loss="hinge", c1=0.0, c2=0.0, k=2, r=2, step=1e308)
+    ctx = context(pair, build_graph(xt, 2), hp)
+    start = np.zeros(4)
+    phi_out, _, trace = update_phi_varphi(start, start, np.eye(2, 4), np.zeros(2),
+                                          np.ones(8), ctx, hp)
+    assert trace.accepted_steps >= 1 and trace.proposals > trace.accepted_steps
+    assert np.isfinite(xs @ phi_out).all()
+    assert trace.q_values[-1] == q_objective(phi_out, start, np.eye(2, 4), np.zeros(2),
+                                             np.ones(8), ctx)
 
 
 @pytest.mark.parametrize("change", [
@@ -661,13 +687,13 @@ def test_update_rejects_hp_disagreeing_with_context(change):
 
 def test_update_takes_its_descent_controls_from_hp():
     rng = np.random.default_rng(26)
-    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="logistic")
+    pair, hp, graph_t, theta, w, pi = make_instance(rng, loss="hinge")
     ctx = context(pair, graph_t, hp)
     start = 0.5 * rng.standard_normal(4)
-    _, _, trace = descend(start, start, theta, w, pi, ctx,
-                          replace(hp, step=1e-4, max_inner_iters=3))
+    _, _, trace = update_phi_varphi(start, start, theta, w, pi, ctx,
+                                    replace(hp, step=1e-4, max_inner_iters=3))
     assert trace.accepted_steps == 3
-    _, _, base = descend(start, start, theta, w, pi, ctx, hp)
+    _, _, base = update_phi_varphi(start, start, theta, w, pi, ctx, hp)
     assert base.accepted_steps == hp.max_inner_iters
     # block_cycle passes the context's own hp
     _, trace = fit(pair, replace(hp, max_outer_iters=2))
@@ -747,6 +773,12 @@ def test_predict_rejects_non_finite_values(predict, vector, x):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite"):
             predict(vector, x)
+
+
+@pytest.mark.parametrize("predict", [predict_source, predict_target])
+def test_predict_rejects_a_classifier_that_is_not_a_vector(predict):
+    with pytest.raises(ValidationError, match="1-d vector"):
+        predict(np.zeros((2, 2)), np.zeros((1, 2)))
 
 
 def test_positive_scaling_preserves_labels():

@@ -162,6 +162,14 @@ def test_residual_vectors_match_definition():
         assert resid[j] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("rows", [9, 11])
+def test_residual_vectors_rejects_points_of_another_size(rows):
+    rng = np.random.default_rng(6)
+    graph = build_graph(rng.standard_normal((10, 3)), 3)
+    with pytest.raises(ValidationError, match="one row per graph point"):
+        graph.residual_vectors(rng.standard_normal((rows, 3)))
+
+
 def test_non_finite_input_rejected():
     with pytest.raises(ValidationError, match="non-finite"):
         solve_reconstruction(np.array([np.nan]), np.ones((2, 1)))

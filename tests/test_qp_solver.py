@@ -148,6 +148,13 @@ def test_infeasible_equality_rejected():
         solve(QpProblem(np.eye(2), np.zeros(2), np.zeros(2), np.ones(2), 5.0))
 
 
+@pytest.mark.parametrize("warm_start", [None, np.zeros(0)])
+def test_qp_with_no_variables_rejected(warm_start):
+    empty = QpProblem(h=np.zeros((0, 0)), c=[], lower=[], upper=[], eq_sum=0.0)
+    with pytest.raises(ValidationError, match="QP has no variables"):
+        solve(empty, warm_start=warm_start)
+
+
 def test_asymmetric_h_rejected():
     h = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValidationError, match="symmetric"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subadapt.data_model import DatasetPair, Hyperparams
+from subadapt.data_model import DatasetPair, Hyperparams, ValidationError
 from subadapt.subspace import (
     _canonical_rows,
     build_phi,
@@ -195,6 +195,16 @@ def test_update_theta_degenerate_keeps_previous():
     prev = np.array([[0.0, 1.0, 0.0]])
     theta = update_theta(np.zeros((3, 3)), 1, prev_theta=prev)
     assert np.array_equal(theta, prev)
+
+
+@pytest.mark.parametrize("prev", [
+    np.ones((5, 5)),  # not r x m
+    np.array([[np.nan, 1.0, 0.0], [0.0, 1.0, 0.0]]),
+    (1.0 + 1e-9) * np.eye(2, 3),  # rows 2e-9 from unit length
+])
+def test_update_theta_rejects_a_bad_previous(prev):
+    with pytest.raises(ValidationError, match="prev_theta must be"):
+        update_theta(np.zeros((3, 3)), 2, prev_theta=prev)
 
 
 def test_update_theta_degenerate_without_previous_is_identity_prefix():

@@ -327,11 +327,13 @@ def test_fit_with_huge_c2_warns_nothing(c2):
 @pytest.mark.parametrize("change", [
     {"c3": 1e200}, {"c3": 1e300}, {"c3": 1e308},
     {"loss": "hinge", "step": 1e200}, {"loss": "hinge", "step": 1e300},
+    {"loss": "hinge", "step": 1e308},
 ])
 def test_fit_with_huge_c3_or_step_warns_nothing(change):
     # a huge c3 overflows the weight QP's Schur candidates and their
-    # residuals, a huge descent step the objective of its proposal: each
-    # such candidate fails its check like any other, and the fit trains
+    # residuals, a huge descent step the scores or the objective of its
+    # proposal: each such candidate fails its check like any other, and the
+    # fit trains
     sx, sy, tx, ty = make_shifted_pair(3, n1=40, n2=40, n3=10, m=4)
     pair = DatasetPair(sx, sy, tx, ty[:10])
     hp = Hyperparams(k=3, max_outer_iters=5, **change)
