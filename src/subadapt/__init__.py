@@ -19,14 +19,12 @@ from .data_model import (
     check_model_state,
     validate,
 )
-from .losses import loss_subgradient, loss_value
+from .losses import loss_value
 from .neighborhood import NeighborGraph, build_graph, build_knn, solve_reconstruction
 from .qp_solver import QpProblem, solve
 from .subspace import MeanEmbeddings, build_phi, projected_means, update_theta, update_w
 from .classifier import (
     ObjectiveContext,
-    q_objective,
-    q_subgradients,
     recover_u_v,
     predict_source,
     predict_target,
@@ -41,12 +39,12 @@ __version__ = "0.1.0"
 __all__ = [
     "DatasetPair", "FeatureScaler", "Hyperparams", "LOSS_KINDS", "ModelState",
     "NumericError", "ValidationError", "check_model_state", "validate",
-    "loss_subgradient", "loss_value",
+    "loss_value",
     "NeighborGraph", "build_graph", "build_knn", "solve_reconstruction",
     "QpProblem", "solve",
     "MeanEmbeddings", "build_phi", "projected_means", "update_theta", "update_w",
-    "ObjectiveContext", "q_objective", "q_subgradients", "recover_u_v", "predict_source",
-    "predict_target", "update_phi_varphi",
+    "ObjectiveContext", "recover_u_v", "predict_source", "predict_target",
+    "update_phi_varphi",
     "build_weight_problem", "update_pi",
     "TrainingTrace", "block_cycle", "fit", "full_objective",
     "CvReport", "half_label_mask", "kfold_split", "one_vs_all", "run_cv",

@@ -33,11 +33,11 @@ direction is ever undefined.
 For the nonsmooth hinge loss d = -g: the plain fixed-step rule is the
 first candidate, and the step is halved whenever the proposal fails to
 decrease the objective, so the accepted trajectory is monotone. Either way
-a proposal whose scores or objective overflow scores inf (or nan), and the
-comparison rejects it like any other. The loss kind and the labels are
-checked once per fit, when the context is built; each proposal is scored
-once, exactly from Z x, and the losses and A x of the accepted one are
-reused for the next gradient.
+a proposal whose scores, squared norm or objective overflow scores inf (or
+nan), and the comparison rejects it like any other. The loss kind and the
+labels are checked once per fit, when the context is built; each proposal
+is scored once, exactly from Z x, and the losses and A x of the accepted
+one are reused for the next gradient.
 """
 
 from __future__ import annotations
@@ -144,6 +144,8 @@ class ObjectiveContext:
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(self.z @ x).all():
                 raise ValidationError("non-finite classifier score")
+            if not _norm_carried(x):
+                raise ValidationError("phi and varphi too large: their squared norm overflows")
         weights = np.concatenate([pi, np.ones(self.pair.n3)])
         c1 = self.hp.c1
         return x, BlockState(weights, -self.y * weights,
@@ -153,10 +155,11 @@ class ObjectiveContext:
     def score(self, x, block: BlockState):
         """The objective at the stacked point x, with the losses and A x
         that ``subgradient`` takes for the subgradient there. A point whose
-        scores overflow scores inf, which no descent step accepts (a hinge
-        loss would read its infinite margins as a zero loss)."""
+        scores overflow (a hinge loss would read its infinite margins as a
+        zero loss), or whose norm the later blocks cannot carry (see
+        ``_norm_carried``), scores inf, which no descent step accepts."""
         scores = self.z @ x
-        if not np.isfinite(scores).all():
+        if not (np.isfinite(scores).all() and _norm_carried(x)):
             return np.inf, None, None
         losses = margin_loss(self.hp.loss, self.y * scores)
         ax = self.quad @ x
@@ -173,6 +176,15 @@ class ObjectiveContext:
         ``score`` at x (zero curvature for hinge)."""
         curvature = margin_curvature(self.hp.loss, losses) * block.weights
         return (self.z.T * curvature) @ self.z + self.quad
+
+
+def _norm_carried(x) -> bool:
+    """Whether 4 x'x is finite at the stacked point x. At such a point, and
+    the block start x0 with the same property, the products the later
+    blocks form from x stay finite even where c1 = 0 leaves q blind to them:
+    |u|^2 + |v|^2 <= 2 x'x + 2 x0'x0 for the adaptation term, and
+    |s|^2 <= 2 x'x for the projection step's s s'."""
+    return 4.0 * float(x @ x) < np.inf
 
 
 def _vectors(phi_vec, varphi_vec, m):
@@ -197,20 +209,6 @@ def _anchor(theta, w, m):
     if not (np.isfinite(theta).all() and np.isfinite(w).all()):
         raise ValidationError("non-finite theta or w")
     return theta.T @ w
-
-
-def q_objective(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext) -> float:
-    """Weighted source losses + labeled target losses + anchor pull + target
-    reconstruction smoothness, as a function of the two classifier vectors."""
-    return ctx.score(*ctx.block_state(phi_vec, varphi_vec, theta, w, pi))[0]
-
-
-def q_subgradients(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext):
-    """Subgradients of the classifier objective in (phi, varphi)."""
-    x, block = ctx.block_state(phi_vec, varphi_vec, theta, w, pi)
-    _, losses, ax = ctx.score(x, block)
-    g = ctx.subgradient(block, losses, ax)
-    return g[:ctx.pair.m], g[ctx.pair.m:]
 
 
 def _check_controls(ctx: ObjectiveContext, hp: Hyperparams):
@@ -259,8 +257,8 @@ def update_phi_varphi(phi_vec, varphi_vec, theta, w, pi, ctx: ObjectiveContext,
         converged = newton and decrement <= NEWTON_DECREMENT_TOL * abs(q_cur)
         t = 1.0 if newton else hp.step
         for _ in range(1 if converged else MAX_STEP_HALVINGS + 1):
-            # a proposal whose scores or loss overflow scores inf (or nan
-            # against a zero weight), which the comparisons below reject
+            # a proposal whose scores, norm or loss overflow scores inf (or
+            # nan against a zero weight), which the comparisons below reject
             with np.errstate(over="ignore", invalid="ignore"):
                 x_try = x + t * d
                 q_try, losses_try, ax_try = ctx.score(x_try, block)

@@ -462,13 +462,15 @@ def _dense_block(h, idx) -> np.ndarray:
 
 
 def _free_subproblem(p: QpProblem, x, free_idx, grad):
-    """Step for the free coordinates holding the rest fixed. Returns (step, is_ray)."""
+    """Step for the free coordinates holding the rest fixed. Returns
+    (step, H_FF step), or (ray, None) for a direction of linear descent."""
     nf = free_idx.size
+    hff = _dense_block(p.h, free_idx)
     if nf == 1:
         i = free_idx[0]
         target = p.eq_sum - x.sum() + x[i]
-        return np.array([target - x[i]]), False
-    hff = _dense_block(p.h, free_idx)
+        step = np.array([target - x[i]])
+        return step, hff @ step
     gf = grad[free_idx]
     # bordered KKT system in absolute coordinates: fast path
     k = np.zeros((nf + 1, nf + 1))
@@ -488,8 +490,9 @@ def _free_subproblem(p: QpProblem, x, free_idx, grad):
         with np.errstate(over="ignore"):  # an overflowed scale admits any residual
             scale = max(1.0, np.abs(rhs).max(), np.abs(k).max() * max(1.0, np.abs(sol).max()))
         if _step_verified(p, x, free_idx, gf, step, resid, scale):
-            return step, False
-    return _reduced_step(hff, gf)
+            return step, hff @ step
+    step, is_ray = _reduced_step(hff, gf)
+    return step, None if is_ray else hff @ step
 
 
 def _step_verified(p: QpProblem, x, free_idx, gf, step, resid, scale) -> bool:
@@ -660,17 +663,12 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
                 if schur is None:
                     schur = _SchurSteps(p)
                 found = schur.step(p, x, free, grad)
-            if found is not None:
-                (step, hd), is_ray = found, False
-            else:
-                step, is_ray = _free_subproblem(p, x, free_idx, grad)
-                hd = None
-            if step is not None and not is_ray:
+            step, hd = found if found is not None else _free_subproblem(p, x, free_idx, grad)
+            is_ray = hd is None
+            if not is_ray:
                 # Ill-conditioned subproblems bounce by rounding noise instead
                 # of shrinking the step; a step predicting no material decrease
                 # means the subproblem is solved.
-                if hd is None:
-                    hd = _dense_block(p.h, free_idx) @ step
                 predicted = -(grad[free_idx] @ step + 0.5 * step @ hd)
                 tol_pred = 1e-13 * max(1.0, float(np.abs(grad).max(initial=0.0))
                                        * max(1.0, float(np.abs(x).max())))

@@ -42,6 +42,12 @@ class TrainingTrace:
     (``QpProblem.objective``, without the constant 0.5 c3 ||vartheta||^2)
     at the solved weights and at uniform weights; the two are equal when
     delta = 1.
+
+    ``stop_reason`` is "max_iters" when the cycle cap ended the fit. When
+    the objective changed by at most tol * max(1, |f|) over the last cycle,
+    it is "stalled" if that cycle's classifier block accepted no step and
+    hit its step floor (the block could not move, whether or not it sits at
+    its minimum), and "converged" otherwise.
     """
 
     objective_after_subspace: list = field(default_factory=list)
@@ -162,7 +168,8 @@ def fit(pair: DatasetPair, hp: Hyperparams):
     vectors start at zero and weights at one; the projection and the shared
     classifier take their first-update values. Stops when the relative
     objective change falls below ``hp.tol`` or after ``hp.max_outer_iters``
-    cycles; hitting the cap is recorded, not raised.
+    cycles; either stop is recorded in ``TrainingTrace.stop_reason``, not
+    raised.
 
     ``hp.delta = 1`` makes the weight box hold only pi = 1, so that
     setting is the no-weighting ablation.
@@ -208,7 +215,8 @@ def fit(pair: DatasetPair, hp: Hyperparams):
         objective = trace.objective_after_weights[-1]
         if prev_objective is not None and \
                 abs(objective - prev_objective) <= hp.tol * max(1.0, abs(prev_objective)):
-            stop_reason = "converged"
+            stalled = inner.hit_step_floor and not inner.accepted_steps
+            stop_reason = "stalled" if stalled else "converged"
             break
         prev_objective = objective
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from subadapt.classifier import ObjectiveContext, q_objective, q_subgradients, recover_u_v
+from subadapt.classifier import ObjectiveContext, recover_u_v
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.evaluation import run_cv
@@ -20,6 +20,8 @@ from subadapt.neighborhood import build_graph, solve_reconstruction
 from subadapt.subspace import update_theta
 from subadapt.trainer import fit
 from subadapt.weights import build_weight_problem, update_pi
+
+from objective_reference import q_objective, q_subgradients
 
 
 def report(number, name, elapsed, budget):

@@ -12,8 +12,6 @@ from subadapt.classifier import (
     ObjectiveContext,
     predict_source,
     predict_target,
-    q_objective,
-    q_subgradients,
     recover_u_v,
     update_phi_varphi,
 )
@@ -26,9 +24,11 @@ from subadapt.data_model import (
     ValidationError,
     check_model_state,
 )
-from subadapt.losses import loss_subgradient, loss_value
+from subadapt.losses import loss_value
 from subadapt.neighborhood import NeighborGraph, build_graph
 from subadapt.trainer import fit
+
+from objective_reference import margin_derivative, q_objective, q_subgradients
 
 
 def make_instance(rng, n1=8, n2=7, n3=4, m=4, **hp_kwargs):
@@ -157,15 +157,17 @@ def test_subgradients_match_finite_differences(loss):
 
 
 def subgradients_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
-    """The subgradients term by term on the checked public loss functions."""
+    """The subgradients term by term, on the loss derivative computed from
+    the margins (``objective_reference.margin_derivative``)."""
     anchor = theta.T @ w
     resid = graph_t.residual_vectors(pair.target_x)
-    g_src = loss_subgradient(hp.loss, pair.source_y, pair.source_x @ phi_vec)
+    g_src = margin_derivative(hp.loss, pair.source_y, pair.source_y * (pair.source_x @ phi_vec))
     g_phi = pair.source_x.T @ (g_src * pi) + hp.c1 * (phi_vec - anchor)
     g_varphi = hp.c1 * (varphi_vec - anchor) + 2.0 * hp.c2 * (resid.T @ (resid @ varphi_vec))
     if pair.n3:
         xt_lab = pair.target_x[:pair.n3]
-        g_varphi += xt_lab.T @ loss_subgradient(hp.loss, pair.target_y, xt_lab @ varphi_vec)
+        g_varphi += xt_lab.T @ margin_derivative(hp.loss, pair.target_y,
+                                                 pair.target_y * (xt_lab @ varphi_vec))
     return g_phi, g_varphi
 
 
@@ -256,8 +258,9 @@ def test_descent_trace_monotone_and_gradient_shrinks():
 
 
 def descent_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
-    """The backtracked descent written on the checked public loss functions,
-    scoring every point afresh for both the objective and the subgradient.
+    """The backtracked descent written on the checked public loss values and
+    the loss derivative computed from the margins, scoring every point
+    afresh for both the objective and the subgradient.
     Returns (phi, varphi, q_values, hit_step_floor, halvings)."""
     xt_lab = pair.target_x[:pair.n3]
     anchor = theta.T @ w
@@ -275,11 +278,12 @@ def descent_reference(phi_vec, varphi_vec, theta, w, pi, pair, graph_t, hp):
         return total + hp.c2 * float(v @ gram @ v)
 
     def grads(p, v):
-        g_src = loss_subgradient(hp.loss, pair.source_y, pair.source_x @ p)
+        g_src = margin_derivative(hp.loss, pair.source_y, pair.source_y * (pair.source_x @ p))
         g_p = pair.source_x.T @ (g_src * pi) + hp.c1 * (p - anchor)
         g_v = hp.c1 * (v - anchor) + 2.0 * hp.c2 * (gram @ v)
         if pair.n3:
-            g_v = g_v + xt_lab.T @ loss_subgradient(hp.loss, pair.target_y, xt_lab @ v)
+            g_v = g_v + xt_lab.T @ margin_derivative(hp.loss, pair.target_y,
+                                                     pair.target_y * (xt_lab @ v))
         return g_p, g_v
 
     q_values = [q(phi_vec, varphi_vec)]
@@ -640,6 +644,9 @@ def test_non_finite_scores_rejected():
     # a finite start whose scores overflow is rejected as well
     with pytest.raises(ValidationError, match="non-finite classifier score"):
         q_objective(np.full(4, 1e308), finite, theta, w, pi, ctx)
+    # as is one with finite scores whose squared norm 4 x'x overflows
+    with pytest.raises(ValidationError, match="squared norm overflows"):
+        q_objective(finite, np.full(4, 1e154), theta, w, pi, ctx)
     # a finite start whose descent proposals overflow the scores at every
     # halving: each scores inf, is rejected, and the run stops at the floor
     huge = replace(hp, loss="hinge", step=1e308)
@@ -657,20 +664,27 @@ def test_hinge_rejects_a_step_whose_scores_overflow_at_zero_loss():
     # c1 = c2 = 0 and every source margin growing along -g: a proposal
     # whose scores overflow to +inf has zero hinge loss and a finite
     # remainder, and is still rejected, so every accepted point has
-    # finite scores
+    # finite scores. So is one whose 4 x'x overflows, which q at c1 = 0
+    # cannot see: at step 1e308 every halving is such a point, and at
+    # 1e155 the first nine are.
     rng = np.random.default_rng(48)
     xs = np.array([3.0, 0.0, 0.0, 0.0]) + 0.1 * rng.standard_normal((8, 4))
     xt = rng.standard_normal((7, 4))
     pair = DatasetPair(xs, np.ones(8, dtype=np.int64), xt, np.array([], dtype=np.int64))
-    hp = Hyperparams(loss="hinge", c1=0.0, c2=0.0, k=2, r=2, step=1e308)
-    ctx = context(pair, build_graph(xt, 2), hp)
     start = np.zeros(4)
-    phi_out, _, trace = update_phi_varphi(start, start, np.eye(2, 4), np.zeros(2),
-                                          np.ones(8), ctx, hp)
-    assert trace.accepted_steps >= 1 and trace.proposals > trace.accepted_steps
-    assert np.isfinite(xs @ phi_out).all()
-    assert trace.q_values[-1] == q_objective(phi_out, start, np.eye(2, 4), np.zeros(2),
-                                             np.ones(8), ctx)
+    for step in (1e308, 1e155):
+        hp = Hyperparams(loss="hinge", c1=0.0, c2=0.0, k=2, r=2, step=step)
+        ctx = context(pair, build_graph(xt, 2), hp)
+        phi_out, _, trace = update_phi_varphi(start, start, np.eye(2, 4), np.zeros(2),
+                                              np.ones(8), ctx, hp)
+        if step == 1e308:
+            assert trace.accepted_steps == 0 and trace.hit_step_floor
+            assert trace.proposals == MAX_STEP_HALVINGS + 1
+        else:
+            assert trace.accepted_steps >= 1 and trace.proposals > trace.accepted_steps
+        assert np.isfinite(xs @ phi_out).all() and 4.0 * float(phi_out @ phi_out) < np.inf
+        assert trace.q_values[-1] == q_objective(phi_out, start, np.eye(2, 4), np.zeros(2),
+                                                 np.ones(8), ctx)
 
 
 @pytest.mark.parametrize("change", [

@@ -224,7 +224,8 @@ def test_fit_converged_state_is_fixed_point():
     pair = synthetic_pair(17)
     hp = Hyperparams(k=3, tol=1e-7, max_outer_iters=200)
     state, trace = fit(pair, hp)
-    assert trace.stop_reason == "converged"
+    # the objective test stops the fit while its last hinge block stalls
+    assert trace.stop_reason == "stalled"
     ctx = ObjectiveContext(pair, build_graph(pair.source_x, hp.k),
                            build_graph(pair.target_x, hp.k), hp.resolved(pair.m))
     before = full_objective(state.theta, state.w, state.phi, state.varphi,
@@ -339,6 +340,62 @@ def test_fit_with_huge_c3_or_step_warns_nothing(change):
     hp = Hyperparams(k=3, max_outer_iters=5, **change)
     state, _ = fit(pair, hp)
     check_model_state(state, hp.delta)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [1e200, 1e300])
+def test_hinge_fit_at_zero_c1_with_a_huge_step_trains(step):
+    # c1 = 0 leaves q blind to the size of phi, and on a separable source
+    # the hinge block pushes phi and varphi towards points where the
+    # adaptation term u'u and the projection step's s s' overflow; the
+    # block must reject those points, so that each fit trains with no
+    # warning rather than failing with "non-finite phi matrix"
+    for seed in (4, 5, 6, 9, 10, 11, 12, 13, 17, 21, 22, 23):
+        rng = np.random.default_rng(seed)
+        sx = np.array([3.0, 0.0, 0.0, 0.0]) + 0.1 * rng.standard_normal((8, 4))
+        tx = rng.standard_normal((7, 4))
+        pair = DatasetPair(sx, np.ones(8, dtype=np.int64), tx, np.array([1, -1, 1]))
+        hp = Hyperparams(loss="hinge", c1=0.0, c2=0.0, k=2, r=2, step=step)
+        state, trace = fit(pair, hp)
+        check_model_state(state, hp.delta)
+        assert np.isfinite(trace.objective_after_weights).all()
+
+
+@pytest.mark.parametrize("seed, n, loss, reason", [
+    ([2016, 0], 800, "hinge", "stalled"),
+    ([1, 1], 400, "hinge", "stalled"),
+    ([3, 0], 200, "logistic", "converged"),
+])
+def test_stop_reason_tells_a_stalled_block_from_convergence(seed, n, loss, reason):
+    # both hinge fits pass the objective test while their last classifier
+    # blocks accept no step and stop at the step floor; the logistic fit's
+    # last Newton blocks each accept two steps
+    sx, sy, tx, ty = make_shifted_pair(seed, n1=n, n2=n, n3=n // 10, m=20,
+                                       shift=1.5, rot_deg=30)
+    hp = Hyperparams(loss=loss)
+    _, trace = fit(DatasetPair(sx, sy, tx, ty[:n // 10]), hp)
+    assert trace.stop_reason == reason
+    assert trace.n_iters < hp.max_outer_iters
+    last_block_stalled = trace.inner_steps[-1] == 0 and trace.inner_hit_step_floor[-1]
+    assert last_block_stalled == (reason == "stalled")
+
+
+@pytest.mark.parametrize("seed", [[2016, 0], [1, 1]])
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+def test_label_flip_negates_the_classifiers_bit_for_bit(loss, seed):
+    # every loss reads only y * f and the projection step reads s s', so
+    # y -> -y maps (theta, w, phi, varphi, pi) to (theta, -w, -phi, -varphi,
+    # pi) in exact arithmetic, and rounding is sign-symmetric too
+    sx, sy, tx, ty = make_shifted_pair(seed, n1=200, n2=200, n3=20, m=20,
+                                       shift=1.5, rot_deg=30)
+    hp = Hyperparams(loss=loss, tol=1e-12, max_outer_iters=10)
+    state, trace = fit(DatasetPair(sx, sy, tx, ty[:20]), hp)
+    flipped, flipped_trace = fit(DatasetPair(sx, -sy, tx, -ty[:20]), hp)
+    assert flipped.theta.tobytes() == state.theta.tobytes()
+    assert flipped.pi.tobytes() == state.pi.tobytes()
+    for name in ("w", "phi", "varphi", "u", "v"):
+        assert np.array_equal(getattr(flipped, name), -getattr(state, name))
+    assert flipped_trace == trace
 
 
 def test_block_cycle_carries_unchanged_pieces_bit_for_bit(monkeypatch, recorded_cycles):
