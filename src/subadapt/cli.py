@@ -3,8 +3,12 @@ cross-validation, and hyperparameter sweeps.
 
 CSV contract: UTF-8, comma-separated, header ``label,f0,...,f{m-1}``. The
 label column holds 1, -1, or is empty for unlabeled target rows; labeled
-rows must precede unlabeled ones. Every command is deterministic given its
-configuration and seed, and all file writes are whole-file atomic.
+rows must precede unlabeled ones. Feature CSVs are read and written, and
+``predict``'s scores written, in blocks of rows: memory holds the arrays,
+never the whole file as text or a list of its lines (an input that cannot
+seek, such as a pipe, is held as bytes once). Every command is
+deterministic given its configuration and seed, and all file writes are
+whole-file atomic.
 
 Exit codes: 0 success, 2 user or validation error, 3 numeric failure.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import json
 import math
 import os
@@ -98,13 +103,15 @@ SYNTH_DEFAULTS = {name: p.default
 # file formats
 
 def _atomic_write(path, text):
-    """Write through a uniquely named temporary file beside ``path``, then
-    rename it over ``path``; concurrent writers never share a temporary."""
+    """Write ``text``, a string or an iterable of strings, through a
+    uniquely named temporary file beside ``path``, then rename it over
+    ``path``; concurrent writers never share a temporary, and a chunk that
+    raises leaves none behind."""
     directory, name = os.path.split(os.fspath(path))
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         # mkstemp creates the file private; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -122,16 +129,33 @@ def _f17(value) -> str:
     return format(float(value), ".17g")
 
 
+# CSV rows are written, and predict's scores formatted, this many at a time
+_CSV_BLOCK_ROWS = 4096
+
+
+def _row_blocks(n):
+    """Slices that cover rows 0..n-1 in blocks of ``_CSV_BLOCK_ROWS``."""
+    return (slice(start, start + _CSV_BLOCK_ROWS) for start in range(0, n, _CSV_BLOCK_ROWS))
+
+
 def write_feature_csv(path, features, labels=None):
-    """Write the standard CSV; ``labels`` may cover only a prefix of rows."""
+    """Write the standard CSV; ``labels`` may cover only a prefix of rows.
+    The text is built and written one block of rows at a time."""
     features = np.asarray(features, dtype=float)
     n, m = features.shape
-    n_labeled = 0 if labels is None else len(labels)
-    lines = ["label," + ",".join(f"f{j}" for j in range(m))]
-    for i in range(n):
-        tag = str(int(labels[i])) if i < n_labeled else ""
-        lines.append(tag + "," + ",".join(repr(float(v)) for v in features[i]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    labels = [] if labels is None else labels
+
+    def chunks():
+        yield "label," + ",".join(f"f{j}" for j in range(m)) + "\n"
+        for block in _row_blocks(n):
+            rows = features[block].tolist()
+            tags = [str(int(label)) for label in labels[block]]
+            tags += [""] * (len(rows) - len(tags))
+            # repr of a tolist() float is repr(float(v)) of the array entry
+            yield "".join([f"{tag},{','.join(map(repr, row))}\n"
+                           for tag, row in zip(tags, rows)])
+
+    _atomic_write(path, chunks())
 
 
 def _read_text(path):
@@ -144,26 +168,69 @@ def _read_text(path):
         raise ValidationError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
 
-def _csv_width(path, lines):
-    """Check the header line and return the feature count m."""
-    if not lines:
+def _csv_width(path, header):
+    """Check the header line (None for an empty file) and return the
+    feature count m."""
+    if header is None:
         raise ValidationError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if len(header) < 2 or header[0] != "label" or \
-            header[1:] != [f"f{j}" for j in range(len(header) - 1)]:
+    cells = header.split(",")
+    if len(cells) < 2 or cells[0] != "label" or \
+            cells[1:] != [f"f{j}" for j in range(len(cells) - 1)]:
         raise ValidationError(f"{path}: line 1: header must be label,f0,...,f{{m-1}}")
-    return len(header) - 1
+    return len(cells) - 1
 
 
-def _label_cell(cell):
-    """A label cell as 0 (empty: unlabeled), +1 or -1; anything else raises."""
-    tag = cell.strip()
-    if not tag:
-        return 0
-    label = int(tag)
-    if label not in (1, -1):
-        raise ValueError(f"label {tag!r} outside {{+1,-1}}")
-    return label
+# Bytes on which str.splitlines, which splits the reference's rows, and
+# loadtxt reading universal-newline text could disagree: \v, \f and
+# \x1c-\x1e break lines for splitlines only, loadtxt strips \x1f around a
+# number and float() does not, and U+0085, U+2028 and U+2029 (as UTF-8)
+# break lines for splitlines only. The longest is 3 bytes, so scan blocks
+# overlap by 2. A pattern is searched for only where its first byte occurs:
+# one byte is found at memchr speed, a longer pattern some 50 times slower.
+_REFERENCE_ONLY_BYTES = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+                         "\x85".encode(), "\u2028".encode(), "\u2029".encode())
+_SCAN_BLOCK_BYTES = 1 << 20
+
+# loadtxt's label column: the exact cells the fast path takes; any other
+# raises KeyError, which loadtxt reports as a ValueError
+_LABEL_CELLS = {"": 0, "1": 1, "-1": -1}.__getitem__
+
+
+def _has_reference_only_bytes(handle):
+    """Whether a binary handle, read from its position to the end, holds
+    any of ``_REFERENCE_ONLY_BYTES``."""
+    tail = b""
+    while block := handle.read(_SCAN_BLOCK_BYTES):
+        window = tail + block
+        if any(pattern[:1] in window and pattern in window
+               for pattern in _REFERENCE_ONLY_BYTES):
+            return True
+        tail = block[-2:]
+    return False
+
+
+def _loadtxt_rows(handle):
+    """The header and the (rows, m + 1) table of a seekable binary handle,
+    read from its start, decoded as UTF-8 with universal newlines and
+    parsed in one ``np.loadtxt`` pass; None on anything it cannot parse."""
+    handle.seek(0)
+    text = io.TextIOWrapper(handle, encoding="utf-8")
+    try:
+        header = text.readline()
+        if not header:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns when no data row is left
+            # comments=None: the default '#' would accept "1.5#x". All
+            # m + 1 columns are parsed and the width checked, because
+            # usecols would drop extra cells.
+            table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2,
+                               converters={0: _LABEL_CELLS})
+    except (ValueError, UserWarning):  # a refused cell, or bytes that are not UTF-8
+        return None
+    finally:
+        text.detach()  # leave the handle open for the reference
+    return header.removesuffix("\n"), table
 
 
 def read_feature_csv(path, require_all_labeled=False):
@@ -172,50 +239,54 @@ def read_feature_csv(path, require_all_labeled=False):
     Ragged rows, non-numeric features, bad labels, and labeled rows after
     unlabeled ones are rejected with the offending line number.
 
-    One ``np.loadtxt`` pass parses the rows: its float parser is the one
-    ``float()`` uses, so the values are bit-equal, and it gets the lines
-    ``str.splitlines`` made, so it sees the reference's rows. Whatever it
-    rejects (``1_0``, non-ASCII digits, blank lines that are not empty) or
-    the checks below refuse goes to ``_read_feature_csv_reference``, the
-    only code that builds line-numbered errors; so both accept exactly the
-    same files.
+    The file is opened once, in binary mode, and never held whole as
+    text: a scan in 1 MiB blocks looks for ``_REFERENCE_ONLY_BYTES``, and
+    a clean file is decoded as it streams into one ``np.loadtxt`` pass.
+    Its float parser is the one ``float()`` uses, so the values are
+    bit-equal, and without those bytes its rows are the ones
+    ``str.splitlines`` makes for the reference. A file holding them,
+    whatever loadtxt rejects (``1_0``, ``+1``, non-ASCII digits, blank lines
+    that are not empty, bytes that are not UTF-8) and whatever the checks
+    below refuse goes to ``_read_feature_csv_reference``, read again from
+    the same handle. The reference builds every row error; a bad header is
+    refused by the ``_csv_width`` both share, and only once loadtxt has
+    decoded the whole file, as the reference decodes it before the header.
+    So both accept exactly the same files with the same errors. An input
+    that cannot seek (a pipe) is read into memory once, as bytes, since it
+    cannot be read twice.
     """
-    text = _read_text(path)
-    lines = text.splitlines()
-    m = _csv_width(path, lines)
-    table = None
-    # loadtxt strips "\x1f" around a number like other whitespace; float()
-    # does not, so a text holding it goes to the reference.
-    if "\x1f" not in text:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns when no data row is left
-                # comments=None: the default '#' would accept "1.5#x". All
-                # m + 1 columns are parsed and the width checked, because
-                # usecols would drop extra cells. A list of lines, not
-                # io.StringIO(text), spares a UCS-4 copy of the whole text.
-                table = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1,
-                                   ndmin=2, converters={0: _label_cell})
-        except (ValueError, UserWarning):  # any parse failure: the reference explains it
-            pass
-    if table is not None and table.shape[1] == m + 1:
-        labels = table[:, 0]
-        n_labeled = np.count_nonzero(labels)
-        features = np.ascontiguousarray(table[:, 1:])
-        if np.count_nonzero(labels[:n_labeled]) == n_labeled \
-                and np.isfinite(features).all() \
-                and not (require_all_labeled and n_labeled < len(labels)):
-            return features, labels[:n_labeled].astype(np.int64)
-    return _read_feature_csv_reference(path, require_all_labeled, lines)
+    with open(path, "rb") as handle:
+        if not handle.seekable():
+            handle = io.BytesIO(handle.read())
+        parsed = None if _has_reference_only_bytes(handle) else _loadtxt_rows(handle)
+        if parsed is not None:
+            header, table = parsed
+            labels = table[:, 0]
+            n_labeled = np.count_nonzero(labels)
+            features = np.ascontiguousarray(table[:, 1:])
+            if table.shape[1] == _csv_width(path, header) + 1 \
+                    and np.count_nonzero(labels[:n_labeled]) == n_labeled \
+                    and np.isfinite(features).all() \
+                    and not (require_all_labeled and n_labeled < len(labels)):
+                return features, labels[:n_labeled].astype(np.int64)
+        handle.seek(0)
+        return _read_feature_csv_reference(path, require_all_labeled, handle)
 
 
-def _read_feature_csv_reference(path, require_all_labeled=False, lines=None):
+def _read_feature_csv_reference(path, require_all_labeled=False, handle=None):
     """The per-line reader: ``read_feature_csv``'s reference and fallback,
-    and the source of every line-numbered error. ``lines`` are the file's
-    ``splitlines()`` when the caller has read it already."""
-    if lines is None:
-        lines = _read_text(path).splitlines()
-    m = _csv_width(path, lines)
+    and the source of every line-numbered error. ``handle`` is the file
+    opened in binary mode at its start when the caller has it open;
+    otherwise ``path`` is opened."""
+    if handle is None:
+        with open(path, "rb") as handle:
+            return _read_feature_csv_reference(path, require_all_labeled, handle)
+    try:
+        # splitlines breaks \r\n and \r as text mode's universal newlines would
+        lines = handle.read().decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    m = _csv_width(path, lines[0] if lines else None)
     features, labels = [], []
     seen_unlabeled = False
     for lineno, line in enumerate(lines[1:], start=2):
@@ -516,9 +587,15 @@ def cmd_predict(args) -> int:
     if scaler is not None:
         features = scaler.apply(features)
     scores, labels = predict_target(state.varphi, features)
-    # "%.17g" % x is format(x, ".17g"), the _f17 of every other writer
-    rows = map("%.17g,%d\n".__mod__, zip(scores.tolist(), labels.tolist()))
-    _atomic_write(args.output, "score,label\n" + "".join(rows))
+
+    def chunks():
+        yield "score,label\n"
+        for block in _row_blocks(len(scores)):
+            # "%.17g" % x is format(x, ".17g"), the _f17 of every other writer
+            yield "".join(map("%.17g,%d\n".__mod__,
+                              zip(scores[block].tolist(), labels[block].tolist())))
+
+    _atomic_write(args.output, chunks())
     return 0
 
 

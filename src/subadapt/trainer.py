@@ -86,10 +86,12 @@ class ObjectiveTerms(NamedTuple):
             + self.reconstruction + self.matching
 
 
-# full_objective's unscaled pieces that the weight block, and those that
-# the classifier block, leaves unchanged
-VECTOR_PIECES = ("target", "adaptation", "target_reconstruction")
-WEIGHT_PIECES = ("pi_reconstruction", "matching")
+# full_objective's unscaled pieces that each block's parameters enter: the
+# subspace block's theta and w, the classifier block's phi and varphi, the
+# weight block's pi. The other pieces carry over that block bit for bit.
+SUBSPACE_PIECES = ("adaptation", "matching")
+CLASSIFIER_PIECES = ("source", "target", "target_reconstruction", "adaptation")
+WEIGHT_PIECES = ("source", "pi_reconstruction", "matching")
 
 
 def full_objective(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
@@ -99,10 +101,12 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
     ``pieces``, when given, is a dict of unscaled pieces of the terms: the
     ones it holds are read instead of computed, and the ones it lacks are
     computed and stored in it. The caller keeps in it only pieces that its
-    parameters leave unchanged: ``VECTOR_PIECES`` depend on theta, w and
-    the classifier vectors alone, ``WEIGHT_PIECES`` on theta and pi alone.
-    The terms are combined in one fixed order, so a carried piece gives
-    the total the same bits as a computed one.
+    parameters leave unchanged: ``source`` depends on phi and pi alone,
+    ``target`` and ``target_reconstruction`` on varphi, ``adaptation`` on
+    theta, w and both classifier vectors, ``pi_reconstruction`` on pi and
+    ``matching`` on theta and pi. The terms are combined in one fixed
+    order, so a carried piece gives the total the same bits as a computed
+    one.
     """
     pi = np.asarray(pi, dtype=float)
     if not np.isfinite(pi).all():
@@ -110,53 +114,67 @@ def full_objective(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext,
     pair, hp = ctx.pair, ctx.hp
     pieces = {} if pieces is None else pieces
 
-    source = float(loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec) @ pi)
-    if not pieces.keys() >= set(VECTOR_PIECES):
+    if "source" not in pieces:
+        pieces["source"] = float(
+            loss_value(hp.loss, pair.source_y, pair.source_x @ phi_vec) @ pi)
+    if "target" not in pieces:
         target = 0.0
         if pair.n3:
             target = float(loss_value(hp.loss, pair.target_y, ctx.xt_lab @ varphi_vec).sum())
-        u, v = recover_u_v(theta, w, phi_vec, varphi_vec)
         h_resid = ctx.target_resid @ varphi_vec
-        pieces.update(target=target, adaptation=0.5 * hp.c1 * (float(u @ u) + float(v @ v)),
-                      target_reconstruction=float(h_resid @ h_resid))
-    if not pieces.keys() >= set(WEIGHT_PIECES):
+        pieces.update(target=target, target_reconstruction=float(h_resid @ h_resid))
+    if "adaptation" not in pieces:
+        u, v = recover_u_v(theta, w, phi_vec, varphi_vec)
+        pieces["adaptation"] = 0.5 * hp.c1 * (float(u @ u) + float(v @ v))
+    if "pi_reconstruction" not in pieces:
         pi_resid = ctx.fixed.residual(pi)
+        pieces["pi_reconstruction"] = float(pi_resid @ pi_resid)
+    if "matching" not in pieces:
         means = projected_means(theta, pair, pi)
         gap = means.mu_s_pi - means.mu_t
-        pieces.update(pi_reconstruction=float(pi_resid @ pi_resid),
-                      matching=0.5 * hp.c3 * float(gap @ gap))
+        pieces["matching"] = 0.5 * hp.c3 * float(gap @ gap)
     reconstruction = hp.c2 * (pieces["pi_reconstruction"] + pieces["target_reconstruction"])
-    return ObjectiveTerms(source, pieces["target"], pieces["adaptation"], reconstruction,
-                          pieces["matching"])
+    return ObjectiveTerms(pieces["source"], pieces["target"], pieces["adaptation"],
+                          reconstruction, pieces["matching"])
 
 
-def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext):
+def block_cycle(theta, w, phi_vec, varphi_vec, pi, ctx: ObjectiveContext, pieces=None):
     """Run one full block cycle. Returns the new (theta, w, phi, varphi, pi),
     the objective terms after each of the three blocks, the classifier
     block's InnerTrace, and the weight QP's (solved, uniform) objectives.
-    The terms after the classifier block carry the weight pieces over from
-    those after the subspace block, and the terms after the weight block
-    the vector pieces from those after the classifier block."""
+
+    The terms after each block carry over the ``full_objective`` pieces
+    that block leaves unchanged from the terms before it. ``pieces``, when
+    given, holds the pieces after the previous cycle's weight block, which
+    the terms after the subspace block carry over; the call leaves in it
+    the pieces after its own weight block. Without it the terms after the
+    subspace block are computed in full."""
     pair, hp = ctx.pair, ctx.hp
+    pieces = {} if pieces is None else pieces
+
+    def evaluate(changed):
+        """The terms at the current parameters, with the pieces named in
+        ``changed`` recomputed."""
+        for name in changed:
+            pieces.pop(name, None)
+        # pieces go positionally, so wrappers that pass on only positional
+        # arguments see them
+        return full_objective(theta, w, phi_vec, varphi_vec, pi, ctx, pieces)
+
     phi_mat = build_phi(phi_vec, varphi_vec, pi, pair, hp)
     theta = update_theta(phi_mat, hp.r, prev_theta=theta)
     w = update_w(theta, phi_vec, varphi_vec)
-    pieces = {}
-    # pieces go positionally, so wrappers that pass on only positional
-    # arguments see them
-    after_subspace = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx, pieces)
+    after_subspace = evaluate(SUBSPACE_PIECES)
 
     # hp goes by keyword: the benchmark's classifier-step counter reads it there
     phi_vec, varphi_vec, inner = update_phi_varphi(
         phi_vec, varphi_vec, theta, w, pi, ctx, hp=hp)
-    pieces = {name: pieces[name] for name in WEIGHT_PIECES}
-    after_classifier = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx, pieces)
+    after_classifier = evaluate(CLASSIFIER_PIECES)
 
     problem = build_weight_problem(phi_vec, theta, ctx)
     pi = update_pi(problem, warm_start=pi)
     qp_objectives = (problem.objective(pi), problem.objective(np.ones(pair.n1)))
-    pieces = {name: pieces[name] for name in VECTOR_PIECES}
-    after_weights = full_objective(theta, w, phi_vec, varphi_vec, pi, ctx, pieces)
+    after_weights = evaluate(WEIGHT_PIECES)
     return ((theta, w, phi_vec, varphi_vec, pi),
             (after_subspace, after_classifier, after_weights), inner, qp_objectives)
 
@@ -189,10 +207,13 @@ def fit(pair: DatasetPair, hp: Hyperparams):
     trace = TrainingTrace()
     prev_objective = None
     stop_reason = "max_iters"
+    # the objective pieces after the last weight block, carried from cycle
+    # to cycle; positional, like block_cycle's other arguments
+    pieces = {}
 
     for iteration in range(hp.max_outer_iters):
         (theta, w, phi_vec, varphi_vec, pi), terms, inner, qp_objectives = block_cycle(
-            theta, w, phi_vec, varphi_vec, pi, ctx)
+            theta, w, phi_vec, varphi_vec, pi, ctx, pieces)
 
         trace.objective_after_subspace.append(terms[0].total)
         trace.objective_after_classifier.append(terms[1].total)

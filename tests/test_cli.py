@@ -409,6 +409,23 @@ def test_predict_output_bytes_match_17_digit_format(tmp_path):
     assert out.read_bytes() == expected.encode()
 
 
+def test_predict_output_across_row_blocks(tmp_path):
+    # 4097 rows: one block of 4096 and one of a single row
+    model_path = tmp_path / "m.txt"
+    state = ModelState.from_parameters(np.eye(1, 2), np.zeros(1), np.zeros(2),
+                                       np.array([1.0, -0.5]), np.ones(4), "hinge")
+    save_model(model_path, state, Hyperparams(r=1), None)
+    x = np.random.default_rng(2).standard_normal((4097, 2))
+    rows, out = tmp_path / "rows.csv", tmp_path / "p.csv"
+    write_feature_csv(rows, x)
+    assert main(["predict", "--model", str(model_path), "--input", str(rows),
+                 "--output", str(out)]) == 0
+    scores, labels = predict_target(state.varphi, x)
+    expected = "score,label\n" + "".join(
+        f"{format(float(s), '.17g')},{int(l)}\n" for s, l in zip(scores, labels))
+    assert out.read_bytes() == expected.encode()
+
+
 def save_linear_model(path, m=3):
     state = ModelState.from_parameters(np.eye(1, m), np.zeros(1), np.zeros(m),
                                        np.zeros(m), np.ones(4), "hinge")
@@ -787,6 +804,20 @@ def test_atomic_write_failure_leaves_no_temporary(tmp_path):
     with pytest.raises(OSError):
         _atomic_write(tmp_path / "taken", "text\n")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_atomic_write_of_a_chunk_that_raises_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.csv"
+    _atomic_write(target, "old\n")
+
+    def chunks():
+        yield "new\n" * 10_000
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(target, chunks())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_missing_input_file_exits_2(tmp_path):

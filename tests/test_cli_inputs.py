@@ -1,7 +1,12 @@
 """The CLI's input edges: the vectorized CSV reader against its per-line
-reference, undecodable bytes, and an exit-code fuzz over every file kind."""
+reference, the streamed reader and writer, undecodable bytes, and an
+exit-code fuzz over every file kind."""
 
+import gzip
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +163,81 @@ def test_fast_path_agrees_with_reference_on_random_text(tmp_path_factory, text,
     path = tmp_path_factory.getbasetemp() / "random.csv"
     path.write_bytes(text.encode("utf-8"))
     both(path, require_all_labeled)
+
+
+# ---------------------------------------------------------------------------
+# the streamed reader and writer
+
+def test_reader_and_writer_hold_the_arrays_not_the_text(tmp_path):
+    # the text of a 20 000 x 20 file is about 2.5 times its array, so a
+    # reader or writer holding the text, or a list of its lines, beside the
+    # array goes past the bound
+    x = np.random.default_rng(5).standard_normal((20_000, 20))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_feature_csv(path, x)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        features, labels = read_feature_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(features, x) and labels.size == 0
+    assert write_peak <= 3 * x.nbytes
+    assert read_peak <= 3 * x.nbytes
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("sep", ["\n", "\x0c"])  # the fast path and the reference
+def test_a_named_pipe_reads_like_the_regular_file(tmp_path, sep):
+    regular, fifo = tmp_path / "data.csv", tmp_path / "fifo.csv"
+    text = sep.join(["label,f0,f1", "1,0.5,-2", "-1,3e-300,1e300", ",7,8"]) + sep
+    regular.write_text(text, newline="")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as handle:
+            handle.write(regular.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    from_pipe = outcome(read_feature_csv, fifo)
+    writer.join(timeout=10)
+    assert from_pipe == both(regular) == accepted([[0.5, -2], [3e-300, 1e300], [7, 8]],
+                                                  [1, -1])
+
+
+def test_a_gzip_file_is_not_utf8_text(tmp_path):
+    # loadtxt, given the path, would gunzip a name ending in .gz
+    path = tmp_path / "data.csv.gz"
+    path.write_bytes(gzip.compress(b"label,f0\n1,2\n"))
+    assert both(path) == ("error", f"{path}: not UTF-8 text (byte 1)")
+
+
+def per_row_csv(features, labels=None):
+    """The bytes of the CSV writer that built the file one row at a time."""
+    features = np.asarray(features, dtype=float)
+    n, m = features.shape
+    n_labeled = 0 if labels is None else len(labels)
+    lines = ["label," + ",".join(f"f{j}" for j in range(m))]
+    for i in range(n):
+        tag = str(int(labels[i])) if i < n_labeled else ""
+        lines.append(tag + "," + ",".join(repr(float(v)) for v in features[i]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("labeled", ["none", "prefix", "all"])
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])  # the edges of a row block
+def test_writer_bytes_match_the_per_row_writer(tmp_path, n, labeled):
+    rng = np.random.default_rng(n)
+    x = rng.choice([-1.0, 1.0], (n, 3)) * 10.0 ** rng.uniform(-300, 300, (n, 3))
+    x.flat[:6] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e-300][:x.size]
+    y = rng.choice([-1, 1], n)
+    labels = {"none": None, "prefix": y[:max(n - 1, 0)], "all": y}[labeled]
+    path = tmp_path / "data.csv"
+    write_feature_csv(path, x, labels)
+    assert path.read_bytes() == per_row_csv(x, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -399,10 +399,12 @@ def test_label_flip_negates_the_classifiers_bit_for_bit(loss, seed):
 
 
 def test_block_cycle_carries_unchanged_pieces_bit_for_bit(monkeypatch, recorded_cycles):
-    # the terms after the classifier block reuse the pi reconstruction and
-    # the matching term, those after the weight block the target loss,
-    # the adaptation and the target reconstruction: each total keeps the
-    # bits of a fresh evaluation, and projected_means runs twice per cycle
+    # the terms after the subspace block reuse the source and target
+    # losses and both reconstructions of the previous cycle's weight block,
+    # those after the classifier block the pi reconstruction and the
+    # matching term, those after the weight block the target loss, the
+    # adaptation and the target reconstruction: each total keeps the bits
+    # of a fresh evaluation, and projected_means runs twice per cycle
     pair = synthetic_pair(43)
     hp = Hyperparams(k=3, max_outer_iters=6, tol=1e-12)
     calls = []
@@ -415,15 +417,18 @@ def test_block_cycle_carries_unchanged_pieces_bit_for_bit(monkeypatch, recorded_
     resolved = hp.resolved(pair.m)
     ctx = ObjectiveContext(pair, build_graph(pair.source_x, resolved.k),
                            build_graph(pair.target_x, resolved.k), resolved)
-    pi = np.ones(pair.n1)
+    phi, varphi, pi = np.zeros(pair.m), np.zeros(pair.m), np.ones(pair.n1)
     for t, cycle in enumerate(cycles):
+        after_subspace = full_objective(cycle.theta, cycle.w, phi, varphi, pi, ctx)
         after_classifier = full_objective(*cycle[:4], pi, ctx)
         after_weights = full_objective(*cycle, ctx)
+        assert trace.terms_after_subspace[t] == after_subspace._asdict()
+        assert trace.objective_after_subspace[t] == after_subspace.total
         assert trace.terms_after_classifier[t] == after_classifier._asdict()
         assert trace.terms_after_weights[t] == after_weights._asdict()
         assert trace.objective_after_classifier[t] == after_classifier.total
         assert trace.objective_after_weights[t] == after_weights.total
-        pi = cycle.pi
+        phi, varphi, pi = cycle.phi, cycle.varphi, cycle.pi
 
 
 def test_fit_validates_inputs():
