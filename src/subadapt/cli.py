@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, make_dataclass, replac
 import numpy as np
 
 from .data_model import DatasetPair, FeatureScaler, Hyperparams, LOSS_KINDS, \
-    ModelState, NumericError, ValidationError, check_model_state
+    MODEL_ARRAYS, ModelState, NumericError, ValidationError, check_model_state
 from .classifier import predict_target
 from .evaluation import run_cv
 from .trainer import fit
@@ -43,10 +43,6 @@ MODEL_FORMAT = "subadapt-model-v1"
 _HP_KINDS = {name: float if hint is float else int
              for name, hint in typing.get_type_hints(Hyperparams).items()
              if name != "loss"}
-
-# the model file's vectors, in file order; each is the ModelState field of its name
-_MODEL_VECTORS = ("w", "phi", "varphi", "u", "v", "pi")
-
 
 # ---------------------------------------------------------------------------
 # synthetic data
@@ -342,7 +338,7 @@ def save_model(path, state: ModelState, hp: Hyperparams, scaler=None):
     lines.append(f"theta {state.r} {state.m}")
     for row in state.theta:
         lines.append(" ".join(_f17(v) for v in row))
-    for name in _MODEL_VECTORS:
+    for name in MODEL_ARRAYS[1:]:  # the vectors after the matrix theta, by field name
         lines.extend(_vector_lines(name, getattr(state, name)))
     lines.append(f"scaler {1 if scaler is not None else 0}")
     if scaler is not None:
@@ -411,7 +407,7 @@ def load_model(path):
             raise ValidationError(f"{path}: theta row {i} has wrong length")
         rows.append([number(float, v, "theta") for v in values])
     theta = np.array(rows, dtype=float).reshape(r, m)
-    vectors = {name: take_vector(name) for name in _MODEL_VECTORS}
+    vectors = {name: take_vector(name) for name in MODEL_ARRAYS[1:]}
     for name, vec in vectors.items():
         # w has one entry per theta row, pi one per source point, the rest one per column
         if name != "pi" and vec.size != (r if name == "w" else m):
@@ -488,6 +484,12 @@ class RunConfig(_HyperparamOverrides):
                 raise ValidationError(
                     f"config field {name!r} must be {hints[name]}, "
                     f"got {json.dumps(value)}")
+            kind = typing.get_args(hints[name])[0]
+            if value is not None and kind in (float, list[float]):
+                try:  # an integer given for a float reads as the float its flag gives
+                    payload[name] = float(value) if kind is float else [float(v) for v in value]
+                except OverflowError:
+                    raise ValidationError(f"config field {name!r} is beyond float range") from None
         return cls(**payload)
 
     def hyperparams(self) -> Hyperparams:
@@ -642,16 +644,14 @@ def cmd_sweep(args) -> int:
     data = _read_eval_data(config)  # once for the whole grid
     rows = []
     for value in config.grid:
-        result = _run_eval(replace(config, **{config.param: float(value)}), data)
+        result = _run_eval(replace(config, **{config.param: value}), data)
         rows.append({
-            "value": float(value),
+            "value": value,
             "mean_accuracy": result["mean_accuracy"],
             "std_accuracy": result["std_accuracy"],
             **{name: result["hyperparams"][name] for name in _SWEEP_PARAMS},
         })
-    payload = {"param": config.param,
-               "grid": [float(v) for v in config.grid],
-               "rows": rows}
+    payload = {"param": config.param, "grid": config.grid, "rows": rows}
     _atomic_write(config.report, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 

@@ -8,6 +8,8 @@ containers (the evaluation module reduces it to binary problems first).
 
 from __future__ import annotations
 
+import sys
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,19 +140,19 @@ def validate(pair: DatasetPair, hp: Hyperparams) -> None:
         if labels.dtype.kind not in "iu" or not np.all(np.abs(labels) == 1):
             raise ValidationError(f"label outside {{+1,-1}} in {name} labels")
 
+    # bounded by the largest float: nan, inf and integers beyond float range fail
     for name in ("c1", "c2", "c3"):
-        value = getattr(hp, name)
-        if not np.isfinite(value) or value < 0:
+        if not 0 <= getattr(hp, name) <= sys.float_info.max:
             raise ValidationError(f"{name} must be a nonnegative finite weight")
-    if not np.isfinite(hp.delta) or hp.delta < 1:
+    if not 1 <= hp.delta <= sys.float_info.max:
         raise ValidationError("delta < 1 makes pi constraints infeasible")
-    if not np.isfinite(hp.step) or hp.step <= 0:
+    if not 0 < hp.step <= sys.float_info.max:
         raise ValidationError("step must be positive")
     if hp.loss not in LOSS_KINDS:
         raise ValidationError(f"unknown loss kind: {hp.loss!r}")
     if hp.max_outer_iters < 1 or hp.max_inner_iters < 1:
         raise ValidationError("iteration limits must be positive")
-    if not np.isfinite(hp.tol) or hp.tol <= 0:
+    if not 0 < hp.tol <= sys.float_info.max:
         raise ValidationError("tol must be positive")
     if hp.seed < 0:
         raise ValidationError("seed must be nonnegative")
@@ -205,9 +207,14 @@ class ModelState:
         return self.theta.shape[1]
 
 
+# ModelState's array fields in field order: the matrix theta, then the vectors
+MODEL_ARRAYS = tuple(name for name, hint in typing.get_type_hints(ModelState).items()
+                     if hint is np.ndarray)
+
+
 def check_model_state(state: ModelState, delta: float) -> None:
     """Assert the trained-state invariants; raise ValidationError otherwise."""
-    for name in ("theta", "w", "phi", "varphi", "u", "v", "pi"):
+    for name in MODEL_ARRAYS:
         if not np.isfinite(getattr(state, name)).all():
             raise ValidationError(f"non-finite value in {name}")
     if not np.isfinite(delta):

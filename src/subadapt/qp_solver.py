@@ -63,12 +63,11 @@ class ReconstructionHessian:
     Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
     n x k), and a >= 0. ``features`` F (n x m) spans the rows of the rank-r
     terms G = coef F' that ``GramHessian`` pairs with H0. The constructor
-    checks these factors. The dense ``h0`` (a reference for
-    ``GramHessian.dense``) and the ``KktBasis`` ``basis`` (None when K0 is
-    singular or ill-conditioned) are formed on first use and kept, so a fit
-    whose QPs take no free-set step forms neither; neither forms W. ``@``
-    applies H0 in O(nk), and ``h0_diagonal`` is H0's diagonal, from the
-    sparse rows in O(nk^2).
+    checks these factors. ``dense`` forms a block of H0 as a new array and
+    keeps none; the ``KktBasis`` ``basis`` (None when K0 is singular or
+    ill-conditioned) is formed on first use and kept, so a fit whose QPs
+    take no Schur step keeps no n x n array. Neither forms W. ``@`` applies
+    H0 in O(nk), and ``h0_diagonal`` is H0's diagonal, in O(nk^2).
     """
 
     def __init__(self, indices, coeffs, a, features):
@@ -98,8 +97,9 @@ class ReconstructionHessian:
         self.features = features
         self._flat_indices = indices.ravel()
 
+    @cached_property
     def _gram_terms(self):
-        """(flat position row * n + column, value) of every term of
+        """(rows, columns, values) of every term of
         R'R = I - W - W' + W'W, the last as sum_i W_ij W_il over the pairs
         of row i: O(nk^2) terms, with no dense W."""
         n, k = self.indices.shape
@@ -109,32 +109,35 @@ class ReconstructionHessian:
         pair_rows = np.repeat(cols, k)
         pair_cols = np.repeat(self.indices, k, axis=0).ravel()
         pair_vals = (self.coeffs[:, :, None] * self.coeffs[:, None, :]).ravel()
-        diag = np.arange(n) * (n + 1)
-        position = np.concatenate([diag, rows * n + cols, cols * n + rows,
-                                   pair_rows * n + pair_cols])
-        return position, np.concatenate([np.ones(n), -c, -c, pair_vals])
+        diag = np.arange(n)
+        return (np.concatenate([diag, rows, cols, pair_rows]),
+                np.concatenate([diag, cols, rows, pair_cols]),
+                np.concatenate([np.ones(n), -c, -c, pair_vals]))
 
-    def _scaled_gram(self) -> np.ndarray:
-        """a R'R as a new dense array, scattered by one bincount."""
-        position, value = self._gram_terms()
-        gram = np.bincount(position, value, minlength=self.n * self.n)
-        gram *= self.a
-        return gram.reshape(self.n, self.n)
-
-    @cached_property
-    def h0(self) -> np.ndarray:
-        return self._scaled_gram()
+    def dense(self, idx=None) -> np.ndarray:
+        """H0[idx, idx] (all of H0 when idx is None) for distinct indices
+        idx, as a new array: the terms inside idx x idx scattered by one
+        bincount, which sums each entry's terms in H0's order, bit for bit."""
+        rows, cols, values = self._gram_terms
+        size = self.n if idx is None else len(idx)
+        if idx is not None:
+            local = np.full(self.n, -1)
+            local[idx] = np.arange(size)
+            rows, cols = local[rows], local[cols]
+            inside = (rows >= 0) & (cols >= 0)
+            rows, cols, values = rows[inside], cols[inside], values[inside]
+        block = self.a * np.bincount(rows * size + cols, values, minlength=size * size)
+        return block.reshape(size, size)
 
     @cached_property
     def h0_diagonal(self) -> np.ndarray:
-        position, value = self._gram_terms()
-        on_diag = position % (self.n + 1) == 0
-        return self.a * np.bincount(position[on_diag] // (self.n + 1), value[on_diag],
-                                    minlength=self.n)
+        rows, cols, values = self._gram_terms
+        on_diag = rows == cols
+        return self.a * np.bincount(rows[on_diag], values[on_diag], minlength=self.n)
 
     @cached_property
     def basis(self) -> KktBasis | None:
-        return kkt_basis(self._scaled_gram())
+        return kkt_basis(self.dense())
 
     @cached_property
     def feature_columns(self) -> np.ndarray:
@@ -273,11 +276,12 @@ class GramHessian:
     Gram term over its features F, G = coef F' (``gamma``, r x n) with
     coef r x m and b >= 0.
 
-    ``diagonal`` reads H0's sparse diagonal, ``dense`` H0's dense ``h0``,
-    and ``basis`` is H0's KKT basis, with which ``solve`` takes Schur steps
-    that read M0 G' off the fit's M0 F. H0 checked its own factors and the
-    constructor checks coef, G and b, so H is symmetric PSD by construction
-    and ``solve`` runs no symmetry scan or PSD check on it.
+    ``diagonal`` reads H0's sparse diagonal, ``dense`` forms a block of H
+    from H0's block and G's columns, and ``basis`` is H0's KKT basis, with
+    which ``solve`` takes Schur steps that read M0 G' off the fit's M0 F.
+    H0 checked its own factors and the constructor checks coef, G and b,
+    so H is symmetric PSD by construction and ``solve`` runs no symmetry
+    scan or PSD check on it.
     """
 
     def __init__(self, fixed: ReconstructionHessian, coef, b):
@@ -295,7 +299,6 @@ class GramHessian:
         self.coef = coef
         self.gamma = gamma
         self.b = b
-        self._dense = None
 
     @property
     def basis(self) -> KktBasis | None:
@@ -309,11 +312,10 @@ class GramHessian:
         """The diagonal of H, in O(nr) once H0's is formed; named as ndarray's."""
         return self.fixed.h0_diagonal + self.b * (self.gamma ** 2).sum(axis=0)
 
-    def dense(self) -> np.ndarray:
-        """H as a dense matrix, formed on the first call and cached."""
-        if self._dense is None:
-            self._dense = self.fixed.h0 + self.b * (self.gamma.T @ self.gamma)
-        return self._dense
+    def dense(self, idx=None) -> np.ndarray:
+        """H[idx, idx] (all of H when idx is None) as a new dense array."""
+        gamma = self.gamma if idx is None else self.gamma[:, idx]
+        return self.fixed.dense(idx) + self.b * (gamma.T @ gamma)
 
 
 @dataclass(frozen=True)
@@ -454,18 +456,12 @@ def _reduced_step(hff: np.ndarray, gf: np.ndarray):
     return z @ y, False
 
 
-def _dense_block(h, idx) -> np.ndarray:
-    """H[idx, idx] as a dense array; a GramHessian forms its dense matrix
-    once and slices that."""
-    dense = h.dense() if isinstance(h, GramHessian) else h
-    return dense[np.ix_(idx, idx)]
-
-
 def _free_subproblem(p: QpProblem, x, free_idx, grad):
     """Step for the free coordinates holding the rest fixed. Returns
     (step, H_FF step), or (ray, None) for a direction of linear descent."""
     nf = free_idx.size
-    hff = _dense_block(p.h, free_idx)
+    # a GramHessian forms only the block H_FF, never all of H
+    hff = p.h.dense(free_idx) if isinstance(p.h, GramHessian) else p.h[np.ix_(free_idx, free_idx)]
     if nf == 1:
         i = free_idx[0]
         target = p.eq_sum - x.sum() + x[i]
@@ -531,12 +527,8 @@ class _SchurSteps:
         n = p.n
         self.basis = p.h.basis
         self.d = p.h.b
-        if self.d:
-            self.u = p.h.gamma.T
-            self.m0u = p.h.fixed.feature_columns @ p.h.coef.T
-        else:
-            self.u = np.zeros((n, 0))
-            self.m0u = np.zeros((n + 1, 0))
+        self.u = p.h.gamma.T if self.d else np.zeros((n, 0))
+        self.m0u = p.h.fixed.feature_columns @ p.h.coef.T if self.d else np.zeros((n + 1, 0))
         self.q = self.u.shape[1]
         utm0u = self.u.T @ self.m0u[:n]
         # with d = 0 the corner is empty and nothing is divided

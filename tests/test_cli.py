@@ -786,8 +786,44 @@ def test_config_of_wrong_json_type_exits_2(tmp_path, capsys, payload):
 
 
 def test_run_config_accepts_integers_for_floats():
+    # an integer for a float field is read as the float its flag gives
     config = RunConfig.from_json('{"c1": 2, "tol": 1e-6, "k": 3, "grid": [1, 0.5]}')
     assert config.c1 == 2 and config.k == 3 and config.grid == [1, 0.5]
+    assert type(config.c1) is float and type(config.k) is int
+    assert [type(v) for v in config.grid] == [float, float]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("train", {"c1": 10 ** 400}), ("train", {"tol": 10 ** 400}),
+    ("sweep", {"param": "c1", "grid": [1, 10 ** 400]}),
+])
+def test_config_integer_beyond_float_range_exits_2(tmp_path, capsys, command, payload):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(payload))
+    assert main([command, "--config", str(config_path)]) == 2
+    name = next(iter(payload)) if command == "train" else "grid"
+    assert capsys.readouterr().err == f"error: config field {name!r} is beyond float range\n"
+
+
+@pytest.mark.parametrize("command, given, flags", [
+    ("eval", {"c1": 10}, ["--c1", "10"]),
+    ("sweep", {"param": "c3", "grid": [1, 10]}, ["--param", "c3", "--grid", "1,10"]),
+])
+def test_config_integer_weight_reports_as_its_flag(tmp_path, command, given, flags):
+    # integers given for floats in a config file write the report the
+    # flags write: 10.0, not 10
+    data = synth(tmp_path, "d6b")
+    common = dict(source=str(data / "source.csv"), target=str(data / "target.csv"),
+                  folds=2, k=3, max_outer_iters=3)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({**common, **given, "report": str(tmp_path / "a.json")}))
+    assert main([command, "--config", str(config_path)]) == 0
+    assert main([command, "--source", common["source"], "--target", common["target"],
+                 "--folds", "2", "--neighbors", "3", "--max-iters", "3", *flags,
+                 "--report", str(tmp_path / "b.json")]) == 0
+    first = (tmp_path / "a.json").read_bytes()
+    assert b": 10.0" in first and b": 10," not in first and b": 10\n" not in first
+    assert first == (tmp_path / "b.json").read_bytes()
 
 
 def test_atomic_write_ignores_a_stale_temporary_name(tmp_path):

@@ -1,7 +1,10 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from subadapt.data_model import (
+    MODEL_ARRAYS,
     DatasetPair,
     FeatureScaler,
     Hyperparams,
@@ -107,6 +110,33 @@ def test_model_state_invariants():
         theta, rng.standard_normal(2), rng.standard_normal(5),
         rng.standard_normal(5), np.ones(6), "hinge")
     check_model_state(state, delta=3.0)
+
+
+def test_model_arrays_are_the_state_fields():
+    # the arrays check_model_state scans and the model file writes come from
+    # ModelState's fields: the matrix theta, then the vectors, in field order
+    assert MODEL_ARRAYS == tuple(f.name for f in fields(ModelState) if f.name != "loss")
+    assert MODEL_ARRAYS[0] == "theta"
+
+
+@pytest.mark.parametrize("name", MODEL_ARRAYS)
+def test_model_state_detects_non_finite_array(name):
+    state = ModelState.from_parameters(
+        np.eye(2, 5), np.zeros(2), np.zeros(5), np.zeros(5), np.ones(4), "hinge")
+    bad = getattr(state, name).copy()
+    bad.flat[-1] = np.nan
+    with pytest.raises(ValidationError, match=f"non-finite value in {name}$"):
+        check_model_state(replace(state, **{name: bad}), delta=3.0)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("c1", "c1 must be"), ("c2", "c2 must be"), ("c3", "c3 must be"),
+    ("delta", "delta < 1"), ("step", "step must be"), ("tol", "tol must be"),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_validate_rejects_integers_beyond_float_range(name, message, sign):
+    with pytest.raises(ValidationError, match=message):
+        validate(small_pair(), Hyperparams(r=2, k=1, **{name: sign * 10 ** 400}))
 
 
 def test_model_state_detects_bad_pi():

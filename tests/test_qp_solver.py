@@ -1,12 +1,13 @@
 import copy
 import dataclasses
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from subadapt import qp_solver
+from subadapt import qp_solver, trainer
 from subadapt.classifier import ObjectiveContext
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
@@ -432,7 +433,7 @@ def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
                                 shift=1.5, rot_deg=30.0)[0]
     other = build_graph(other_x, 5)
     for problem, warm in weight_problem_sequence(4, cycles=2):
-        wrong_c2 = kkt_basis(3.0 * problem.h.fixed.h0)
+        wrong_c2 = kkt_basis(3.0 * problem.h.fixed.dense())
         wrong_graph = ReconstructionHessian(other.indices, other.coeffs, 2.0, other_x).basis
         reference = solve(dense_copy(problem), warm_start=warm)
         for wrong in (wrong_c2, wrong_graph):
@@ -454,7 +455,7 @@ def test_perturbed_basis_steps_are_refined(monkeypatch):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for problem, warm in weight_problem_sequence(seed):
-            h0 = problem.h.fixed.h0
+            h0 = problem.h.fixed.dense()
             noise = rng.standard_normal(h0.shape)
             noise *= 1e-9 * np.abs(h0).max()
             qp = with_basis(problem, kkt_basis(h0 + 0.5 * (noise + noise.T)))
@@ -475,7 +476,7 @@ def test_all_free_solution_matches_basis_inverse(hp_kwargs):
         rng = np.random.default_rng(seed)
         for qp, warm in weight_problem_sequence(seed, **hp_kwargs):
             steps = qp_solver._SchurSteps(qp)
-            m0 = dense_kkt_inverse(qp.h.fixed.h0)
+            m0 = dense_kkt_inverse(qp.h.fixed.dense())
             for x in [warm, _feasible_start(qp, rng.uniform(qp.lower, qp.upper))]:
                 b = np.append(-(qp.h @ x + qp.c), qp.eq_sum - x.sum())
                 expected = m0 @ b
@@ -506,7 +507,7 @@ def test_kkt_basis_columns_match_dense_inverse_at_fit_size():
                            shift=1.5, rot_deg=30.0)[0]
     graph = build_graph(sx, 10)
     fixed = ReconstructionHessian(graph.indices, graph.coeffs, 2.0, sx)
-    m0 = dense_kkt_inverse(fixed.h0)
+    m0 = dense_kkt_inverse(fixed.dense())
     scale = np.abs(m0).max()
     assert np.abs(fixed.basis.solve(np.eye(801)) - m0).max() <= 1e-12 * scale
     idx = np.array([799, 0, 411, 5, 411])
@@ -544,7 +545,7 @@ def test_gram_hessian_matches_dense_formula(hp_kwargs):
     for seed in range(3):
         problem = seeded_weight_problem(seed, **hp_kwargs)
         h = problem.h
-        reference = h.fixed.h0 + h.b * (h.gamma.T @ h.gamma)
+        reference = h.fixed.dense() + h.b * (h.gamma.T @ h.gamma)
         assert h.shape == reference.shape
         rng = np.random.default_rng(seed)
         for v in [np.ones(problem.n), *rng.standard_normal((5, problem.n))]:
@@ -554,7 +555,6 @@ def test_gram_hessian_matches_dense_formula(hp_kwargs):
         assert np.abs(h.diagonal() - np.diag(reference)).max() <= \
             1e-12 * max(1.0, np.abs(reference).max())
         assert np.array_equal(h.dense(), reference)
-        assert h.dense() is h.dense()
 
 
 def gram_parts(n=6, k=2, r=2, m=3):
@@ -598,7 +598,7 @@ def test_gram_hessian_parts_accepted():
 
 @pytest.mark.parametrize("k, a", [(2, 2.0), (3, 0.6), (6, 1.0), (1, 2.0)])
 def test_reconstruction_hessian_matches_loop(k, a):
-    # h0 against a (I - W)'(I - W) with W scattered by a loop over the graph
+    # H0 against a (I - W)'(I - W) with W scattered by a loop over the graph
     points = np.random.default_rng(k).standard_normal((12, 3))
     graph = build_graph(points, k)
     w = loop_coefficients(graph.indices, graph.coeffs)
@@ -607,14 +607,90 @@ def test_reconstruction_hessian_matches_loop(k, a):
     fixed = ReconstructionHessian(graph.indices, graph.coeffs, a, points)
     r_mat = np.eye(12) - w
     expected = a * (r_mat.T @ r_mat)
-    assert fixed.h0.shape == (12, 12) and fixed.n == 12
-    assert np.abs(fixed.h0 - expected).max() <= 1e-14 * np.abs(expected).max()
-    assert np.array_equal(fixed.h0_diagonal, np.diag(fixed.h0))
+    assert fixed.dense().shape == (12, 12) and fixed.n == 12
+    assert np.abs(fixed.dense() - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert np.array_equal(fixed.h0_diagonal, np.diag(fixed.dense()))
     if fixed.basis is not None:
         m0 = dense_kkt_inverse(expected)
         assert np.abs(fixed.basis.solve(np.eye(13)) - m0).max() <= 1e-12 * np.abs(m0).max()
     # the ring of a k = 1 graph leaves I - W a null vector per component
     assert (fixed.basis is None) == (k == 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_reconstruction_hessian_block_matches_slice(k):
+    # H0[idx, idx] scattered from the terms inside the block repeats the
+    # slice of the whole H0 bit for bit, for sorted and unsorted idx
+    rng = np.random.default_rng(k)
+    points = rng.standard_normal((30, 3))
+    graph = build_graph(points, k)
+    fixed = ReconstructionHessian(graph.indices, graph.coeffs, 0.6, points)
+    whole = fixed.dense()
+    subset = rng.choice(30, 11, replace=False)
+    for idx in [np.array([], dtype=int), np.array([17]), subset, np.sort(subset),
+                np.arange(30)]:
+        block = fixed.dense(idx)
+        assert block.shape == (idx.size, idx.size) and block.dtype == whole.dtype
+        assert block.tobytes() == whole[np.ix_(idx, idx)].tobytes()
+
+
+@pytest.mark.parametrize("hp_kwargs", [{}, {"k": 1}, {"c2": 0.0}, {"c3": 0.0}])
+def test_gram_hessian_block_matches_formula(hp_kwargs):
+    # H[idx, idx] is H0's block plus b G_F'G_F exactly; against the slice of
+    # the whole H the Gram products round apart by a few ulps
+    for seed in range(3):
+        h = seeded_weight_problem(seed, **hp_kwargs).h
+        whole = h.dense()
+        rng = np.random.default_rng(seed)
+        for idx in [np.array([4]), np.sort(rng.choice(h.shape[0], 12, replace=False)),
+                    np.arange(h.shape[0])]:
+            gamma = h.gamma[:, idx]
+            block = h.dense(idx)
+            assert np.array_equal(block, h.fixed.dense(idx) + h.b * (gamma.T @ gamma))
+            sliced = whole[np.ix_(idx, idx)]
+            assert np.abs(block - sliced).max() <= 1e-14 * np.abs(sliced).max()
+
+
+class _SecondQp(Exception):
+    """Stops a fit once its second weight QP is captured."""
+
+
+def test_tight_box_weight_qp_holds_no_square_array(monkeypatch):
+    # the second weight QP of an n = 400, delta = 1.05 fit ends with most
+    # weights at a bound, so its steps solve the dense free-set system; with
+    # the fit's basis and feature columns formed beforehand, solving it
+    # allocates less than one n x n float array
+    captured = []
+
+    def capture(problem, warm_start=None):
+        captured.append((problem, warm_start))
+        if len(captured) == 2:
+            raise _SecondQp
+        return update_pi(problem, warm_start=warm_start)
+
+    monkeypatch.setattr(trainer, "update_pi", capture)
+    n = 400
+    sx, sy, tx, ty = make_shifted_pair([2016, 0], n1=n, n2=n, n3=40, m=20,
+                                       shift=1.5, rot_deg=30.0)
+    with pytest.raises(_SecondQp):
+        fit(DatasetPair(sx, sy, tx, ty[:40]), Hyperparams(delta=1.05))
+    problem, warm = captured[1]
+    used = problem.h.fixed
+    fixed = ReconstructionHessian(used.indices, used.coeffs, used.a, used.features)
+    # the parts formed once per fit, before the measured solve
+    assert fixed.basis is not None
+    assert fixed.feature_columns.shape == (n + 1, 20) and fixed.h0_diagonal.shape == (n,)
+    qp = dataclasses.replace(problem, h=GramHessian(fixed, problem.h.coef, problem.h.b))
+    counts = count_steps(monkeypatch)
+    tracemalloc.start()
+    try:
+        x = solve(qp, warm_start=warm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts["dense"] > 0
+    assert peak <= 8 * n * n
+    assert kkt_residual(qp, x) <= 1e-8
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -665,9 +741,9 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
     formed = Counter()
     form_dense = GramHessian.dense
 
-    def dense(self):
-        formed["dense"] += self._dense is None
-        return form_dense(self)
+    def dense(self, idx=None):
+        formed["whole" if idx is None else "block"] += 1
+        return form_dense(self, idx)
 
     monkeypatch.setattr(GramHessian, "dense", dense)
     fast = Counter()
@@ -677,9 +753,9 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
             formed.clear()
             x = update_pi(problem, warm_start=warm)
             fast.update(counts)
-            # H is formed densely only for dense free-set fallbacks, at most
-            # once per QP
-            assert formed["dense"] == int(counts["dense"] > 0)
+            # each dense free-set step forms only its block H_FF, never all of H
+            assert formed["whole"] == 0
+            assert formed["block"] == counts["dense"]
             qp = dense_copy(problem)
             assert np.abs(x - solve(qp, warm_start=warm)).max() <= 1e-9
             assert kkt_residual(qp, x) <= 1e-8

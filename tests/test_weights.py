@@ -58,7 +58,7 @@ def test_recon_quad_zero_without_c2():
     rng = np.random.default_rng(1)
     pair, hp, ctx, theta, phi_vec = make_instance(rng, c2=0.0)
     problem = build_weight_problem(phi_vec, theta, ctx)
-    assert np.abs(ctx.fixed.h0).max() == 0.0
+    assert np.abs(ctx.fixed.dense()).max() == 0.0
     assert np.array_equal(problem.h.dense(),
                           hp.c3 * (problem.h.gamma.T @ problem.h.gamma))
 
@@ -114,7 +114,7 @@ def test_objective_from_sparse_residual_matches_dense_formula(hp_kwargs):
         constant = matching_constant(pair, hp, theta)
         for pi in (np.ones(pair.n1), random_feasible_pi(rng, pair.n1, hp.delta)):
             gap = problem.h.gamma @ pi - projected_target_mean(pair, theta)
-            dense = float(tau @ pi + 0.5 * (pi @ ctx.fixed.h0 @ pi)
+            dense = float(tau @ pi + 0.5 * (pi @ ctx.fixed.dense() @ pi)
                           + 0.5 * hp.c3 * (gap @ gap))
             assert abs(problem.objective(pi) + constant - dense) <= \
                 1e-12 * max(1.0, abs(dense))
