@@ -31,8 +31,9 @@ GRAM_RIDGE = 1e-8
 _MAX_ITERS_PER_COORD = 100
 
 # rows per screened kNN block; at n = 800 the search time is flat from 16 to
-# 128 rows, and a block's distance matrix (rows x n) stays small
-_KNN_BLOCK_ROWS = 128
+# 128 rows, and a block's rows x n temporaries, which set a fit's peak
+# memory once the KKT basis is packed, stay small
+_KNN_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)

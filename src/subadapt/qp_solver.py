@@ -13,7 +13,10 @@ by construction, whose products cost O(nk + nr). H0 is the part of the
 weight step's Hessian fixed for a whole fit, so it is checked once and
 carries its KKT basis: the inverse M0 of the all-free bordered KKT matrix
 K0 of H0, held as the lower Cholesky factor L of S = H0 + alpha 11'
-(``KktBasis``), formed at the fit's first Schur step and kept. Each step
+(``KktBasis``), formed at the fit's first Schur step and kept. L is
+factored one block row at a time from H0's sparse terms and kept as those
+packed block rows, so no n x n array is formed, and every solve with it
+is refined once against K0, applied in O(nk). Each step
 then comes from a small Schur complement against M0, bordered by the
 rank-r term b G'G (q = r columns) and the fixed set, and verified against
 H itself (Gill, Murray, Saunders & Wright 1990, "A Schur-complement
@@ -33,7 +36,7 @@ compact, so a blocking bound always exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -50,10 +53,10 @@ BASIS_COND_LIMIT = 1e8
 
 _MAX_ITERS_PER_VAR = 100
 
-# Rows per diagonal block of L in the KKT basis's triangular solves: numpy
-# has no triangular solve, so each block is one GEMM panel against the
-# solved part plus a product with the block's inverse, formed once per fit.
-# Dense n x n scans go by row panels of the same height.
+# Rows per block row of L in the KKT basis's factorization and triangular
+# solves: numpy has no triangular solve, so each block is one GEMM panel
+# against the solved part plus a product with the block's inverse, formed
+# once per fit.
 _SOLVE_BLOCK = 64
 
 
@@ -63,11 +66,12 @@ class ReconstructionHessian:
     Row i of W holds ``coeffs[i]`` at the columns ``indices[i]`` (both
     n x k), and a >= 0. ``features`` F (n x m) spans the rows of the rank-r
     terms G = coef F' that ``GramHessian`` pairs with H0. The constructor
-    checks these factors. ``dense`` forms a block of H0 as a new array and
-    keeps none; the ``KktBasis`` ``basis`` (None when K0 is singular or
-    ill-conditioned) is formed on first use and kept, so a fit whose QPs
-    take no Schur step keeps no n x n array. Neither forms W. ``@`` applies
-    H0 in O(nk), and ``h0_diagonal`` is H0's diagonal, in O(nk^2).
+    checks these factors. ``rows`` and ``dense`` form a block of H0 as a
+    new array from the terms of its rows alone and keep none; the
+    ``KktBasis`` ``basis`` (None when K0 is singular or ill-conditioned) is
+    factored block row by block row on first use and kept, so no n x n
+    array is formed. Neither forms W. ``@`` applies H0 in O(nk), and
+    ``h0_diagonal`` is H0's diagonal, in O(nk^2).
     """
 
     def __init__(self, indices, coeffs, a, features):
@@ -95,49 +99,72 @@ class ReconstructionHessian:
         self.coeffs = coeffs
         self.a = a
         self.features = features
-        self._flat_indices = indices.ravel()
 
     @cached_property
     def _gram_terms(self):
         """(rows, columns, values) of every term of
         R'R = I - W - W' + W'W, the last as sum_i W_ij W_il over the pairs
-        of row i: O(nk^2) terms, with no dense W."""
+        of row i: O(nk^2) terms, with no dense W. They are sorted by row,
+        stably, so each entry keeps its terms in their order, and the
+        fourth array holds the offset of each row's first term."""
         n, k = self.indices.shape
-        rows = np.repeat(np.arange(n), k)
-        cols = self._flat_indices
+        neighbor_rows = np.repeat(np.arange(n), k)
+        cols = self.indices.ravel()
         c = self.coeffs.ravel()
         pair_rows = np.repeat(cols, k)
         pair_cols = np.repeat(self.indices, k, axis=0).ravel()
         pair_vals = (self.coeffs[:, :, None] * self.coeffs[:, None, :]).ravel()
         diag = np.arange(n)
-        return (np.concatenate([diag, rows, cols, pair_rows]),
-                np.concatenate([diag, cols, rows, pair_cols]),
-                np.concatenate([np.ones(n), -c, -c, pair_vals]))
+        rows = np.concatenate([diag, neighbor_rows, cols, pair_rows])
+        order = np.argsort(rows, kind="stable")
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return (rows[order], np.concatenate([diag, cols, neighbor_rows, pair_cols])[order],
+                np.concatenate([np.ones(n), -c, -c, pair_vals])[order], offsets)
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """H0[i:j, :j] as a new array, from the terms of rows i to j - 1."""
+        rows, cols, values, offsets = self._gram_terms
+        span = slice(offsets[i], offsets[j])
+        rows, cols, values = rows[span] - i, cols[span], values[span]
+        left = cols < j
+        block = np.bincount(rows[left] * j + cols[left], values[left], minlength=(j - i) * j)
+        block *= self.a
+        return block.reshape(j - i, j)
 
     def dense(self, idx=None) -> np.ndarray:
         """H0[idx, idx] (all of H0 when idx is None) for distinct indices
-        idx, as a new array: the terms inside idx x idx scattered by one
-        bincount, which sums each entry's terms in H0's order, bit for bit."""
-        rows, cols, values = self._gram_terms
-        size = self.n if idx is None else len(idx)
-        if idx is not None:
-            local = np.full(self.n, -1)
-            local[idx] = np.arange(size)
-            rows, cols = local[rows], local[cols]
-            inside = (rows >= 0) & (cols >= 0)
-            rows, cols, values = rows[inside], cols[inside], values[inside]
-        block = self.a * np.bincount(rows * size + cols, values, minlength=size * size)
+        idx, as a new array: the terms of idx's rows that fall in idx's
+        columns, scattered by one bincount, which sums each entry's terms
+        in H0's order, bit for bit."""
+        if idx is None:
+            return self.rows(0, self.n)
+        _, cols, values, offsets = self._gram_terms
+        idx = np.asarray(idx, dtype=np.intp)
+        size = idx.size
+        if not size:
+            return np.zeros((0, 0))
+        starts = offsets[idx]
+        counts = offsets[idx + 1] - starts
+        ends = np.cumsum(counts)
+        terms = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+        local = np.full(self.n, -1)
+        local[idx] = np.arange(size)
+        cols = local[cols[terms]]
+        inside = np.flatnonzero(cols >= 0)
+        flat = (np.repeat(np.arange(size) * size, counts) + cols)[inside]
+        block = np.bincount(flat, values[terms[inside]], minlength=size * size)
+        block *= self.a
         return block.reshape(size, size)
 
     @cached_property
     def h0_diagonal(self) -> np.ndarray:
-        rows, cols, values = self._gram_terms
+        rows, cols, values, _ = self._gram_terms
         on_diag = rows == cols
         return self.a * np.bincount(rows[on_diag], values[on_diag], minlength=self.n)
 
     @cached_property
     def basis(self) -> KktBasis | None:
-        return kkt_basis(self.dense())
+        return kkt_basis(self)
 
     @cached_property
     def feature_columns(self) -> np.ndarray:
@@ -151,10 +178,32 @@ class ReconstructionHessian:
 
     def __matmul__(self, v) -> np.ndarray:
         """H0 v, in O(nk)."""
-        rv = self.residual(v)
-        rtrv = rv - np.bincount(self._flat_indices, (self.coeffs * rv[:, None]).ravel(),
-                                minlength=self.n)
-        return self.a * rtrv
+        return _h0_product(self.indices, self.coeffs, self.a, np.asarray(v, dtype=float))
+
+
+def _h0_product(indices, coeffs, a, v) -> np.ndarray:
+    """H0 v = a R'R v from the graph factors of a ``ReconstructionHessian``,
+    in O(nk); an n x k panel goes column by column."""
+    if v.ndim == 2:
+        out = np.empty(v.shape)
+        for col in range(v.shape[1]):
+            out[:, col] = _h0_product(indices, coeffs, a, v[:, col])
+        return out
+    rv = v - np.einsum("ik,ik->i", coeffs, v[indices])
+    rtrv = rv - np.bincount(indices.ravel(), (coeffs * rv[:, None]).ravel(),
+                            minlength=indices.shape[0])
+    return a * rtrv
+
+
+def _forward(rows, inverses, y) -> np.ndarray:
+    """L^-1 y in place, for the packed block rows of L and the inverses of
+    their diagonal blocks, and a vector or panel y of L's height."""
+    for row, inverse in zip(rows, inverses):
+        i, j = row.shape[1] - row.shape[0], row.shape[1]
+        if i:
+            y[i:j] -= row[:, :i] @ y[:i]
+        y[i:j] = inverse @ y[i:j]
+    return y
 
 
 class KktBasis:
@@ -165,38 +214,39 @@ class KktBasis:
     Adding alpha 1 times the sum row to the first n rows turns K0 into
     [[S, 1], [1', 0]], so with w = S^-1 1 and s = 1'w,
     M0 = [[S^-1 - w w'/s, w/s], [w'/s, alpha - 1/s]] (w = 1/(alpha n) and
-    s = 1/alpha when H0 1 = 0). ``solve`` applies M0 by blocked forward and
-    back substitution with L; ``columns`` keeps each column it solves.
+    s = 1/alpha when H0 1 = 0). L is packed: ``rows`` holds its block rows
+    L[i:j, :j] of _SOLVE_BLOCK rows each (about n^2/2 floats in all) and
+    ``inverses`` the inverses of their diagonal blocks. ``solve`` applies
+    M0 by blocked forward and back substitution and refines the result
+    once against K0, applied by ``product`` (H0 v for a vector or panel
+    v); ``columns`` keeps each column it solves.
     """
 
-    def __init__(self, chol: np.ndarray, alpha: float):
-        n = chol.shape[0]
+    def __init__(self, rows, inverses, alpha: float, product):
+        n = rows[-1].shape[1]
         self.n = n
-        self._chol = chol
+        self._rows = rows
+        self._inverses = inverses
         self._alpha = alpha
-        self._blocks = [(i, min(i + _SOLVE_BLOCK, n)) for i in range(0, n, _SOLVE_BLOCK)]
-        self._block_inverses = [np.linalg.inv(chol[i:j, i:j]) for i, j in self._blocks]
+        self._product = product
         self._w = self._s_solve(np.ones(n))
         self._s = float(self._w.sum())
-        self._kept = {}  # index -> M0's column there, once solved
+        self._kept = np.empty((0, n + 1))  # M0's solved columns, as rows
+        self._positions = np.full(n, -1)  # index -> its row in _kept, once solved
+        self._count = 0
 
     def _s_solve(self, rhs) -> np.ndarray:
         """S^-1 rhs for an n-vector or n x k panel."""
-        y = np.array(rhs, dtype=float)
-        chol = self._chol
-        for (i, j), inverse in zip(self._blocks, self._block_inverses):
-            if i:
-                y[i:j] -= chol[i:j, :i] @ y[:i]
-            y[i:j] = inverse @ y[i:j]
-        for (i, j), inverse in zip(reversed(self._blocks), reversed(self._block_inverses)):
-            if j < self.n:
-                y[i:j] -= chol[j:, i:j].T @ y[j:]
+        y = _forward(self._rows, self._inverses, np.array(rhs, dtype=float))
+        for row, inverse in zip(reversed(self._rows), reversed(self._inverses)):
+            i, j = row.shape[1] - row.shape[0], row.shape[1]
             y[i:j] = inverse.T @ y[i:j]
+            if i:
+                y[:i] -= row[:, :i].T @ y[i:j]
         return y
 
-    def solve(self, rhs) -> np.ndarray:
-        """M0 rhs for an (n + 1)-vector or (n + 1) x k panel."""
-        rhs = np.asarray(rhs, dtype=float)
+    def _m0_solve(self, rhs) -> np.ndarray:
+        """M0 rhs through L alone, before refinement."""
         n = self.n
         t = (self._w @ rhs[:n] - rhs[n]) / self._s
         out = np.empty(rhs.shape)
@@ -204,16 +254,36 @@ class KktBasis:
         out[n] = t + self._alpha * rhs[n]
         return out
 
+    def solve(self, rhs) -> np.ndarray:
+        """M0 rhs for an (n + 1)-vector or (n + 1) x k panel: y = M0 rhs
+        through L, then y + M0 (rhs - K0 y)."""
+        rhs = np.asarray(rhs, dtype=float)
+        n = self.n
+        y = self._m0_solve(rhs)
+        residual = np.empty(rhs.shape)
+        residual[:n] = rhs[:n] - self._product(y[:n]) - y[n]
+        residual[n] = rhs[n] - y[:n].sum(axis=0)
+        return y + self._m0_solve(residual)
+
     def columns(self, idx) -> np.ndarray:
         """M0's columns at the indices idx (all below n), as the rows of a
         |idx| x (n + 1) array. Each column is solved the first time it is
         asked for and kept for the life of the basis."""
-        new = [j for j in dict.fromkeys(idx.tolist()) if j not in self._kept]
-        if new:
-            units = np.zeros((self.n + 1, len(new)))
-            units[new, np.arange(len(new))] = 1.0
-            self._kept.update(zip(new, np.ascontiguousarray(self.solve(units).T)))
-        return np.array([self._kept[j] for j in idx.tolist()]).reshape(idx.size, self.n + 1)
+        fresh = idx[self._positions[idx] < 0]
+        if fresh.size:
+            first = np.unique(fresh, return_index=True)[1]
+            new = fresh[np.sort(first)]
+            count = self._count
+            if count + new.size > self._kept.shape[0]:
+                grown = np.empty((min(self.n, max(count + new.size, 2 * count)), self.n + 1))
+                grown[:count] = self._kept[:count]
+                self._kept = grown
+            units = np.zeros((self.n + 1, new.size))
+            units[new, np.arange(new.size)] = 1.0
+            self._kept[count:count + new.size] = self.solve(units).T
+            self._positions[new] = np.arange(count, count + new.size)
+            self._count = count + new.size
+        return self._kept[self._positions[idx]]
 
 
 def _norm1_estimate(apply, size: int) -> float:
@@ -238,36 +308,59 @@ def _norm1_estimate(apply, size: int) -> float:
     return max(estimate, 2.0 * float(np.abs(apply(alternating)).sum()) / (3.0 * size))
 
 
-def kkt_basis(h0: np.ndarray) -> KktBasis | None:
-    """The KKT basis of the symmetric PSD float array H0, which it
-    overwrites with S = H0 + alpha 11' (a copy would cost the fit a second
-    n x n array): M0 = K0^-1 for K0 = [[H0, 1], [1', 0]], or None when S is
-    not positive definite (exactly when K0 is singular) or the
-    infinity-norm condition number of K0, with ||M0|| estimated, exceeds
-    BASIS_COND_LIMIT."""
-    n = h0.shape[0]
-    # ||K0||_inf, row panel by row panel, so that no second n x n array is
-    # formed; S's eigenvalue on 1 is alpha n, here H0's mean eigenvalue
-    # (alpha = 1 put it far above H0's spectrum and cost S a tenfold
-    # condition number). An overflowed norm refuses the basis.
-    with np.errstate(over="ignore"):
-        h0_norm = max((float(np.abs(h0[i:i + _SOLVE_BLOCK]).sum(axis=1).max())
-                       for i in range(0, n, _SOLVE_BLOCK)), default=0.0)
-        alpha = float(np.trace(h0)) / n ** 2
-    k0_norm = max(float(n), h0_norm + 1.0)
+def kkt_basis(h0) -> KktBasis | None:
+    """The KKT basis of H0, a ``ReconstructionHessian`` or a symmetric PSD
+    float array: M0 = K0^-1 for K0 = [[H0, 1], [1', 0]], or None when
+    S = H0 + alpha 11' is not positive definite (exactly when K0 is
+    singular) or the infinity-norm condition number of K0, with ||M0||
+    estimated, exceeds BASIS_COND_LIMIT.
+
+    L is formed one block row at a time from H0's rows (left-looking block
+    Cholesky, Golub & Van Loan 4.2): L[I, :i] = S[I, :i] L[:i, :i]^-T by
+    forward substitution, then L[I, I] is the Cholesky factor of
+    S[I, I] - L[I, :i] L[I, :i]', so no n x n array is formed. The basis
+    refines its solves with H0's own product: O(nk) for a
+    ``ReconstructionHessian``, the array's for an array."""
+    if isinstance(h0, ReconstructionHessian):
+        n, h0_rows, diagonal = h0.n, h0.rows, h0.h0_diagonal
+        # the graph factors, not their owner, whose cached basis this is
+        product = partial(_h0_product, h0.indices, h0.coeffs, h0.a)
+    else:
+        n, diagonal, product = h0.shape[0], np.diagonal(h0), h0.__matmul__
+
+        def h0_rows(i, j):
+            return h0[i:j, :j].copy()
+    abs_sums = np.zeros(n)  # row sums of |H0|, for ||K0||_inf
+    rows, inverses = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # S's eigenvalue on 1 is alpha n, here H0's mean eigenvalue (alpha = 1
+        # put it far above H0's spectrum and cost S a tenfold condition number)
+        alpha = float(diagonal.sum()) / n ** 2
+        for i in range(0, n, _SOLVE_BLOCK):
+            j = min(i + _SOLVE_BLOCK, n)
+            row = h0_rows(i, j)
+            abs_sums[i:j] += np.abs(row).sum(axis=1)
+            abs_sums[:i] += np.abs(row[:, :i]).sum(axis=0)  # the mirrored part above the diagonal
+            row += alpha
+            panel = row[:, :i]
+            _forward(rows, inverses, panel.T)  # in place, so L[I, :i] overwrites S[I, :i]
+            try:
+                row[:, i:] = np.linalg.cholesky(row[:, i:] - panel @ panel.T)
+            except np.linalg.LinAlgError:
+                return None
+            rows.append(row)
+            inverses.append(np.linalg.inv(row[:, i:]))
+    # an overflowed norm refuses the basis
+    k0_norm = max(float(n), float(abs_sums.max()) + 1.0)
     if not k0_norm < np.inf:
         return None
-    h0 += alpha
-    try:
-        chol = np.linalg.cholesky(h0)
-    except np.linalg.LinAlgError:
-        return None
     # M0 is symmetric, so its 1-norm is its infinity norm; an underestimate
-    # is caught where every step is verified against H. A nearly singular S
-    # can overflow the solves, and a non-finite estimate refuses the basis.
+    # is caught where every step is verified against H, so the estimate's
+    # solves go unrefined. A nearly singular S can overflow the solves, and
+    # a non-finite estimate refuses the basis.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        basis = KktBasis(chol, alpha)
-        cond = k0_norm * _norm1_estimate(basis.solve, n + 1)
+        basis = KktBasis(rows, inverses, alpha, product)
+        cond = k0_norm * _norm1_estimate(basis._m0_solve, n + 1)
     return basis if cond <= BASIS_COND_LIMIT else None
 
 

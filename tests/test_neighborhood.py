@@ -297,8 +297,9 @@ def test_screened_knn_matches_reference_on_seeded_pairs(monkeypatch, seed, n, k)
 
 
 @pytest.mark.parametrize("n", [_KNN_BLOCK_ROWS - 1, _KNN_BLOCK_ROWS, _KNN_BLOCK_ROWS + 1,
-                               2 * _KNN_BLOCK_ROWS, 3 * _KNN_BLOCK_ROWS + 7])
+                               2 * _KNN_BLOCK_ROWS + 1, 127, 128, 129, 256, 391])
 def test_screened_knn_across_block_boundaries(monkeypatch, n):
+    # the edges of the search's blocks, and of 128-row blocks
     points = np.random.default_rng(n).standard_normal((n, 6))
     assert_screened_matches_reference(monkeypatch, points, 4, "none")
 

@@ -324,13 +324,38 @@ def with_basis(qp, basis):
     return dataclasses.replace(qp, h=GramHessian(fixed, qp.h.coef, qp.h.b))
 
 
-def dense_kkt_inverse(h0):
-    """The explicit inverse of the bordered KKT matrix [[H0, 1], [1', 0]]."""
+def dense_kkt_matrix(h0):
+    """The bordered KKT matrix [[H0, 1], [1', 0]]."""
     n = h0.shape[0]
     k0 = np.ones((n + 1, n + 1))
     k0[:n, :n] = h0
     k0[n, n] = 0.0
-    return np.linalg.inv(k0)
+    return k0
+
+
+def dense_kkt_inverse(h0):
+    """The explicit inverse of the bordered KKT matrix [[H0, 1], [1', 0]]."""
+    return np.linalg.inv(dense_kkt_matrix(h0))
+
+
+def extended_kkt_solve(h0, b):
+    """K0^-1 b for K0 = [[H0, 1], [1', 0]]: a dense solve refined twice
+    with its residual formed in np.longdouble."""
+    k0 = dense_kkt_matrix(h0)
+    y = np.linalg.solve(k0, b)
+    for _ in range(2):
+        residual = b.astype(np.longdouble) - k0.astype(np.longdouble) @ y.astype(np.longdouble)
+        y = y + np.linalg.solve(k0, residual.astype(float))
+    return y
+
+
+def packed_factor(basis):
+    """The lower Cholesky factor L of a KktBasis, unpacked from its block rows."""
+    factor = np.zeros((basis.n, basis.n))
+    for row in basis._rows:
+        i, j = row.shape[1] - row.shape[0], row.shape[1]
+        factor[i:j, :j] = row
+    return factor
 
 
 WEIGHT_QP_VARIANTS = [
@@ -470,18 +495,19 @@ def test_perturbed_basis_steps_are_refined(monkeypatch):
 
 @pytest.mark.parametrize("hp_kwargs", WEIGHT_QP_VARIANTS)
 def test_all_free_solution_matches_basis_inverse(hp_kwargs):
-    # M0 b read off M0 [H0 x; 1'x] = [x; 0], against the product with the
-    # explicit inverse of K0
+    # M0 b read off M0 [H0 x; 1'x] = [x; 0], against K0^-1 b solved in
+    # extended precision: the basis's refined solves hold it to 2.5e-13,
+    # where unrefined solves through L alone read up to 1.05e-12
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for qp, warm in weight_problem_sequence(seed, **hp_kwargs):
             steps = qp_solver._SchurSteps(qp)
-            m0 = dense_kkt_inverse(qp.h.fixed.dense())
+            h0 = qp.h.fixed.dense()
             for x in [warm, _feasible_start(qp, rng.uniform(qp.lower, qp.upper))]:
                 b = np.append(-(qp.h @ x + qp.c), qp.eq_sum - x.sum())
-                expected = m0 @ b
+                expected = extended_kkt_solve(h0, b)
                 assert np.abs(steps.all_free(x) - expected).max() <= \
-                    1e-12 * np.abs(expected).max()
+                    5e-13 * np.abs(expected).max()
 
 
 def test_singular_kkt_matrix_has_no_basis():
@@ -497,6 +523,38 @@ def test_singular_kkt_matrix_has_no_basis():
     two_rings = np.array([[1], [2], [0], [4], [5], [3]])
     assert ReconstructionHessian(two_rings, np.ones((6, 1)), 2.0, parts["features"]).basis is None
     assert ReconstructionHessian(*ring, 2.0, parts["features"]).basis is not None
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 80, 800])
+def test_packed_factor_matches_lapack_cholesky(n):
+    # L formed block row by block row from H0's sparse terms, against
+    # LAPACK's factor of the whole S = H0 + alpha 11', at and around the
+    # edges of the 64-row blocks
+    sx = make_shifted_pair([2016, 0], n1=n, n2=n, n3=n // 10, m=20,
+                           shift=1.5, rot_deg=30.0)[0]
+    graph = build_graph(sx, 5)
+    fixed = ReconstructionHessian(graph.indices, graph.coeffs, 2.0, sx)
+    expected = np.linalg.cholesky(fixed.dense() + fixed.basis._alpha)
+    factor = packed_factor(fixed.basis)
+    assert np.abs(factor - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.array_equal(factor, np.tril(factor))
+
+
+def test_kkt_basis_holds_no_square_array():
+    # at n = 800 the packed factor holds about n^2 / 2 floats; factoring S
+    # whole held S and L, about twice 8 n^2 bytes
+    n = 800
+    sx = make_shifted_pair([2016, 0], n1=n, n2=n, n3=n // 10, m=20,
+                           shift=1.5, rot_deg=30.0)[0]
+    graph = build_graph(sx, 5)
+    tracemalloc.start()
+    try:
+        basis = ReconstructionHessian(graph.indices, graph.coeffs, 2.0, sx).basis
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis is not None
+    assert peak <= 8 * n * n
 
 
 def test_kkt_basis_columns_match_dense_inverse_at_fit_size():
@@ -802,6 +860,14 @@ def test_fit_builds_one_kkt_basis(monkeypatch):
         return panel(self, rhs, *args, **kwargs)
 
     monkeypatch.setattr(qp_solver.KktBasis, "solve", features_counted)
+    block = ReconstructionHessian.dense
+
+    def blocks_only(self, idx=None):
+        # the basis is factored from H0's rows: no fit forms all of H0
+        assert idx is not None
+        return block(self, idx)
+
+    monkeypatch.setattr(ReconstructionHessian, "dense", blocks_only)
     for delta, formed in ((3.0, 1), (1.0, 0)):
         factored.clear()
         solves.clear()
