@@ -20,7 +20,7 @@ from .data_model import (
     validate,
 )
 from .losses import loss_value
-from .neighborhood import NeighborGraph, build_graph, build_knn, solve_reconstruction
+from .neighborhood import NeighborGraph, build_graph, build_knn
 from .qp_solver import QpProblem, solve
 from .subspace import MeanEmbeddings, build_phi, projected_means, update_theta, update_w
 from .classifier import (
@@ -40,7 +40,7 @@ __all__ = [
     "DatasetPair", "FeatureScaler", "Hyperparams", "LOSS_KINDS", "ModelState",
     "NumericError", "ValidationError", "check_model_state", "validate",
     "loss_value",
-    "NeighborGraph", "build_graph", "build_knn", "solve_reconstruction",
+    "NeighborGraph", "build_graph", "build_knn",
     "QpProblem", "solve",
     "MeanEmbeddings", "build_phi", "projected_means", "update_theta", "update_w",
     "ObjectiveContext", "recover_u_v", "predict_source", "predict_target",

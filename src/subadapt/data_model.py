@@ -220,8 +220,10 @@ def check_model_state(state: ModelState, delta: float) -> None:
     if not np.isfinite(delta):
         raise ValidationError("non-finite delta")
     r = state.r
-    gram = state.theta @ state.theta.T
-    if r < 1 or np.abs(gram - np.eye(r)).max() > 1e-10:
+    # an orthonormal row has no entry above 1, and a larger one could
+    # overflow theta theta'
+    if r < 1 or np.abs(state.theta).max(initial=0.0) > 1.0 + 1e-10 or \
+            np.abs(state.theta @ state.theta.T - np.eye(r)).max() > 1e-10:
         raise ValidationError("theta needs at least one row, all orthonormal within 1e-10")
     n1 = state.pi.shape[0]
     if state.pi.min() < -1e-8 or state.pi.max() > delta + 1e-8:

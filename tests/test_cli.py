@@ -500,6 +500,23 @@ def test_model_failing_state_invariants_exits_2(tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_huge_theta_entry_exits_2_without_overflow(tmp_path, capsys):
+    # an orthonormal row has no entry above 1 in magnitude, so the entry is
+    # rejected before theta theta' is formed, which a 1e308 entry overflowed
+    def edit(lines):
+        index = next(i for i, line in enumerate(lines) if line.startswith("theta "))
+        values = lines[index + 1].split()
+        values[0] = "1e308"
+        lines[index + 1] = " ".join(values)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert predict_with_edited_model(tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert "orthonormal within 1e-10" in err and "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def set_model_vector(lines, name, values):
     index = next(i for i, line in enumerate(lines) if line.split()[0] == name)
     lines[index:index + 2] = [f"{name} {len(values)}", " ".join(values)]

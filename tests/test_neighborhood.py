@@ -6,15 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from subadapt import neighborhood
 from subadapt.cli import make_shifted_pair
-from subadapt.data_model import ValidationError
+from subadapt.data_model import NumericError, ValidationError
 from subadapt.neighborhood import (
     _KNN_BLOCK_ROWS,
-    GRAM_RIDGE,
     _knn_reference,
     build_graph,
     build_knn,
-    solve_reconstruction,
 )
+
+from reconstruction_reference import batch_row_weights, exhaustive_weights, \
+    reconstruction_objective
+
+# the per-point solves that the graph's batch is checked against: the
+# exhaustive reference and the batch solve of one row
+ROW_SOLVERS = [exhaustive_weights, batch_row_weights]
 
 
 def knn_oracle(points, k):
@@ -95,15 +100,15 @@ def test_knn_permutation_equivariance():
 
 def test_reconstruction_single_neighbor():
     x = np.array([1.0, 2.0])
-    weights = solve_reconstruction(x, x[None, :])
-    assert weights == pytest.approx([1.0], abs=1e-10)
+    for solve_row in ROW_SOLVERS:
+        assert solve_row(x, x[None, :]) == pytest.approx([1.0], abs=1e-10)
 
 
 def test_reconstruction_midpoint():
     x = np.array([0.0, 0.0])
     neighbors = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    weights = solve_reconstruction(x, neighbors)
-    assert weights == pytest.approx([0.5, 0.5], abs=1e-8)
+    for solve_row in ROW_SOLVERS:
+        assert solve_row(x, neighbors) == pytest.approx([0.5, 0.5], abs=1e-8)
 
 
 def test_reconstruction_beats_grid_oracle():
@@ -111,9 +116,9 @@ def test_reconstruction_beats_grid_oracle():
     for _ in range(10):
         x = rng.standard_normal(2)
         neighbors = rng.standard_normal((3, 2))
-        weights = solve_reconstruction(x, neighbors)
-        resid = weights @ neighbors - x
-        assert float(resid @ resid) <= simplex_grid_best(x, neighbors) + 1e-6
+        for solve_row in ROW_SOLVERS:
+            resid = solve_row(x, neighbors) @ neighbors - x
+            assert float(resid @ resid) <= simplex_grid_best(x, neighbors) + 1e-6
 
 
 def test_graph_midpoint_row():
@@ -172,18 +177,35 @@ def test_residual_vectors_rejects_points_of_another_size(rows):
 
 def test_non_finite_input_rejected():
     with pytest.raises(ValidationError, match="non-finite"):
-        solve_reconstruction(np.array([np.nan]), np.ones((2, 1)))
+        build_graph(np.array([[np.nan], [1.0], [1.0]]), 1)
 
 
 def per_point_coeffs(points, indices):
-    return np.array([solve_reconstruction(points[i], points[indices[i]])
+    return np.array([exhaustive_weights(points[i], points[indices[i]])
                      for i in range(len(points))])
 
 
-def reconstruction_objective(x, neighbors, weights):
-    """The QP objective solve_reconstruction minimizes, and its Hessian scale."""
-    h = 2.0 * (neighbors @ neighbors.T + GRAM_RIDGE * np.eye(len(weights)))
-    return 0.5 * weights @ h @ weights - 2.0 * (neighbors @ x) @ weights, np.abs(h).max()
+def assert_rows_match_reference_objective(points, graph):
+    """Each row's objective within 1e-12 max|H| of the exhaustive reference's."""
+    reference = per_point_coeffs(points, graph.indices)
+    for i in range(len(points)):
+        neighbors = points[graph.indices[i]]
+        batched, scale = reconstruction_objective(points[i], neighbors, graph.coeffs[i])
+        expected, _ = reconstruction_objective(points[i], neighbors, reference[i])
+        assert abs(batched - expected) <= 1e-12 * max(1.0, scale)
+
+
+def count_batch_rows(monkeypatch):
+    """The number of rows of each ``_simplex_active_set`` call, in order."""
+    rows = []
+    batch = neighborhood._simplex_active_set
+
+    def counted(h, c):
+        rows.append(c.shape[0])
+        return batch(h, c)
+
+    monkeypatch.setattr(neighborhood, "_simplex_active_set", counted)
+    return rows
 
 
 @pytest.mark.parametrize("seed, n, m, k", [
@@ -212,45 +234,48 @@ def test_batched_graph_degenerate_rows_match_reference_objective(name, k):
     graph = build_graph(points, k)
     assert graph.coeffs.min() >= 0.0
     assert np.abs(graph.coeffs.sum(axis=1) - 1.0).max() <= 1e-12
-    reference = per_point_coeffs(points, graph.indices)
-    for i in range(len(points)):
-        neighbors = points[graph.indices[i]]
-        batched, scale = reconstruction_objective(points[i], neighbors, graph.coeffs[i])
-        expected, _ = reconstruction_objective(points[i], neighbors, reference[i])
-        assert abs(batched - expected) <= 1e-12 * max(1.0, scale)
+    assert_rows_match_reference_objective(points, graph)
 
 
 def test_singular_batch_falls_back_to_per_point_reference(monkeypatch):
     # the 1e-8 Gram ridge is lost against 1e18 entries, so the KKT systems of
-    # points with duplicate neighbors are exactly singular
+    # points with duplicate neighbors are exactly singular; a second batch
+    # solves those rows again on their scaled problems
     points = np.repeat(1e9 * np.random.default_rng(17).standard_normal((5, 3)), 3, axis=0)
-    reference = per_point_coeffs(points, build_knn(points, 4))
-    fallback_rows = []
-    solve_row = neighborhood.solve_reconstruction
-
-    def counted(x, neighbors):
-        fallback_rows.append(x)
-        return solve_row(x, neighbors)
-
-    monkeypatch.setattr(neighborhood, "solve_reconstruction", counted)
+    rows = count_batch_rows(monkeypatch)
     graph = build_graph(points, 4)
-    assert fallback_rows
+    assert len(rows) == 2 and rows[0] == len(points) and rows[1] > 0
     assert graph.coeffs.min() >= 0.0
     assert np.abs(graph.coeffs.sum(axis=1) - 1.0).max() <= 1e-12
-    for i in range(len(points)):
-        neighbors = points[graph.indices[i]]
-        batched, scale = reconstruction_objective(points[i], neighbors, graph.coeffs[i])
-        expected, _ = reconstruction_objective(points[i], neighbors, reference[i])
-        assert abs(batched - expected) <= 1e-12 * max(1.0, scale)
+    assert_rows_match_reference_objective(points, graph)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_large_magnitude_features_give_a_feasible_graph(seed):
-    # k > m at entries near 1e16: the PSD check's tolerance must grow with H
+    # k > m at entries near 1e16, where the ridge is lost on some rows
     points = 1e8 * np.random.default_rng(seed).standard_normal((30, 2))
     graph = build_graph(points, 5)
     assert graph.coeffs.min() >= 0.0
     assert np.abs(graph.coeffs.sum(axis=1) - 1.0).max() <= 1e-12
+    assert_rows_match_reference_objective(points, graph)
+
+
+def test_row_the_second_pass_leaves_unsolved_raises_naming_the_point(monkeypatch):
+    # point 3's row is left unsolved by both passes
+    batch = neighborhood._simplex_active_set
+    calls = []
+
+    def failing(h, c):
+        weights, solved = batch(h, c)
+        solved[3 if not calls else 0] = False
+        calls.append(c.shape[0])
+        return weights, solved
+
+    monkeypatch.setattr(neighborhood, "_simplex_active_set", failing)
+    points = np.random.default_rng(18).standard_normal((10, 3))
+    with pytest.raises(NumericError, match="point 3 "):
+        build_graph(points, 3)
+    assert calls == [10, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from subadapt import qp_solver, trainer
 from subadapt.classifier import ObjectiveContext
 from subadapt.cli import make_shifted_pair
-from subadapt.data_model import DatasetPair, Hyperparams, NumericError, ValidationError
+from subadapt.data_model import DatasetPair, Hyperparams, ValidationError
 from subadapt.neighborhood import build_graph
 from subadapt.qp_solver import GramHessian, QpProblem, ReconstructionHessian, \
     _feasible_start, kkt_basis, solve
@@ -50,7 +50,7 @@ def grid_best_objective(p, step=0.01):
     tail = p.eq_sum - head.sum(axis=1)
     keep = (tail >= p.lower[-1] - 1e-12) & (tail <= p.upper[-1] + 1e-12)
     pts = np.column_stack([head[keep], tail[keep]])
-    values = 0.5 * np.einsum("ij,jk,ik->i", pts, p.h, pts) + pts @ p.c
+    values = 0.5 * np.einsum("ij,jk,ik->i", pts, p.h.dense(), pts) + pts @ p.c
     return float(values.min())
 
 
@@ -62,32 +62,54 @@ def feasible_uniform(p):
     return x
 
 
+def gram_qp(coef, c, lower, upper, eq_sum, b=1.0):
+    """The QP of Hessian H = b coef'coef (coef r x n) as a GramHessian: an
+    n x 0 graph with a = 0, so H0 = 0 and there is no KKT basis, and
+    features I, so G = coef."""
+    coef = np.asarray(coef, dtype=float)
+    n = coef.shape[1]
+    fixed = ReconstructionHessian(np.zeros((n, 0), dtype=int), np.zeros((n, 0)), 0.0, np.eye(n))
+    return QpProblem(GramHessian(fixed, coef, b), c, lower, upper, eq_sum)
+
+
+class DenseH0:
+    """A symmetric array H0 as ``kkt_basis`` reads a ReconstructionHessian."""
+
+    def __init__(self, h0):
+        self.h0 = np.asarray(h0, dtype=float)
+        self.n = self.h0.shape[0]
+        self.h0_diagonal = np.diagonal(self.h0)
+        self.product = self.h0.__matmul__
+
+    def rows(self, i, j):
+        return self.h0[i:j, :j].copy()
+
+
 def random_psd_problem(rng, n):
+    """H = coef'coef: a full square, a random rank, zero or diagonal."""
     kind = rng.integers(0, 4)
     if kind == 0:
-        a = rng.standard_normal((n, n))
-        h = a @ a.T
+        coef = rng.standard_normal((n, n)).T
     elif kind == 1:
-        g = rng.standard_normal((int(rng.integers(1, n + 1)), n))
-        h = g.T @ g
+        coef = rng.standard_normal((int(rng.integers(1, n + 1)), n))
     elif kind == 2:
-        h = np.zeros((n, n))
+        coef = np.zeros((1, n))
     else:
-        h = np.diag(np.abs(rng.standard_normal(n)))
+        coef = np.diag(np.sqrt(np.abs(rng.standard_normal(n))))
     c = 3.0 * rng.standard_normal(n)
     upper = np.full(n, float(rng.uniform(1.0, 3.0)))
     eq_sum = float(rng.uniform(0.0, upper.sum()))
-    return QpProblem(h, c, np.zeros(n), upper, eq_sum)
+    return gram_qp(coef, c, np.zeros(n), upper, eq_sum)
 
 
 def test_uniform_interior_optimum():
-    p = QpProblem(2.0 * np.eye(2), np.zeros(2), np.zeros(2), 2.0 * np.ones(2), 2.0)
+    p = gram_qp(np.eye(2), np.zeros(2), np.zeros(2), 2.0 * np.ones(2), 2.0, b=2.0)
     assert solve(p) == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
 def test_linear_program_corner():
-    p = QpProblem(np.zeros((2, 2)), np.array([0.0, 10.0]),
-                  np.zeros(2), 2.0 * np.ones(2), 2.0)
+    p = gram_qp(np.zeros((1, 2)), np.array([0.0, 10.0]),
+                np.zeros(2), 2.0 * np.ones(2), 2.0)
     assert solve(p) == pytest.approx([2.0, 0.0], abs=1e-10)
 
 
@@ -134,58 +156,38 @@ def test_deterministic_for_fixed_input():
 
 
 def test_warm_start_from_infeasible_point_is_projected():
-    p = QpProblem(np.eye(3), np.zeros(3), np.zeros(3), np.ones(3), 1.5)
+    p = gram_qp(np.eye(3), np.zeros(3), np.zeros(3), np.ones(3), 1.5)
     x = solve(p, warm_start=np.array([10.0, -4.0, 0.0]))
     assert abs(x.sum() - 1.5) <= 1e-8
 
 
 def test_infeasible_bounds_rejected():
     with pytest.raises(ValidationError, match="lower > upper"):
-        solve(QpProblem(np.eye(2), np.zeros(2), np.ones(2), np.zeros(2), 1.0))
+        solve(gram_qp(np.eye(2), np.zeros(2), np.ones(2), np.zeros(2), 1.0))
 
 
 def test_infeasible_equality_rejected():
     with pytest.raises(ValidationError, match="infeasible"):
-        solve(QpProblem(np.eye(2), np.zeros(2), np.zeros(2), np.ones(2), 5.0))
+        solve(gram_qp(np.eye(2), np.zeros(2), np.zeros(2), np.ones(2), 5.0))
 
 
 @pytest.mark.parametrize("warm_start", [None, np.zeros(0)])
 def test_qp_with_no_variables_rejected(warm_start):
-    empty = QpProblem(h=np.zeros((0, 0)), c=[], lower=[], upper=[], eq_sum=0.0)
+    empty = gram_qp(np.zeros((0, 0)), c=[], lower=[], upper=[], eq_sum=0.0)
     with pytest.raises(ValidationError, match="QP has no variables"):
         solve(empty, warm_start=warm_start)
 
 
-def test_asymmetric_h_rejected():
-    h = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValidationError, match="symmetric"):
-        solve(QpProblem(h, np.zeros(2), np.zeros(2), np.ones(2), 1.0))
-
-
-def test_indefinite_h_rejected():
-    with pytest.raises(NumericError, match="positive semidefinite"):
-        solve(QpProblem(np.diag([1.0, -1.0]), np.zeros(2),
-                        np.zeros(2), np.ones(2), 1.0))
-
-
-def test_indefinite_large_scale_h_rejected():
-    # the PSD tolerance grows with max|H| (here to 1), but not past -1e2
-    with pytest.raises(NumericError, match="positive semidefinite"):
-        solve(QpProblem(np.diag([1e8, -1e2]), np.zeros(2),
-                        np.zeros(2), np.ones(2), 1.0))
-
-
-def test_tiny_negative_curvature_tolerated():
-    h = np.diag([1.0, -1e-10])
-    p = QpProblem(h, np.zeros(2), np.zeros(2), np.ones(2), 1.0)
-    x = solve(p)
-    assert abs(x.sum() - 1.0) <= 1e-8
+def test_array_hessian_rejected():
+    # the solver takes a GramHessian alone, symmetric PSD by construction
+    with pytest.raises(ValidationError, match="GramHessian"):
+        solve(QpProblem(np.eye(2), np.zeros(2), np.zeros(2), np.ones(2), 1.0))
 
 
 def test_pinned_variable():
     lower = np.array([0.0, 0.7, 0.0])
     upper = np.array([1.0, 0.7, 1.0])
-    p = QpProblem(np.eye(3), np.zeros(3), lower, upper, 1.5)
+    p = gram_qp(np.eye(3), np.zeros(3), lower, upper, 1.5)
     x = solve(p)
     assert x[1] == pytest.approx(0.7, abs=1e-12)
     assert x[0] == pytest.approx(0.4, abs=1e-8)
@@ -197,7 +199,7 @@ def test_large_upper_bounds_keep_the_solution_feasible(upper):
     # each bound's activity test is scaled by that bound alone: scaled by
     # the upper bound too, the lower test took every x below 1e-11 * upper
     # as sitting at 0, and the solve returned all zeros
-    p = QpProblem(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, upper), 5.0)
+    p = gram_qp(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, upper), 5.0)
     x = solve(p)
     assert abs(x.sum() - 5.0) <= 1e-8 * 5.0
     assert x.min() >= 0.0 and x.max() <= upper
@@ -210,8 +212,8 @@ def test_large_lower_bounds_keep_the_upper_activity_test_per_bound():
     # per-bound activity scaling is reached: scaled by max(|lower|, |upper|),
     # the upper test took every x near 1 as sitting at its bound, and the
     # solve returned [1, 1, 1, 1], which misses the sum
-    p = QpProblem(np.eye(4), np.array([0.0, 0.1, 0.2, 0.3]), np.full(4, -1e12),
-                  np.ones(4), 2.0)
+    p = gram_qp(np.eye(4), np.array([0.0, 0.1, 0.2, 0.3]), np.full(4, -1e12),
+                np.ones(4), 2.0)
     x = solve(p)
     assert abs(x.sum() - 2.0) <= 1e-8 * 2.0
     assert kkt_residual(p, x) <= 1e-8
@@ -222,8 +224,8 @@ def test_large_lower_bounds_keep_the_upper_activity_test_per_bound():
 def test_upper_bounds_near_overflow_solve_as_their_cap():
     # x >= 0 and sum(x) = 5 keep every x_i <= 5, so upper bounds of 1e308
     # and of 10 are both capped at 5; summing the 1e308 bounds overflowed
-    huge = solve(QpProblem(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, 1e308), 5.0))
-    small = solve(QpProblem(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, 10.0), 5.0))
+    huge = solve(gram_qp(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, 1e308), 5.0))
+    small = solve(gram_qp(np.eye(5), np.arange(5.0), np.zeros(5), np.full(5, 10.0), 5.0))
     assert huge.tobytes() == small.tobytes()
 
 
@@ -256,7 +258,7 @@ def test_exact_start_matches_bisection(n, sum_at):
         upper[pinned] = lower[pinned]
         eq_sum = {"inside": float(rng.uniform(lower.sum(), upper.sum())),
                   "lower": lower.sum(), "upper": upper.sum()}[sum_at]
-        p = QpProblem(np.eye(n), np.zeros(n), lower, upper, eq_sum)
+        p = gram_qp(np.eye(n), np.zeros(n), lower, upper, eq_sum)
         # cold start, warm starts inside the box, and far outside it
         warm = [None, rng.uniform(lower, upper),
                 rng.normal(0.0, 10.0 ** rng.uniform(1, 4), n)][trial % 3]
@@ -285,8 +287,9 @@ def test_sum_nullspace_basis_matches_loop_bytes(n):
 
 
 def dense_copy(qp):
-    """``qp`` with its GramHessian's dense matrix: the reference path."""
-    return dataclasses.replace(qp, h=qp.h.dense())
+    """``qp`` on a copy of its Hessian with no KKT basis: the reference
+    path, whose every step solves the dense free-set system."""
+    return with_basis(qp, None)
 
 
 def weight_context(pair, hp):
@@ -458,7 +461,7 @@ def test_mismatched_basis_falls_back_to_dense_path(monkeypatch):
                                 shift=1.5, rot_deg=30.0)[0]
     other = build_graph(other_x, 5)
     for problem, warm in weight_problem_sequence(4, cycles=2):
-        wrong_c2 = kkt_basis(3.0 * problem.h.fixed.dense())
+        wrong_c2 = kkt_basis(DenseH0(3.0 * problem.h.fixed.dense()))
         wrong_graph = ReconstructionHessian(other.indices, other.coeffs, 2.0, other_x).basis
         reference = solve(dense_copy(problem), warm_start=warm)
         for wrong in (wrong_c2, wrong_graph):
@@ -483,7 +486,7 @@ def test_perturbed_basis_steps_are_refined(monkeypatch):
             h0 = problem.h.fixed.dense()
             noise = rng.standard_normal(h0.shape)
             noise *= 1e-9 * np.abs(h0).max()
-            qp = with_basis(problem, kkt_basis(h0 + 0.5 * (noise + noise.T)))
+            qp = with_basis(problem, kkt_basis(DenseH0(h0 + 0.5 * (noise + noise.T))))
             reference = solve(dense_copy(problem), warm_start=warm)
             counts.clear()
             x = solve(qp, warm_start=warm)
@@ -514,9 +517,9 @@ def test_singular_kkt_matrix_has_no_basis():
     # the Cholesky factor of S fails on H0 = 0 (as for c2 = 0) and on a
     # k = 1 ring (I - W with a null vector per component); the estimated
     # condition number refuses the nearly singular diagonal
-    assert kkt_basis(np.zeros((4, 4))) is None
-    assert kkt_basis(np.diag([1.0, 1e-12, 1e-12])) is None
-    assert kkt_basis(np.eye(4)) is not None
+    assert kkt_basis(DenseH0(np.zeros((4, 4)))) is None
+    assert kkt_basis(DenseH0(np.diag([1.0, 1e-12, 1e-12]))) is None
+    assert kkt_basis(DenseH0(np.eye(4))) is not None
     parts = gram_parts()
     ring = (parts["indices"], parts["coeffs"])
     assert ReconstructionHessian(*ring, 0.0, parts["features"]).basis is None
@@ -820,19 +823,6 @@ def test_factored_weight_qp_matches_dense_reference(monkeypatch, hp_kwargs):
     assert fast["schur"] > 0
     assert fast["rejected"] == 0
     assert fast["step_solves"] == 0 and fast["repeated"] == 0
-
-
-def test_fit_never_checks_the_weight_hessian_for_psd(monkeypatch):
-    def refuse(h):
-        raise AssertionError("dense PSD check on the weight path")
-
-    monkeypatch.setattr(qp_solver, "_require_psd", refuse)
-    sx, sy, tx, ty = make_shifted_pair([5, 0], n1=60, n2=60, n3=10, m=5,
-                                       shift=1.5, rot_deg=30.0)
-    state, trace = fit(DatasetPair(sx, sy, tx, ty[:10]),
-                       Hyperparams(tol=1e-12, max_outer_iters=4))
-    assert trace.n_iters == 4
-    assert abs(state.pi.sum() - 60.0) <= 1e-8 * 60.0
 
 
 def test_fit_builds_one_kkt_basis(monkeypatch):

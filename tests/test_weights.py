@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -197,14 +198,18 @@ def test_matching_improvement_over_uniform():
 
 
 def dense_reference(problem, warm_start):
-    """The weight QP solved on the dense matrix of its Hessian."""
-    return solve(dataclasses.replace(problem, h=problem.h.dense()), warm_start=warm_start)
+    """The weight QP solved on a copy of its Hessian with no KKT basis, so
+    that every step solves the dense free-set system."""
+    fixed = copy.copy(problem.h.fixed)
+    fixed.basis = None
+    hessian = GramHessian(fixed, problem.h.coef, problem.h.b)
+    return solve(dataclasses.replace(problem, h=hessian), warm_start=warm_start)
 
 
 @pytest.mark.parametrize("hp_kwargs", [{}, {"c3": 0.0}, {"delta": 1.05}])
 def test_update_pi_with_fit_state_matches_standalone(hp_kwargs):
     # consecutive cycles of one fit share the fit's one KKT basis, which
-    # rides on each problem; the dense H is the reference
+    # rides on each problem; the no-basis dense path is the reference
     rng = np.random.default_rng(10)
     pair, hp, ctx, theta, phi_vec = make_instance(
         rng, n1=40, n2=30, m=5, k=4, **hp_kwargs)
